@@ -27,8 +27,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=("csv", "json"),
-        default="csv",
-        help="output format (default: csv)",
+        help="output format (default: csv; for run, the config's output directive)",
     )
 
 
@@ -111,6 +110,8 @@ def _dispatch(args: argparse.Namespace):
         except OSError as exc:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
         config = parse_experiment(text)
+        if args.format is None:
+            args.format = config.output
         return experiments.run_config(config, seed=args.seed)
     if args.command == "fig4":
         records = experiments.run_fig4(
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         records, fields = _dispatch(args)
-        text = experiments.emit(records, args.format, path=args.out, fields=fields)
+        text = experiments.emit(records, args.format or "csv", path=args.out, fields=fields)
     except ParseError as exc:
         print(f"ipea-sim: {exc}", file=sys.stderr)
         return 2

@@ -467,61 +467,33 @@ def photonic_controlled_power(unitary: Unitary, k: int) -> Unitary:
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
-    Every invocation prepares the entangled input, cascades the blue
-    rails, remixes, and samples one port pattern from its exact
-    distribution.  ``branch_policy="relabel"`` (the default) keeps
-    odd-parity events and flags them for bit flipping;
-    ``"discard"`` post-selects even parity only, as if failed events
-    were simply retried.  ``branch_counts`` tallies sampled branches so
+    Each round prepares the entangled input, cascades the blue rails,
+    remixes, and post-selects every port pattern once; the table holds
+    one row per pattern with its exact probability.  Odd-parity (Q)
+    rows are kept and relabeled by flipping the measured bit.
+    ``branch_counts`` tallies the branches drawn in sampled runs so
     callers can report the even/odd split.
     """
 
     name = "photonic"
 
-    def __init__(self, branch_policy: str = "relabel"):
-        if branch_policy not in ("relabel", "discard"):
-            raise ContractError(
-                f"branch_policy must be 'relabel' or 'discard', got {branch_policy!r}"
-            )
-        self.branch_policy = branch_policy
+    def __init__(self):
         self.branch_counts = {"P": 0, "Q": 0}
 
-    def _cases(self, ports: PhotonicState):
-        cases = []
-        for branch in parity_cases(ports.num_targets):
-            if self.branch_policy == "discard" and branch.label == "Q":
-                continue
-            sv, prob = postselect(ports, branch)
-            if sv is not None:
-                cases.append((branch, sv, prob))
-        total = sum(prob for _, _, prob in cases)
-        return cases, total
-
-    def controlled_state(
-        self, unitary: Unitary, target: StateVector, k: int, rng: np.random.Generator
-    ) -> qpe.ControlledOutcome:
-        ports = _pipeline(unitary, target, k)
-        cases, total = self._cases(ports)
-        probs = np.array([prob for _, _, prob in cases]) / total
-        pick = int(rng.choice(len(cases), p=probs))
-        branch, sv, _ = cases[pick]
-        self.branch_counts[branch.label] += 1
-        return qpe.ControlledOutcome(sv, relabel=branch.label == "Q", branch=branch.label)
-
-    def bit_distribution(
+    def round_table(
         self, unitary: Unitary, target: StateVector, k: int, omega: float
-    ) -> tuple[float, float]:
+    ) -> tuple[qpe.BranchRow, ...]:
         ports = _pipeline(unitary, target, k)
-        cases, total = self._cases(ports)
-        p0 = 0.0
-        p1 = 0.0
-        for branch, sv, prob in cases:
+        rows = []
+        for branch in parity_cases(ports.num_targets):
+            sv, prob = postselect(ports, branch)
+            if sv is None:
+                continue
             plus, minus = qpe.ancilla_bit_distribution(sv, omega)
             if branch.label == "Q":
                 plus, minus = minus, plus
-            p0 += prob * plus
-            p1 += prob * minus
-        return p0 / total, p1 / total
+            rows.append(qpe.BranchRow(prob, plus, minus, branch.label))
+        return tuple(rows)
 
 
 def apply_noise(

@@ -16,21 +16,36 @@ binary fraction 0.b1...bm.
 
 Controlled-power providers
 --------------------------
-``ipea_run`` and ``ipea_iteration`` are generic over how the gate
-C-U^(2^(k-1)) is realized.  A provider exposes two methods::
+``ipea_run`` and ``ipea_run_exact`` are generic over how the gate
+C-U^(2^(k-1)) is realized.  Every repetition of a round starts from a
+freshly prepared target, so the state just before the control is
+measured is the same for all of them.  A provider therefore builds each
+round once and returns its branch table::
 
-    controlled_state(unitary, target, k, rng) -> ControlledOutcome
-    bit_distribution(unitary, target, k, omega) -> (p_bit0, p_bit1)
+    round_table(unitary, target, k, omega) -> tuple[BranchRow, ...]
 
-``MatrixProvider`` below applies the explicit block matrix.  The
-photonics module supplies a dual-rail optical realization with parity
-post-selection; its odd-parity outcomes are salvaged by flipping the
-measured bit, which the ``relabel`` flag communicates.
+Each row holds a branch weight, the bit pair (P(bit 0), P(bit 1)) after
+the feedback rotation ``omega``, and the branch label.  ``MatrixProvider``
+below applies the explicit block matrix and returns one unlabeled row of
+weight 1.  The photonics module supplies a dual-rail optical realization
+with parity post-selection and returns one row per port pattern; its
+odd-parity rows (label ``"Q"``) are salvaged by flipping the measured
+bit, so their pair is stored already swapped.
+
+Exact mode takes the weighted sum of the rows.  Sampled mode draws each
+repetition from the table: first a uniform for the branch, searched in
+the cdf of the normalized weights exactly as ``Generator.choice`` does
+(skipped when the table is a single unlabeled row), then a uniform for
+the control outcome, "+" when it falls below P(+).  So a matrix
+repetition takes one uniform and a photonic repetition two, and a
+round's uniforms come from one ``rng.random(n)`` call, which yields the
+same values as n single draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +61,15 @@ from .qmath import (
 
 __all__ = [
     "EigenproblemSpec",
-    "IterationPlan",
     "PhaseEstimate",
     "CollapseResult",
     "MixedCollapseResult",
     "ExactIpeaResult",
-    "ControlledOutcome",
+    "BranchRow",
     "MatrixProvider",
     "resolve_provider",
     "feedback_angle",
     "ancilla_bit_distribution",
-    "ipea_iteration",
     "ipea_run",
     "ipea_run_exact",
     "qft",
@@ -109,47 +122,6 @@ def feedback_angle(k: int, measured_bits) -> float:
 
 
 @dataclass(frozen=True)
-class IterationPlan:
-    """Everything round k needs: prior bits and the feedback angle.
-
-    ``xi_k`` is the binary fraction 0.0 b_{k+1} ... b_m built from the
-    already measured bits and ``omega_k = -2*pi*xi_k``.
-    """
-
-    m: int
-    k: int
-    measured_bits: tuple[int, ...]
-    xi_k: float
-    omega_k: float
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.m:
-            raise ContractError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
-        bits = _validated_bits(self.measured_bits)
-        if len(bits) != self.m - self.k:
-            raise ContractError(
-                f"round k={self.k} of m={self.m} expects {self.m - self.k} "
-                f"measured bits, got {len(bits)}"
-            )
-        object.__setattr__(self, "measured_bits", bits)
-        omega = feedback_angle(self.k, bits)
-        xi = -omega / (2.0 * np.pi)
-        if self.xi_k != xi or self.omega_k != omega:
-            raise ContractError(
-                f"inconsistent plan: xi_k={self.xi_k!r}, omega_k={self.omega_k!r} "
-                f"do not match bits {bits}"
-            )
-        if not 0.0 <= self.xi_k < 0.5:
-            raise ContractError(f"xi_k must lie in [0, 0.5), got {self.xi_k!r}")
-
-    @classmethod
-    def for_iteration(cls, m: int, k: int, measured_bits) -> "IterationPlan":
-        bits = _validated_bits(measured_bits)
-        omega = feedback_angle(k, bits)
-        return cls(m=m, k=k, measured_bits=bits, xi_k=-omega / (2.0 * np.pi), omega_k=omega)
-
-
-@dataclass(frozen=True)
 class PhaseEstimate:
     """An m-bit phase: bits (b1..bm) and the value 0.b1...bm."""
 
@@ -195,18 +167,19 @@ class EigenproblemSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class ControlledOutcome:
-    """Provider output: the control+target state, plus bookkeeping.
+class BranchRow(NamedTuple):
+    """One branch of a round's table.
 
-    ``relabel`` is True when the realization requires flipping the
-    measured bit (the odd-parity branch of the optical scheme);
-    ``branch`` names the post-selected branch if there is one.
+    ``weight`` is the branch's (unnormalized) probability; ``p0`` and
+    ``p1`` are the probabilities of bit 0 and bit 1 within the branch,
+    already swapped on a relabeled ``"Q"`` branch; ``label`` names the
+    post-selected branch, or is None for an unbranched realization.
     """
 
-    state: StateVector
-    relabel: bool = False
-    branch: str | None = None
+    weight: float
+    p0: float
+    p1: float
+    label: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,22 +239,19 @@ class MatrixProvider:
 
     name = "matrix"
 
-    def controlled_state(
-        self, unitary: Unitary, target: StateVector, k: int, rng=None
-    ) -> ControlledOutcome:
+    def round_table(
+        self, unitary: Unitary, target: StateVector, k: int, omega: float
+    ) -> tuple[BranchRow, ...]:
         w = _unitary_power_matrix(unitary, k)
         if w.shape[0] != target.dim:
             raise ContractError(
                 f"unitary dim {w.shape[0]} does not match target dim {target.dim}"
             )
         amps = np.concatenate([target.amplitudes, w @ target.amplitudes]) * _SQRT1_2
-        return ControlledOutcome(StateVector(target.num_qubits + 1, amps))
-
-    def bit_distribution(
-        self, unitary: Unitary, target: StateVector, k: int, omega: float
-    ) -> tuple[float, float]:
-        out = self.controlled_state(unitary, target, k)
-        return ancilla_bit_distribution(out.state, omega)
+        plus, minus = ancilla_bit_distribution(
+            StateVector(target.num_qubits + 1, amps), omega
+        )
+        return (BranchRow(1.0, plus, minus),)
 
 
 def resolve_provider(provider):
@@ -294,37 +264,66 @@ def resolve_provider(provider):
 
             return PhotonicProvider()
         raise ContractError(f"unknown provider {provider!r}")
-    if hasattr(provider, "controlled_state") and hasattr(provider, "bit_distribution"):
+    if hasattr(provider, "round_table"):
         return provider
     raise ContractError(f"object {provider!r} does not implement the provider interface")
 
 
-def ipea_iteration(
-    spec: EigenproblemSpec,
-    k: int,
-    plan: IterationPlan,
-    provider,
-    rng: np.random.Generator,
-) -> tuple[int, StateVector]:
-    """One round: entangle, rotate by the feedback angle, measure.
+# Generator.choice rejects probabilities whose sum misses 1 by more than this.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
-    Returns the extracted bit and the post-measurement target state.
-    The provider realizes C-U^(2^(k-1)); if it post-selected an
-    odd-parity branch the raw outcome is flipped before use.
+
+def _branch_cdf(rows) -> np.ndarray:
+    """Cumulative branch distribution, checked and built as Generator.choice does."""
+    weights = np.array([row.weight for row in rows], dtype=float)
+    total = sum(row.weight for row in rows)
+    p = weights / total if total > 0 else weights
+    if p.size == 0 or np.any(p < 0) or not abs(p.sum() - 1.0) <= _CHOICE_ATOL:
+        raise ContractError(
+            "branch probabilities must be non-negative and sum to 1, "
+            f"got weights {weights.tolist()}"
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _sample_ones(rows, reps: int, rng: np.random.Generator, tally) -> int:
+    """Number of 1 bits among ``reps`` repetitions drawn from one table.
+
+    A table that is a single unlabeled row takes one uniform per
+    repetition, for the control outcome.  Any other table takes two per
+    repetition: the branch, then the control outcome.  ``tally`` (a
+    label -> count dict, or None) counts the drawn branches.
     """
-    if k != plan.k:
-        raise ContractError(f"plan is for k={plan.k}, called with k={k}")
-    provider = resolve_provider(provider)
-    out = provider.controlled_state(spec.unitary, spec.input_state, k, rng)
-    rotated = _phase_on_control(out.state, plan.omega_k)
-    mo = qmath.measure(rotated, 0, qmath.PLUS_MINUS, rng)
-    bit = mo.outcome_index
-    if out.relabel:
-        bit ^= 1
-    prob, target = qmath.condition(rotated, 0, qmath.PLUS_MINUS, mo.outcome_index)
-    if target is None:  # pragma: no cover - sampling never lands on a null branch
-        raise ContractError("measured outcome has zero weight")
-    return bit, target
+    flip = np.array([row.label == "Q" for row in rows])
+    # P(+) as measured, before a Q row's relabeling swapped the pair.
+    plus = np.array([row.p1 if f else row.p0 for row, f in zip(rows, flip)])
+    if len(rows) == 1 and rows[0].label is None:
+        picks = np.zeros(reps, dtype=np.intp)
+        u_bit = rng.random(reps)
+    else:
+        cdf = _branch_cdf(rows)
+        u = rng.random(2 * reps)
+        picks = cdf.searchsorted(u[0::2], side="right")
+        u_bit = u[1::2]
+        if tally is not None:
+            for row, count in zip(rows, np.bincount(picks, minlength=len(rows))):
+                tally[row.label] += int(count)
+    # "+" (bit 0 before relabeling) when the uniform falls below P(+).
+    bits = (u_bit >= plus[picks]) ^ flip[picks]
+    return int(np.count_nonzero(bits))
+
+
+def _bit_posterior(rows) -> tuple[float, float]:
+    """(P(bit 0), P(bit 1)) of a round: the weighted sum over its rows."""
+    total = sum(row.weight for row in rows)
+    p0 = 0.0
+    p1 = 0.0
+    for row in rows:
+        p0 += row.weight * row.p0
+        p1 += row.weight * row.p1
+    return p0 / total, p1 / total
 
 
 def _check_reps(reps_per_bit: int) -> None:
@@ -347,7 +346,11 @@ def ipea_run(
     Rounds run k = m down to 1; each round repeats ``reps_per_bit``
     times (odd, so the vote is decisive) and the majority bit feeds the
     next round's rotation.  The caller asserts the input is an
-    eigenstate; the target is re-prepared fresh for every repetition.
+    eigenstate.  Every repetition of a round starts from the same
+    freshly prepared state, so the provider builds the round's branch
+    table once and all repetitions are drawn from it (see the module
+    docstring for the draw pattern).  A provider with a
+    ``branch_counts`` dict has it incremented once per repetition.
     """
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
@@ -355,13 +358,12 @@ def ipea_run(
     if rng is None:
         raise ContractError("ipea_run samples and therefore needs an explicit rng")
     provider = resolve_provider(provider)
+    tally = getattr(provider, "branch_counts", None)
     tail: list[int] = []
     for k in range(m, 0, -1):
-        plan = IterationPlan.for_iteration(m, k, tail)
-        ones = 0
-        for _ in range(reps_per_bit):
-            bit, _ = ipea_iteration(spec, k, plan, provider, rng)
-            ones += bit
+        omega = feedback_angle(k, tail)
+        rows = provider.round_table(spec.unitary, spec.input_state, k, omega)
+        ones = _sample_ones(rows, reps_per_bit, rng, tally)
         tail.insert(0, 1 if ones > reps_per_bit // 2 else 0)
     return PhaseEstimate.from_bits(tail)
 
@@ -369,10 +371,10 @@ def ipea_run(
 def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIpeaResult:
     """Deterministic variant: each bit is the argmax of its posterior.
 
-    No sampling happens; the provider's analytic bit distribution is
-    used directly (for the optical provider that is the average over
-    all parity branches, with odd branches already relabeled).  Ties
-    resolve to bit 0.
+    No sampling happens; each round's posterior is the weighted sum of
+    its branch table (for the optical provider, the average over all
+    parity branches with odd branches already relabeled).  Ties resolve
+    to bit 0.
     """
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
@@ -381,7 +383,8 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     posteriors: list[float] = []
     for k in range(m, 0, -1):
         omega = feedback_angle(k, tail)
-        p0, p1 = provider.bit_distribution(spec.unitary, spec.input_state, k, omega)
+        rows = provider.round_table(spec.unitary, spec.input_state, k, omega)
+        p0, p1 = _bit_posterior(rows)
         bit = 1 if p1 > p0 else 0
         posteriors.append(p1 if bit else p0)
         tail.insert(0, bit)

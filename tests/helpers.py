@@ -1,8 +1,18 @@
-"""Shared sampling utilities for the test suite."""
+"""Shared sampling utilities and reference implementations for the test suite."""
 
 import numpy as np
 
+from ipea_sim import qmath
+from ipea_sim.photonics import (
+    apply_blue_unitary,
+    beamsplitter_mix,
+    parity_cases,
+    postselect,
+    prepare_entangled_input,
+    q_branch_relabel,
+)
 from ipea_sim.qmath import StateVector, Unitary
+from ipea_sim.qpe import feedback_angle
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Unitary:
@@ -31,3 +41,51 @@ def random_bloch(rng: np.random.Generator, surface: bool = False) -> np.ndarray:
 def phase_unitary(phi: float) -> Unitary:
     """diag(1, e^{2 pi i phi}) — eigenphase phi on |1>."""
     return Unitary(np.diag([1.0, np.exp(2j * np.pi * phi)]))
+
+
+def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Generator):
+    """Per-repetition IPEA loop built from public pieces only.
+
+    Every repetition rebuilds the controlled state from scratch: the
+    photonic pipeline with one ``rng.choice`` over its post-selected port
+    patterns, or the matrix provider's block state, then the feedback
+    rotation and a sampled ``qmath.measure`` of the control, relabeled on
+    an odd-parity branch.  Returns the estimate's bits (b1..bm) and the
+    tally of drawn photonic branches; ``ipea_run`` must reproduce both
+    for the same generator.
+    """
+    counts = {"P": 0, "Q": 0}
+    target = spec.input_state
+    tail: list[int] = []
+    for k in range(m, 0, -1):
+        omega = feedback_angle(k, tail)
+        ones = 0
+        for _ in range(reps):
+            label = None
+            if provider == "photonic":
+                ports = beamsplitter_mix(
+                    apply_blue_unitary(prepare_entangled_input(target), spec.unitary, k)
+                )
+                cases = []
+                for branch in parity_cases(ports.num_targets):
+                    state, prob = postselect(ports, branch)
+                    if state is not None:
+                        cases.append((branch.label, state, prob))
+                total = sum(prob for _, _, prob in cases)
+                probs = np.array([prob for _, _, prob in cases]) / total
+                label, state, _ = cases[int(rng.choice(len(cases), p=probs))]
+                counts[label] += 1
+            else:
+                w = np.linalg.matrix_power(spec.unitary.matrix, 1 << (k - 1))
+                amps = np.concatenate([target.amplitudes, w @ target.amplitudes])
+                state = StateVector(target.num_qubits + 1, amps * (1.0 / np.sqrt(2.0)))
+            # diag(1, e^{i omega}) on the control qubit
+            amps = state.amplitudes.copy()
+            amps[amps.size // 2:] *= np.exp(1j * omega)
+            rotated = StateVector(state.num_qubits, amps)
+            bit = qmath.measure(rotated, 0, qmath.PLUS_MINUS, rng).outcome_index
+            if label == "Q":
+                bit = q_branch_relabel(bit)
+            ones += bit
+        tail.insert(0, 1 if ones > reps // 2 else 0)
+    return tuple(tail), counts

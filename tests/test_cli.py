@@ -1,12 +1,15 @@
 """Front-end checks: subcommands, output plumbing, exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from ipea_sim.cli import main
+
+MONTECARLO_GOLDEN = pathlib.Path(__file__).parent / "data" / "montecarlo_golden.csv"
 
 
 def run_cli(argv, capsys):
@@ -42,6 +45,17 @@ class TestRunCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload) == 4
+
+    def test_config_output_directive_selects_format(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("mode qpe_full\nunitary hwp 0 hwp 45\nbits 2\noutput json\n")
+        code, out, _ = run_cli(["run", str(cfg)], capsys)
+        assert code == 0
+        assert len(json.loads(out)) == 4
+        # an explicit flag still wins over the directive
+        code, out, _ = run_cli(["run", str(cfg), "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "bits,probability"
 
     def test_seed_override_changes_sampled_run(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -117,6 +131,19 @@ class TestStudyCommands:
         rows = out.splitlines()
         assert rows[0].startswith("m,trials,reps_per_bit")
         assert len(rows) == 3
+
+    def test_montecarlo_golden(self, capsys):
+        # Pins the sampled draw pattern of both providers at reps 1 and
+        # 11: the file holds the photonic table, then the matrix table.
+        text = ""
+        for provider in ("photonic", "matrix"):
+            code, out, _ = run_cli(
+                ["montecarlo", "--bits", "4", "--trials", "200", "--provider", provider],
+                capsys,
+            )
+            assert code == 0
+            text += out
+        assert text == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

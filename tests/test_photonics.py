@@ -197,52 +197,50 @@ class TestPipeline:
         assert eff.matrix[3, 3] == pytest.approx(np.exp(2j * np.pi * 0.4), abs=1e-10)
 
 
+def _weighted_pair(rows):
+    total = sum(r.weight for r in rows)
+    return (
+        sum(r.weight * r.p0 for r in rows) / total,
+        sum(r.weight * r.p1 for r in rows) / total,
+    )
+
+
 class TestPhotonicProvider:
     def test_branch_tally_and_relabel_flag(self):
         prov = PhotonicProvider()
-        rng = derive_rng(23)
-        u = hwp(30.0)
-        psi = polarization_state("H")
-        seen = set()
-        for _ in range(64):
-            out = prov.controlled_state(u, psi, 1, rng)
-            seen.add((out.branch, out.relabel))
-        assert prov.branch_counts["P"] + prov.branch_counts["Q"] == 64
-        assert ("P", False) in seen and ("Q", True) in seen
-
-    def test_discard_policy_never_yields_q(self):
-        prov = PhotonicProvider("discard")
-        rng = derive_rng(24)
-        for _ in range(32):
-            out = prov.controlled_state(hwp(30.0), polarization_state("H"), 1, rng)
-            assert out.branch == "P"
-        assert prov.branch_counts["Q"] == 0
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ContractError):
-            PhotonicProvider("retry")
+        rows = prov.round_table(hwp(30.0), polarization_state("H"), 1, -0.3)
+        assert [r.label for r in rows] == ["P", "Q"]
+        # the Q row arrives relabeled: its bit pair equals the P row's
+        p_row, q_row = rows
+        assert (q_row.p0, q_row.p1) == pytest.approx((p_row.p0, p_row.p1), abs=1e-12)
+        assert prov.branch_counts == {"P": 0, "Q": 0}  # building a table draws nothing
+        spec = qpe.EigenproblemSpec(hwp(30.0), polarization_state("H"))
+        qpe.ipea_run(spec, 2, 11, prov, derive_rng(23))
+        assert prov.branch_counts["P"] + prov.branch_counts["Q"] == 22
+        assert prov.branch_counts["P"] > 0 and prov.branch_counts["Q"] > 0
 
     def test_bit_distribution_matches_matrix_provider(self):
         u = compose_waveplates([hwp(0.0), hwp(30.0)])
         psi = polarization_state("R")
         for k in (1, 2, 3):
             for omega in (0.0, -np.pi / 4, -np.pi / 2):
-                got = PhotonicProvider().bit_distribution(u, psi, k, omega)
-                want = qpe.MatrixProvider().bit_distribution(u, psi, k, omega)
+                got = _weighted_pair(PhotonicProvider().round_table(u, psi, k, omega))
+                want = _weighted_pair(qpe.MatrixProvider().round_table(u, psi, k, omega))
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_bit_distribution_sums_to_one(self):
-        p0, p1 = PhotonicProvider().bit_distribution(
-            hwp(30.0), polarization_state("H"), 1, -0.3
-        )
+        rows = PhotonicProvider().round_table(hwp(30.0), polarization_state("H"), 1, -0.3)
+        assert sum(r.weight for r in rows) == pytest.approx(1.0, abs=1e-12)
+        for r in rows:
+            assert r.p0 + r.p1 == pytest.approx(1.0, abs=1e-12)
+        p0, p1 = _weighted_pair(rows)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNoise:
     def test_apply_noise_extremes(self):
-        state = qpe.MatrixProvider().controlled_state(
-            hwp(30.0), polarization_state("H"), 1
-        ).state
+        u, psi = hwp(30.0).matrix, polarization_state("H").amplitudes
+        state = StateVector(2, np.concatenate([psi, u @ psi]) / np.sqrt(2))
         pure = np.outer(state.amplitudes, state.amplitudes.conj())
         rho_clean = apply_noise(state, NoiseSpec(1.0, 0.0))
         np.testing.assert_allclose(rho_clean.matrix, pure, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, phase_unitary, random_state
+from helpers import haar_unitary, phase_unitary, random_state, reference_ipea_run
 from ipea_sim import qpe
 from ipea_sim.qmath import (
     CapacityError,
@@ -17,8 +17,8 @@ from ipea_sim.qmath import (
     state_from_amplitudes,
 )
 from ipea_sim.qpe import (
+    BranchRow,
     EigenproblemSpec,
-    IterationPlan,
     MatrixProvider,
     PhaseEstimate,
     bits_of,
@@ -67,19 +67,6 @@ class TestFeedbackArithmetic:
         with pytest.raises(ContractError):
             bits_of(8, 3)
 
-    def test_plan_factory(self):
-        plan = IterationPlan.for_iteration(3, 1, (1, 0))
-        assert plan.xi_k == 0.25
-        assert plan.omega_k == -2 * np.pi * 0.25
-
-    def test_plan_rejects_wrong_bit_count(self):
-        with pytest.raises(ContractError):
-            IterationPlan(m=3, k=2, measured_bits=(1, 0), xi_k=0.25, omega_k=-np.pi / 2)
-
-    def test_plan_rejects_inconsistent_angle(self):
-        with pytest.raises(ContractError):
-            IterationPlan(m=3, k=2, measured_bits=(1,), xi_k=0.3, omega_k=-0.6 * np.pi)
-
 
 class TestPhaseEstimate:
     def test_from_bits(self):
@@ -99,17 +86,19 @@ class TestPhaseEstimate:
 class TestProviders:
     def test_matrix_provider_doubles(self):
         u = phase_unitary(0.125)
-        out = MatrixProvider().controlled_state(u, basis_state(1, 1), 3)
-        # k=3 applies U^4: control V amplitude picks up half a turn
-        amps = out.state.amplitudes
-        assert amps[1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert amps[3] == pytest.approx(np.exp(2j * np.pi * 0.5) / np.sqrt(2), abs=1e-12)
+        # k=3 applies U^4: the control picks up half a turn, so "-" is
+        # certain unless the feedback rotation takes the half turn back
+        (row,) = MatrixProvider().round_table(u, basis_state(1, 1), 3, 0.0)
+        assert row.weight == 1.0 and row.label is None
+        assert row.p0 == pytest.approx(0.0, abs=1e-12)
+        assert row.p1 == pytest.approx(1.0, abs=1e-12)
+        (row,) = MatrixProvider().round_table(u, basis_state(1, 1), 3, -np.pi)
+        assert row.p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_ancilla_distribution_frozen_value(self):
-        out = MatrixProvider().controlled_state(phase_unitary(0.625), basis_state(1, 1), 1)
-        plus, minus = qpe.ancilla_bit_distribution(out.state, 0.0)
-        assert plus == pytest.approx(COS2_0625, abs=1e-12)
-        assert minus == pytest.approx(1.0 - COS2_0625, abs=1e-12)
+        (row,) = MatrixProvider().round_table(phase_unitary(0.625), basis_state(1, 1), 1, 0.0)
+        assert row.p0 == pytest.approx(COS2_0625, abs=1e-12)
+        assert row.p1 == pytest.approx(1.0 - COS2_0625, abs=1e-12)
 
     def test_resolve_provider_names(self):
         assert resolve_provider("matrix").name == "matrix"
@@ -122,6 +111,26 @@ class TestProviders:
         assert resolve_provider(prov) is prov
         with pytest.raises(ContractError):
             resolve_provider(object())
+
+    def test_branch_weights_must_normalize(self):
+        # a table whose weights cannot be normalized is refused once per
+        # round, as a contract violation rather than numpy's ValueError
+        class Empty:
+            def round_table(self, unitary, target, k, omega):
+                return ()
+
+        class Weightless:
+            def round_table(self, unitary, target, k, omega):
+                return (BranchRow(0.0, 0.5, 0.5, "P"), BranchRow(0.0, 0.5, 0.5, "Q"))
+
+        class Negative:
+            def round_table(self, unitary, target, k, omega):
+                return (BranchRow(2.0, 0.5, 0.5, "P"), BranchRow(-1.0, 0.5, 0.5, "Q"))
+
+        spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
+        for prov in (Empty(), Weightless(), Negative()):
+            with pytest.raises(ContractError, match="sum to 1"):
+                ipea_run(spec, 2, 3, prov, derive_rng(0))
 
 
 class TestIterativeRuns:
@@ -288,6 +297,30 @@ def test_dyadic_phases_exact_for_all_m(m, j):
     spec = EigenproblemSpec(phase_unitary(j / (1 << m)), basis_state(1, 1))
     res = ipea_run_exact(spec, m)
     assert res.estimate.value == j / (1 << m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 5),
+    st.sampled_from((1, 3, 11)),
+    st.sampled_from(("matrix", "photonic")),
+)
+def test_ipea_run_matches_per_repetition_reference(seed, num_qubits, m, reps, provider):
+    # ipea_run draws every repetition of a round from one branch table;
+    # the reference rebuilds and measures the state for each repetition.
+    # Both must consume the generator identically: same bits, same tally.
+    rng = derive_rng(seed)
+    u = haar_unitary(1 << num_qubits, rng)
+    spec = EigenproblemSpec(u, random_state(num_qubits, rng))
+    want_bits, want_counts = reference_ipea_run(spec, m, reps, provider, derive_rng(seed, 1))
+    prov = resolve_provider(provider)
+    got = ipea_run(spec, m, reps, prov, derive_rng(seed, 1))
+    assert got.bits == want_bits
+    if provider == "photonic":
+        assert prov.branch_counts == want_counts
+        assert sum(want_counts.values()) == m * reps
 
 
 @settings(max_examples=80, deadline=None)
