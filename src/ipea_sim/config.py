@@ -15,8 +15,12 @@ are skipped, each directive may appear at most once)::
     eigenstate R | L | H | V | D | A
     output     csv | json
 
-Every malformed line produces a ParseError naming its line number; a
-misspelled keyword is an error, never a silently ignored default.
+Every ``bits`` value the grammar accepts runs in every mode.  Every
+malformed line produces a ParseError naming its line number; a
+misspelled keyword is an error, never a silently ignored default.  So
+is a directive the mode never reads: ``qpe_full`` takes no ``reps``,
+``seed``, ``noise`` or ``provider``, and ``collapse`` no ``reps`` or
+``provider``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ EIGENSTATES = ("R", "L", "H", "V", "D", "A")
 
 MAX_BITS = 16
 MAX_SEED = (1 << 64) - 1
+# Directives a mode never reads; naming one is an error, not a no-op.
+UNREAD_DIRECTIVES = {
+    "qpe_full": ("reps", "seed", "noise", "provider"),
+    "collapse": ("reps", "provider"),
+}
 
 
 class ParseError(ValueError):
@@ -269,6 +278,9 @@ def parse_experiment(text: str) -> ExperimentConfig:
         raise ParseError(
             "qpe_full is exact and takes no trial count beyond 1", seen["trials"]
         )
+    for key in UNREAD_DIRECTIVES.get(mode, ()):
+        if key in seen:
+            raise ParseError(f"mode {mode!r} does not use directive {key!r}", seen[key])
 
     return ExperimentConfig(
         mode=mode,

@@ -252,7 +252,7 @@ def run_fig5(
                     plates, noise, derive_rng(seed, panel_index, 0)
                 )
             unitary = compose_waveplates(plates)
-            prob, rho = qpe.collapse_project_mixed(
+            prob, rho = qpe.collapse_project(
                 unitary, polarization_state(input_label), 1, outcome, coherence
             )
             if rho is None:
@@ -428,15 +428,12 @@ def _qpe_full_rows(config: ExperimentConfig) -> list[dict]:
 def _collapse_rows(config: ExperimentConfig, seed: int) -> list[dict]:
     unitary = config.unitary()
     input_state = config.input_state()
+    coherence = None if config.noise is None else config.noise.distinguishability
     rows = []
     for trial in range(config.resolved_trials()):
-        rng = derive_rng(seed, trial)
-        if config.noise is None:
-            result = qpe.collapse_run(unitary, input_state, config.bits, rng)
-        else:
-            result = qpe.collapse_run_mixed(
-                unitary, input_state, config.bits, rng, config.noise.distinguishability
-            )
+        result = qpe.collapse_run(
+            unitary, input_state, config.bits, derive_rng(seed, trial), coherence
+        )
         rows.append(
             {
                 "trial": trial,

@@ -6,9 +6,12 @@ Two complementary engines live here:
   single control qubit, least significant bit first, threading every
   measured bit into the feedback rotation of the next round;
 * the full-register engine prepares m control qubits at once, applies
-  the controlled powers, inverts the Fourier transform exactly, and
-  reads the whole register, which is also what drives eigenstate
-  generation from non-eigenstate inputs.
+  the controlled powers, inverts the Fourier transform on the register
+  with an FFT, and reads the whole register, which is also what drives
+  eigenstate generation from non-eigenstate inputs.  One readout serves
+  the register table and both collapse functions; its ``coherence``
+  parameter selects the coherent circuit (None) or one whose control
+  keeps only that fraction of its coherence.
 
 Bit convention: measuring the control in the +/- basis maps "+" to bit
 0 and "-" to bit 1.  An estimate ``bits = (b1, ..., bm)`` denotes the
@@ -55,7 +58,6 @@ from .qmath import (
     ContractError,
     StateVector,
     Unitary,
-    max_amplitudes,
     max_qubits,
 )
 
@@ -63,7 +65,6 @@ __all__ = [
     "EigenproblemSpec",
     "PhaseEstimate",
     "CollapseResult",
-    "MixedCollapseResult",
     "ExactIpeaResult",
     "BranchRow",
     "MatrixProvider",
@@ -72,13 +73,9 @@ __all__ = [
     "ancilla_bit_distribution",
     "ipea_run",
     "ipea_run_exact",
-    "qft",
-    "inverse_qft",
     "qpe_full_distribution",
     "collapse_run",
     "collapse_project",
-    "collapse_run_mixed",
-    "collapse_project_mixed",
     "circular_distance",
     "bits_of",
 ]
@@ -184,19 +181,14 @@ class BranchRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CollapseResult:
-    """Full-register run on an arbitrary input: estimate plus collapse."""
+    """Full-register run on an arbitrary input: estimate plus collapse.
+
+    ``collapsed_target`` is a StateVector for the coherent circuit and a
+    DensityMatrix for a run with degraded control coherence.
+    """
 
     estimate: PhaseEstimate
-    collapsed_target: StateVector
-    outcome_probability: float
-
-
-@dataclass(frozen=True, eq=False)
-class MixedCollapseResult:
-    """Like CollapseResult, for runs degraded to a mixed target."""
-
-    estimate: PhaseEstimate
-    collapsed_target: "qmath.DensityMatrix"
+    collapsed_target: "StateVector | qmath.DensityMatrix"
     outcome_probability: float
 
 
@@ -391,32 +383,6 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     return ExactIpeaResult(PhaseEstimate.from_bits(tail), tuple(posteriors))
 
 
-def _check_register_size(m: int) -> None:
-    if m < 1:
-        raise ContractError(f"register size m must be >= 1, got {m}")
-    if (1 << m) ** 2 > max_amplitudes():
-        raise CapacityError(
-            f"a {m}-qubit Fourier matrix needs {(1 << m) ** 2} entries, "
-            f"cap is {max_amplitudes()}"
-        )
-
-
-def qft(m: int) -> Unitary:
-    """Fourier transform on m qubits, entries 2^(-m/2) e^{+2i pi jk / 2^m}."""
-    _check_register_size(m)
-    dim = 1 << m
-    j = np.arange(dim)
-    return Unitary(np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim))
-
-
-def inverse_qft(m: int) -> Unitary:
-    """Inverse Fourier transform, entries 2^(-m/2) e^{-2i pi jk / 2^m}."""
-    _check_register_size(m)
-    dim = 1 << m
-    j = np.arange(dim)
-    return Unitary(np.exp(-2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim))
-
-
 def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:
     """Register x target amplitudes after H^m and all controlled powers.
 
@@ -449,6 +415,48 @@ def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.
     return stage
 
 
+def _register_readout(
+    unitary: Unitary, input_state: StateVector, m: int, coherence: float | None
+):
+    """Outcome weights of the register and the conditional target of one outcome.
+
+    The inverse Fourier transform on the register, entries
+    2^(-m/2) e^{-2i pi jk / 2^m}, is exactly the orthonormal FFT along
+    the register axis.  With ``coherence`` None the circuit is coherent
+    and outcome x leaves the target in the pure state ``rotated[x]``.  A
+    number c in [0, 1] keeps a c fraction of that coherent term and
+    replaces the rest with the register-dephased mixture (coherences
+    between register values zeroed before the final rotation).  Every
+    Fourier entry has modulus 2^(-m/2), so that mixture is the same for
+    every outcome: 2^-m sum_y |s_y><s_y| over the stage rows s_y.
+
+    Returns the unnormalized weights and ``target(x)``, the target
+    conditioned on outcome x (a StateVector, or a DensityMatrix when
+    ``coherence`` is a number).
+    """
+    if coherence is not None and not 0.0 <= coherence <= 1.0:
+        raise ContractError(f"coherence must lie in [0, 1], got {coherence!r}")
+    stage = _controlled_stage(unitary, input_state, m)
+    rotated = np.fft.fft(stage, axis=0, norm="ortho")
+    weights = np.sum(np.abs(rotated) ** 2, axis=1)
+    if coherence is None:
+
+        def target(x: int) -> StateVector:
+            return StateVector(input_state.num_qubits, rotated[x] / np.sqrt(weights[x]))
+
+        return weights, target
+
+    c = coherence
+    dephased = stage.T @ stage.conj() / stage.shape[0]
+    weights = c * weights + (1.0 - c) * np.trace(dephased).real
+
+    def target(x: int) -> qmath.DensityMatrix:
+        block = c * np.outer(rotated[x], rotated[x].conj()) + (1.0 - c) * dephased
+        return qmath.DensityMatrix.from_matrix(block / weights[x])
+
+    return weights, target
+
+
 def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     """Exact register distribution of the full m-qubit circuit.
 
@@ -456,120 +464,54 @@ def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     binary digits (most significant first) are the phase bits.  The
     target is traced out, so the table is exact for any input.
     """
-    stage = _controlled_stage(spec.unitary, spec.input_state, m)
-    rotated = inverse_qft(m).matrix @ stage
-    probs = np.sum(np.abs(rotated) ** 2, axis=1)
+    probs, _ = _register_readout(spec.unitary, spec.input_state, m, None)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"distribution does not sum to 1: {total!r}")
     return probs
 
 
-def _premeasure_matrix(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:
-    stage = _controlled_stage(unitary, input_state, m)
-    return inverse_qft(m).matrix @ stage
-
-
 def collapse_project(
-    unitary: Unitary, input_state: StateVector, m: int, outcome: int
-) -> tuple[float, StateVector | None]:
-    """Probability and conditional target for one register outcome."""
-    rotated = _premeasure_matrix(unitary, input_state, m)
-    if not 0 <= outcome < rotated.shape[0]:
-        raise ContractError(f"outcome {outcome} out of range for m={m}")
-    row = rotated[outcome]
-    prob = float(np.sum(np.abs(row) ** 2))
-    if prob <= 1e-24:
-        return 0.0, None
-    return prob, StateVector(input_state.num_qubits, row / np.sqrt(prob))
-
-
-def collapse_run(
-    unitary: Unitary, input_state: StateVector, m: int, rng: np.random.Generator
-) -> CollapseResult:
-    """Run the coherent full-register circuit and read every control.
-
-    For a superposition of eigenstates the register outcome picks one
-    eigenphase (with probability given by the input's weight on that
-    eigenvector) and the target collapses onto the matching eigenstate.
-    """
-    rotated = _premeasure_matrix(unitary, input_state, m)
-    probs = np.sum(np.abs(rotated) ** 2, axis=1)
-    probs = probs / probs.sum()
-    x = int(rng.choice(probs.size, p=probs))
-    prob = float(probs[x])
-    target = StateVector(input_state.num_qubits, rotated[x] / np.sqrt(prob))
-    return CollapseResult(PhaseEstimate.from_bits(bits_of(x, m)), target, prob)
-
-
-def _mixed_outcome_block(
-    stage: np.ndarray, q_row: np.ndarray, control_coherence: float
-) -> np.ndarray:
-    """Unnormalized conditional target density for one register outcome.
-
-    The degradation keeps a ``control_coherence`` fraction of the
-    coherent term and replaces the rest with the register-dephased
-    mixture (cross-register coherences zeroed before the final
-    rotation).
-    """
-    p = control_coherence
-    amp = q_row @ stage
-    coherent = np.outer(amp, amp.conj())
-    weights = np.abs(q_row) ** 2
-    dephased = np.einsum("x,xj,xl->jl", weights, stage, stage.conj())
-    return p * coherent + (1.0 - p) * dephased
-
-
-def _check_coherence(control_coherence: float) -> None:
-    if not 0.0 <= control_coherence <= 1.0:
-        raise ContractError(
-            f"control_coherence must lie in [0, 1], got {control_coherence!r}"
-        )
-
-
-def collapse_project_mixed(
     unitary: Unitary,
     input_state: StateVector,
     m: int,
     outcome: int,
-    control_coherence: float,
-) -> tuple[float, "qmath.DensityMatrix | None"]:
-    """Mixed-state analog of ``collapse_project``.
+    coherence: float | None = None,
+) -> tuple[float, "StateVector | qmath.DensityMatrix | None"]:
+    """Probability and conditional target for one register outcome.
 
-    Models partial distinguishability of the control: coherence between
-    the control register's computational branches survives only with
-    weight ``control_coherence``.
+    The target is a StateVector for the coherent circuit (``coherence``
+    None) and a DensityMatrix when only a ``coherence`` fraction of the
+    control's coherence survives; it is None for an outcome that never
+    occurs.
     """
-    _check_coherence(control_coherence)
-    stage = _controlled_stage(unitary, input_state, m)
-    q = inverse_qft(m).matrix
-    if not 0 <= outcome < q.shape[0]:
+    weights, target = _register_readout(unitary, input_state, m, coherence)
+    if not 0 <= outcome < weights.size:
         raise ContractError(f"outcome {outcome} out of range for m={m}")
-    block = _mixed_outcome_block(stage, q[outcome], control_coherence)
-    prob = float(np.trace(block).real)
+    prob = float(weights[outcome])
     if prob <= 1e-24:
         return 0.0, None
-    return prob, qmath.DensityMatrix.from_matrix(block / prob)
+    return prob, target(outcome)
 
 
-def collapse_run_mixed(
+def collapse_run(
     unitary: Unitary,
     input_state: StateVector,
     m: int,
     rng: np.random.Generator,
-    control_coherence: float,
-) -> MixedCollapseResult:
-    """Sampled full-register run with degraded control coherence."""
-    _check_coherence(control_coherence)
-    stage = _controlled_stage(unitary, input_state, m)
-    q = inverse_qft(m).matrix
-    blocks = [_mixed_outcome_block(stage, q[x], control_coherence) for x in range(q.shape[0])]
-    probs = np.array([np.trace(b).real for b in blocks])
-    probs = probs / probs.sum()
+    coherence: float | None = None,
+) -> CollapseResult:
+    """Run the full-register circuit and read every control.
+
+    For a superposition of eigenstates the coherent circuit picks one
+    eigenphase (with probability given by the input's weight on that
+    eigenvector) and the target collapses onto the matching eigenstate.
+    ``coherence`` degrades the control as in ``collapse_project``.
+    """
+    weights, target = _register_readout(unitary, input_state, m, coherence)
+    probs = weights / weights.sum()
     x = int(rng.choice(probs.size, p=probs))
-    prob = float(probs[x])
-    rho = qmath.DensityMatrix.from_matrix(blocks[x] / np.trace(blocks[x]).real)
-    return MixedCollapseResult(PhaseEstimate.from_bits(bits_of(x, m)), rho, prob)
+    return CollapseResult(PhaseEstimate.from_bits(bits_of(x, m)), target(x), float(probs[x]))
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -89,3 +89,44 @@ def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Ge
             ones += bit
         tail.insert(0, 1 if ones > reps // 2 else 0)
     return tuple(tail), counts
+
+
+def inverse_qft(m: int) -> np.ndarray:
+    """Dense inverse Fourier matrix, entries 2^(-m/2) e^{-2i pi jk / 2^m}."""
+    dim = 1 << m
+    j = np.arange(dim)
+    return np.exp(-2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+
+
+def reference_register(unitary: Unitary, target: StateVector, m: int) -> tuple:
+    """Stage and dense-matrix readout of the full-register circuit.
+
+    Stage row x is 2^(-m/2) U^x |target>: the Hadamard wall followed by
+    the controlled powers, register qubit 0 most significant.  The
+    readout applies the dense inverse Fourier matrix to it.
+    """
+    dim = 1 << m
+    rows = [target.amplitudes / np.sqrt(dim)]
+    for _ in range(dim - 1):
+        rows.append(unitary.matrix @ rows[-1])
+    stage = np.array(rows)
+    return stage, inverse_qft(m) @ stage
+
+
+def reference_collapse_blocks(unitary: Unitary, target: StateVector, m: int, coherence):
+    """Unnormalized conditional target of every outcome, dense-matrix path.
+
+    Pure amplitude rows for ``coherence`` None.  Otherwise each outcome
+    keeps the ``coherence`` fraction of its projector and takes the rest
+    from the register-dephased mixture, every stage row weighted by the
+    squared modulus of its Fourier entry.
+    """
+    stage, rotated = reference_register(unitary, target, m)
+    if coherence is None:
+        return rotated
+    q = inverse_qft(m)
+    blocks = []
+    for x, amp in enumerate(rotated):
+        dephased = np.einsum("y,yj,yl->jl", np.abs(q[x]) ** 2, stage, stage.conj())
+        blocks.append(coherence * np.outer(amp, amp.conj()) + (1.0 - coherence) * dephased)
+    return np.array(blocks)

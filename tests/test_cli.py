@@ -9,7 +9,10 @@ import pytest
 
 from ipea_sim.cli import main
 
-MONTECARLO_GOLDEN = pathlib.Path(__file__).parent / "data" / "montecarlo_golden.csv"
+DATA = pathlib.Path(__file__).parent / "data"
+MONTECARLO_GOLDEN = DATA / "montecarlo_golden.csv"
+REGISTER_GOLDEN = DATA / "register_golden.csv"
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def run_cli(argv, capsys):
@@ -80,6 +83,24 @@ class TestRunCommand:
         assert code == 2
         assert "line 3" in err
 
+    def test_every_parsed_bits_runs(self, tmp_path, capsys):
+        # bits 16 is the grammar's limit; both register modes must run it.
+        # The R input is an eigenstate of phase 0.75, a 16-bit grid point.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("mode qpe_full\nunitary hwp 0 hwp 45\nbits 16\n")
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 1 << 16
+        probs = [float(p) for _, p in rows]
+        assert abs(sum(probs) - 1.0) <= 1e-9
+        peak = max(range(len(probs)), key=probs.__getitem__)
+        assert abs(peak / (1 << 16) - 0.75) <= 2.0**-16
+        cfg.write_text("mode collapse\nunitary hwp 0 hwp 35\nbits 16\ntrials 2\neigenstate H\n")
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+        assert code == 0, err
+        assert [len(line.split(",")[1]) for line in out.splitlines()[1:]] == [16, 16]
+
     def test_capacity_violation_is_contract_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IPEA_SIM_MAX_QUBITS", "8")
         cfg = tmp_path / "exp.cfg"
@@ -144,6 +165,26 @@ class TestStudyCommands:
             assert code == 0
             text += out
         assert text == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
+
+    def test_register_golden(self, tmp_path, capsys):
+        # Pins the collapse draw pattern and the fig5 numbers: noisy fig5,
+        # exact noiseless fig5, the noisy collapse sample config, then a
+        # pure collapse run at bits 6.
+        pure = tmp_path / "collapse_pure.cfg"
+        pure.write_text(
+            "mode collapse\nunitary hwp 0 hwp 35\nbits 6\ntrials 8\nseed 3\neigenstate H\n"
+        )
+        text = ""
+        for argv in (
+            ["fig5"],
+            ["fig5", "--shots", "0", "--no-noise"],
+            ["run", str(CONFIGS / "collapse_noisy.cfg")],
+            ["run", str(pure)],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            text += out
+        assert text == REGISTER_GOLDEN.read_text(encoding="utf-8")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -145,6 +145,25 @@ class TestRejections:
             "mode qpe_full\nunitary hwp 0 hwp 30\ntrials 7\n", "exact", 3
         )
 
+    @pytest.mark.parametrize(
+        "mode, directive",
+        [
+            ("qpe_full", "reps 3"),
+            ("qpe_full", "seed 5"),
+            ("qpe_full", "noise 0.9 0.25"),
+            ("qpe_full", "provider matrix"),
+            ("collapse", "reps 3"),
+            ("collapse", "provider photonic"),
+        ],
+    )
+    def test_register_mode_rejects_unread_directive(self, mode, directive):
+        keyword = directive.split()[0]
+        expect_error(
+            f"mode {mode}\nunitary hwp 0 hwp 30\n{directive}\nbits 2\n",
+            f"does not use directive '{keyword}'",
+            3,
+        )
+
     def test_provider_typo(self):
         expect_error("mode ipea\nunitary hwp 0\nprovider optical\n", "provider", 3)
 

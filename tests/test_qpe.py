@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, phase_unitary, random_state, reference_ipea_run
+from helpers import (
+    haar_unitary,
+    inverse_qft,
+    phase_unitary,
+    random_state,
+    reference_collapse_blocks,
+    reference_ipea_run,
+    reference_register,
+)
 from ipea_sim import qpe
 from ipea_sim.qmath import (
     CapacityError,
     ContractError,
+    DensityMatrix,
     StateVector,
     Unitary,
     basis_state,
@@ -24,14 +33,10 @@ from ipea_sim.qpe import (
     bits_of,
     circular_distance,
     collapse_project,
-    collapse_project_mixed,
     collapse_run,
-    collapse_run_mixed,
     feedback_angle,
-    inverse_qft,
     ipea_run,
     ipea_run_exact,
-    qft,
     qpe_full_distribution,
     resolve_provider,
 )
@@ -183,22 +188,26 @@ class TestIterativeRuns:
 
 
 class TestFourierRegister:
-    def test_qft_inverse_relation(self):
-        f = qft(3).matrix
-        fi = inverse_qft(3).matrix
-        np.testing.assert_allclose(f @ fi, np.eye(8), atol=1e-12)
-
     def test_inverse_entries(self):
+        # the dense oracle has the inverse transform's sign convention,
+        # and so does the FFT the engine applies along the register axis
         m = 2
-        fi = inverse_qft(m).matrix
+        fi = inverse_qft(m)
         j, k = 3, 2
         expected = np.exp(-2j * np.pi * j * k / 4) / 2
         assert fi[j, k] == pytest.approx(expected, abs=1e-12)
+        fft = np.fft.fft(np.eye(1 << m), axis=0, norm="ortho")
+        np.testing.assert_allclose(fft, fi, atol=1e-15)
 
     def test_register_capacity(self, monkeypatch):
+        # the register and the target share the qubit cap: 4 + 1 > 4
         monkeypatch.setenv("IPEA_SIM_MAX_QUBITS", "4")
+        spec = EigenproblemSpec(phase_unitary(0.25), basis_state(1, 1))
+        qpe_full_distribution(spec, 3)
         with pytest.raises(CapacityError):
-            qft(3)  # the 8x8 matrix needs 64 > 2^4 amplitudes
+            qpe_full_distribution(spec, 4)
+        with pytest.raises(CapacityError):
+            collapse_run(spec.unitary, spec.input_state, 4, derive_rng(0), 0.5)
 
     def test_distribution_peaks_on_dyadic_phase(self):
         spec = EigenproblemSpec(phase_unitary(0.625), basis_state(1, 1))
@@ -255,17 +264,31 @@ class TestCollapse:
 
     def test_mixed_project_full_coherence_matches_pure(self):
         prob_pure, pure = collapse_project(self.u, self.mixed_input, 1, 0)
-        prob_mixed, rho = collapse_project_mixed(self.u, self.mixed_input, 1, 0, 1.0)
+        prob_mixed, rho = collapse_project(self.u, self.mixed_input, 1, 0, 1.0)
         assert prob_mixed == pytest.approx(prob_pure, abs=1e-12)
         expected = np.outer(pure.amplitudes, pure.amplitudes.conj())
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
     def test_mixed_project_rejects_bad_coherence(self):
         with pytest.raises(ContractError):
-            collapse_project_mixed(self.u, self.mixed_input, 1, 0, 1.5)
+            collapse_project(self.u, self.mixed_input, 1, 0, 1.5)
+        with pytest.raises(ContractError):
+            collapse_run(self.u, self.mixed_input, 1, derive_rng(6), -0.1)
+
+    def test_project_rejects_bad_outcome(self):
+        for coherence in (None, 0.5):
+            with pytest.raises(ContractError):
+                collapse_project(self.u, self.mixed_input, 1, 2, coherence)
+
+    def test_run_returns_state_or_density(self):
+        pure = collapse_run(self.u, self.mixed_input, 1, derive_rng(6))
+        assert isinstance(pure.collapsed_target, StateVector)
+        mixed = collapse_run(self.u, self.mixed_input, 1, derive_rng(6), 1.0)
+        assert isinstance(mixed.collapsed_target, DensityMatrix)
+        assert mixed.estimate == pure.estimate
 
     def test_mixed_run_returns_density(self):
-        res = collapse_run_mixed(self.u, self.mixed_input, 1, derive_rng(6), 0.9)
+        res = collapse_run(self.u, self.mixed_input, 1, derive_rng(6), 0.9)
         assert res.collapsed_target.dimension == 2
         assert 0.0 < res.outcome_probability < 1.0
 
@@ -273,8 +296,8 @@ class TestCollapse:
         # full dephasing erases the phase record: outcomes go uniform,
         # yet the conditional state of an eigenstate input is untouched
         spec_state = StateVector(1, self.v_plus)
-        p_coh, _ = collapse_project_mixed(self.u, spec_state, 1, 0, 1.0)
-        p_deph, rho = collapse_project_mixed(self.u, spec_state, 1, 0, 0.0)
+        p_coh, _ = collapse_project(self.u, spec_state, 1, 0, 1.0)
+        p_deph, rho = collapse_project(self.u, spec_state, 1, 0, 0.0)
         assert p_coh == pytest.approx(1.0, abs=1e-12)
         assert p_deph == pytest.approx(0.5, abs=1e-12)
         expected = np.outer(self.v_plus, self.v_plus.conj())
@@ -351,3 +374,51 @@ def test_full_register_matches_exact_iteration_on_random_eigenstates(seed):
     # both should land on a best m-bit approximation of phi
     assert circular_distance(est.value, phi) <= 2.0 ** -m
     assert circular_distance(argmax / (1 << m), phi) <= 2.0 ** -m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.integers(0, 255),
+)
+def test_register_engine_matches_dense_fourier_oracle(seed, num_qubits, m, coherence, outcome):
+    # The FFT readout against the dense inverse Fourier matrix applied to
+    # an independently built stage: the register table, one outcome's
+    # probability and conditional target, and a sampled run.
+    rng = derive_rng(seed)
+    u = haar_unitary(1 << num_qubits, rng)
+    target = random_state(num_qubits, rng)
+    outcome %= 1 << m
+    _, rotated = reference_register(u, target, m)
+    np.testing.assert_allclose(
+        qpe_full_distribution(EigenproblemSpec(u, target), m),
+        np.sum(np.abs(rotated) ** 2, axis=1),
+        rtol=0,
+        atol=1e-12,
+    )
+    blocks = reference_collapse_blocks(u, target, m, coherence)
+    if coherence is None:
+        weights = np.sum(np.abs(blocks) ** 2, axis=1)
+    else:
+        weights = np.trace(blocks, axis1=1, axis2=2).real
+
+    def unnormalized(state, weight):
+        if coherence is None:
+            return state.amplitudes * np.sqrt(weight)
+        return state.matrix * weight
+
+    prob, state = collapse_project(u, target, m, outcome, coherence)
+    assert abs(prob - weights[outcome]) <= 1e-12
+    np.testing.assert_allclose(unnormalized(state, prob), blocks[outcome], rtol=0, atol=1e-12)
+
+    probs = weights / weights.sum()
+    x = int(derive_rng(seed, 1).choice(probs.size, p=probs))
+    res = collapse_run(u, target, m, derive_rng(seed, 1), coherence)
+    assert res.estimate.bits == bits_of(x, m)
+    assert abs(res.outcome_probability - probs[x]) <= 1e-12
+    np.testing.assert_allclose(
+        unnormalized(res.collapsed_target, weights[x]), blocks[x], rtol=0, atol=1e-12
+    )
