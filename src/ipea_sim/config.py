@@ -19,8 +19,9 @@ Every ``bits`` value the grammar accepts runs in every mode.  Every
 malformed line produces a ParseError naming its line number; a
 misspelled keyword is an error, never a silently ignored default.  So
 is a directive the mode never reads: ``qpe_full`` takes no ``reps``,
-``seed``, ``noise`` or ``provider``, and ``collapse`` no ``reps`` or
-``provider``.
+``seed``, ``noise`` or ``provider``, ``collapse`` no ``reps`` or
+``provider``, and ``montecarlo`` (which draws its own diagonal
+unitaries and eigenstate) no ``unitary``, ``noise`` or ``eigenstate``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ MAX_SEED = (1 << 64) - 1
 UNREAD_DIRECTIVES = {
     "qpe_full": ("reps", "seed", "noise", "provider"),
     "collapse": ("reps", "provider"),
+    "montecarlo": ("unitary", "noise", "eigenstate"),
 }
 
 

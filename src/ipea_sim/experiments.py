@@ -176,22 +176,28 @@ def run_fig4(
     photonic provider in sampled mode) the even-parity branch fraction.
     Success means the error stays below 2^-4.
     """
+    unitaries = [compose_waveplates([hwp(0.0), hwp(theta)]) for theta in FIG4_THETAS]
+    target = polarization_state("R")
+    if exact:
+        estimates = [
+            qpe.ipea_run_exact(EigenproblemSpec(u, target), FIG4_BITS, provider).estimate
+            for u in unitaries
+        ]
+        branch_fracs = [None] * len(unitaries)
+    else:
+        estimates, branch_fracs = _sampled_estimates(
+            np.stack([u.matrix for u in unitaries]),
+            target,
+            FIG4_BITS,
+            reps,
+            provider,
+            [derive_rng(seed, index) for index in range(len(unitaries))],
+        )
     records = []
-    for index, theta in enumerate(FIG4_THETAS):
-        unitary = compose_waveplates([hwp(0.0), hwp(theta)])
+    for theta, unitary, estimate, branch_frac in zip(
+        FIG4_THETAS, unitaries, estimates, branch_fracs
+    ):
         phi_oracle = oracle_eigenphase(unitary, "R")
-        spec = EigenproblemSpec(unitary, polarization_state("R"))
-        prov = qpe.resolve_provider(provider)
-        if exact:
-            estimate = qpe.ipea_run_exact(spec, FIG4_BITS, prov).estimate
-        else:
-            rng = derive_rng(seed, index)
-            estimate = qpe.ipea_run(spec, FIG4_BITS, reps, prov, rng)
-        branch_frac = None
-        counts = getattr(prov, "branch_counts", None)
-        if counts is not None and not exact:
-            total = counts["P"] + counts["Q"]
-            branch_frac = counts["P"] / total if total else None
         error = circular_distance(estimate.value, phi_oracle)
         records.append(
             RunRecord(
@@ -206,6 +212,22 @@ def run_fig4(
             )
         )
     return records
+
+
+def _sampled_estimates(unitaries, target, m, reps, provider, rngs):
+    """Each trial's estimate and its share of even-parity (P) branches.
+
+    The trials run as one batch; the share is None for every trial of an
+    unbranched provider.
+    """
+    batch = qpe.ipea_batch(unitaries, target, m, reps, provider, rngs)
+    estimates = [qpe.PhaseEstimate.from_numerator(n, m) for n in batch.numerators]
+    if not batch.branch_tally:
+        return estimates, [None] * len(estimates)
+    none = np.zeros(len(estimates), dtype=np.int64)
+    p = batch.branch_tally.get("P", none).tolist()
+    q = batch.branch_tally.get("Q", none).tolist()
+    return estimates, [a / (a + b) if a + b else None for a, b in zip(p, q)]
 
 
 _FIG5_ANGLES = (30.0, 45.0, 67.5)
@@ -298,10 +320,6 @@ def run_fig5(
     return results
 
 
-def _diagonal_phase_unitary(phi: float) -> Unitary:
-    return Unitary(np.array([[1.0, 0.0], [0.0, np.exp(2j * np.pi * phi)]]))
-
-
 def _montecarlo_pass(
     m: int,
     trials: int,
@@ -311,19 +329,25 @@ def _montecarlo_pass(
     stream: int,
     dyadic: bool,
 ) -> int:
+    # Each trial draws its phase and then every repetition from its own
+    # generator; the trials run as batches of diag(1, e^{2 pi i phi}).
+    prov = qpe.resolve_provider(provider)
+    target = basis_state(1, 1)
     successes = 0
-    for trial in range(trials):
-        rng = derive_rng(seed, stream, trial)
+    step = qpe.batch_trials(reps_per_bit)
+    for start in range(0, trials, step):
+        rngs = [derive_rng(seed, stream, t) for t in range(start, min(trials, start + step))]
         if dyadic:
-            phi = int(rng.integers(0, 1 << m)) / (1 << m)
+            phis = [int(rng.integers(0, 1 << m)) / (1 << m) for rng in rngs]
         else:
-            phi = float(rng.random())
-        spec = EigenproblemSpec(_diagonal_phase_unitary(phi), basis_state(1, 1))
-        estimate = qpe.ipea_run(
-            spec, m, reps_per_bit, qpe.resolve_provider(provider), rng
-        )
-        if circular_distance(estimate.value, phi) <= 2.0**-m:
-            successes += 1
+            phis = [float(rng.random()) for rng in rngs]
+        stack = np.zeros((len(phis), 2, 2), dtype=complex)
+        stack[:, 0, 0] = 1.0
+        stack[:, 1, 1] = np.exp(2j * np.pi * np.array(phis))
+        batch = qpe.ipea_batch(stack, target, m, reps_per_bit, prov, rngs)
+        for numerator, phi in zip(batch.numerators.tolist(), phis):
+            if circular_distance(numerator / (1 << m), phi) <= 2.0**-m:
+                successes += 1
     return successes
 
 
@@ -378,21 +402,20 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
     spec = EigenproblemSpec(unitary, config.input_state())
     phi_oracle = _oracle_or_none(unitary, config.eigenstate)
     trials = config.resolved_trials()
+    if trials == 0:
+        estimates = [qpe.ipea_run_exact(spec, config.bits, config.provider).estimate]
+        branch_fracs = [None]
+    else:
+        estimates, branch_fracs = _sampled_estimates(
+            np.broadcast_to(unitary.matrix, (trials,) + unitary.matrix.shape),
+            spec.input_state,
+            config.bits,
+            config.reps_per_bit,
+            config.provider,
+            [derive_rng(seed, trial) for trial in range(trials)],
+        )
     rows = []
-    runs = [(0, True)] if trials == 0 else [(t, False) for t in range(trials)]
-    for trial, exact in runs:
-        prov = qpe.resolve_provider(config.provider)
-        if exact:
-            estimate = qpe.ipea_run_exact(spec, config.bits, prov).estimate
-        else:
-            estimate = qpe.ipea_run(
-                spec, config.bits, config.reps_per_bit, prov, derive_rng(seed, trial)
-            )
-        branch_frac = None
-        counts = getattr(prov, "branch_counts", None)
-        if counts is not None and not exact:
-            total = counts["P"] + counts["Q"]
-            branch_frac = counts["P"] / total if total else None
+    for trial, (estimate, branch_frac) in enumerate(zip(estimates, branch_fracs)):
         if phi_oracle is None:
             error = None
             success = None

@@ -47,7 +47,6 @@ __all__ = [
     "parity_cases",
     "postselect",
     "q_branch_relabel",
-    "photonic_controlled_power",
     "PhotonicProvider",
     "apply_noise",
     "jitter_waveplates",
@@ -295,28 +294,97 @@ def oracle_eigenphase(unitary: Unitary, selector="R") -> float:
     return 0.0 if phase == 1.0 else phase
 
 
+# Stage kernels.  Each takes a batch: a leading trial axis, then the
+# control axis, then every target's polarization and rail axes (the
+# layout of PhotonicState, one row per trial).  The provider runs them on
+# a whole batch of trials; the public stage functions below run them on a
+# batch of one, so each stage's arithmetic exists once.
+
+
+def _rails(n: int, rail: int) -> tuple:
+    # The block where the control (H=0, V=1) rides with every target in
+    # rail ``rail`` (0 = red, 1 = blue).
+    return (slice(None), rail) + (slice(None), rail) * n
+
+
+def _num_targets(arr: np.ndarray) -> int:
+    return (arr.ndim - 2) // 2
+
+
+def _prepare(target: np.ndarray, count: int) -> np.ndarray:
+    # ``count`` trials sharing the target amplitudes ``target``.
+    n = target.size.bit_length() - 1
+    arr = np.zeros((count, 2) + (2, 2) * n, dtype=complex)
+    half = target.reshape((2,) * n) * _SQRT1_2
+    arr[_rails(n, 0)] = half
+    arr[_rails(n, 1)] = half
+    return arr
+
+
+def _cascade(arr: np.ndarray, unitaries: np.ndarray, k: int) -> np.ndarray:
+    if not 1 <= k <= MAX_CASCADE_K:
+        raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {k}")
+    count = arr.shape[0]
+    n = _num_targets(arr)
+    if unitaries.shape[-1] != 1 << n:
+        raise ContractError(
+            f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
+        )
+    red = arr[_rails(n, 0)].reshape(count, -1)
+    blue = arr[_rails(n, 1)].reshape(count, -1, 1)
+    correlated = (np.abs(red) ** 2).sum(axis=1) + (np.abs(blue) ** 2).sum(axis=(1, 2))
+    if (np.abs(correlated - 1.0) > 1e-12).any():
+        raise ContractError(
+            "state is not rail-correlated; build it with prepare_entangled_input"
+        )
+    for _ in range(1 << (k - 1)):
+        blue = unitaries @ blue
+    out = arr.copy()
+    out[_rails(n, 1)] = blue.reshape((count,) + (2,) * n)
+    return out
+
+
+_BS = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+
+
+def _mix(arr: np.ndarray) -> np.ndarray:
+    for target in range(_num_targets(arr)):
+        axis = 3 + 2 * target  # rail axis of this target
+        rails = np.moveaxis(arr, axis, 0)
+        mixed = _BS @ rails.reshape(2, -1)  # the product np.tensordot would form
+        arr = np.moveaxis(mixed.reshape(rails.shape), 0, axis)
+    return arr
+
+
+def _postselect_all(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every port pattern's normalized state and probability, per trial.
+
+    Returns (T, 2^n, 2^(n+1)) control+target polarization states and
+    (T, 2^n) probabilities, patterns in ``parity_cases`` order (the
+    ports read as a binary number, first target most significant).  A
+    pattern of probability <= 1e-24 never fires: its probability is 0
+    and its state all zeros.
+    """
+    count = arr.shape[0]
+    n = _num_targets(arr)
+    order = (0,) + tuple(range(3, arr.ndim, 2)) + (1,) + tuple(range(2, arr.ndim, 2))
+    blocks = np.ascontiguousarray(arr.transpose(order)).reshape(count, 1 << n, -1)
+    probs = (np.abs(blocks) ** 2).sum(axis=2)
+    dead = probs <= 1e-24
+    probs[dead] = 0.0
+    states = blocks / np.sqrt(np.where(dead, 1.0, probs))[..., None]
+    states[dead] = 0.0
+    return states, probs
+
+
 def prepare_entangled_input(psi: StateVector) -> PhotonicState:
     """Entangle control polarization with the rails of the target state.
 
     Produces (|H>|psi across red rails> + |V>|psi across blue rails>)
     divided by sqrt(2); rails are perfectly correlated across targets.
     """
-    n = psi.num_qubits
-    target = psi.amplitudes.reshape((2,) * n)
-    arr = np.zeros((2,) + (2, 2) * n, dtype=complex)
-    red = (0,) + (slice(None), 0) * n
-    blue = (1,) + (slice(None), 1) * n
-    arr[red] = target * _SQRT1_2
-    arr[blue] = target * _SQRT1_2
-    return PhotonicState(n, arr.reshape(-1), STAGE_RAILS)
-
-
-def _rail_blocks(state: PhotonicState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = state._tensor()
-    n = state.num_targets
-    red = arr[(0,) + (slice(None), 0) * n]
-    blue = arr[(1,) + (slice(None), 1) * n]
-    return arr, red, blue
+    arr = _prepare(psi.amplitudes, 1)
+    return PhotonicState(psi.num_qubits, arr.reshape(-1), STAGE_RAILS)
 
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
@@ -328,28 +396,8 @@ def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> Photon
     """
     if state.stage != STAGE_RAILS:
         raise ContractError("blue rails no longer exist after the beamsplitters")
-    if not 1 <= k <= MAX_CASCADE_K:
-        raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {k}")
-    n = state.num_targets
-    if unitary.dim != 1 << n:
-        raise ContractError(
-            f"unitary dim {unitary.dim} does not match {n} target(s)"
-        )
-    arr, red, blue = _rail_blocks(state)
-    correlated = float(np.sum(np.abs(red) ** 2) + np.sum(np.abs(blue) ** 2))
-    if abs(correlated - 1.0) > 1e-12:
-        raise ContractError(
-            "state is not rail-correlated; build it with prepare_entangled_input"
-        )
-    vec = blue.reshape(-1)
-    for _ in range(1 << (k - 1)):
-        vec = unitary.matrix @ vec
-    out = arr.copy()
-    out[(1,) + (slice(None), 1) * n] = vec.reshape((2,) * n)
-    return PhotonicState(n, out.reshape(-1), STAGE_RAILS)
-
-
-_BS = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+    arr = _cascade(state._tensor()[None], unitary.matrix[None], k)
+    return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_RAILS)
 
 
 def beamsplitter_mix(state: PhotonicState) -> PhotonicState:
@@ -358,13 +406,10 @@ def beamsplitter_mix(state: PhotonicState) -> PhotonicState:
     Red feeds (upper + lower)/sqrt(2) and blue (upper - lower)/sqrt(2),
     after which the rail axes index output ports.
     """
-    if state.stage != STAGE_PORTS:
-        arr = state._tensor()
-        for target in range(state.num_targets):
-            axis = 2 + 2 * target  # rail axis of this target
-            arr = np.moveaxis(np.tensordot(_BS, arr, axes=(1, axis)), 0, axis)
-        return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_PORTS)
-    raise ContractError("rails were already mixed into ports")
+    if state.stage == STAGE_PORTS:
+        raise ContractError("rails were already mixed into ports")
+    arr = _mix(state._tensor()[None])
+    return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_PORTS)
 
 
 def parity_cases(n: int, label: str | None = None) -> tuple[ParityBranch, ...]:
@@ -379,14 +424,6 @@ def parity_cases(n: int, label: str | None = None) -> tuple[ParityBranch, ...]:
         if label is None or tag == label:
             branches.append(ParityBranch(tag, pattern))
     return tuple(branches)
-
-
-def _projected_block(state: PhotonicState, pattern: tuple[int, ...]) -> np.ndarray:
-    arr = state._tensor()
-    idx: list = [slice(None)]
-    for rail in pattern:
-        idx.extend([slice(None), rail])
-    return arr[tuple(idx)].reshape(-1)
 
 
 def postselect(
@@ -405,11 +442,12 @@ def postselect(
             f"pattern covers {len(branch.case_pattern)} target(s), "
             f"state has {state.num_targets}"
         )
-    block = _projected_block(state, branch.case_pattern)
-    prob = float(np.sum(np.abs(block) ** 2))
-    if prob <= 1e-24:
+    states, probs = _postselect_all(state._tensor()[None])
+    index = int("".join(str(rail) for rail in branch.case_pattern), 2)
+    prob = float(probs[0, index])
+    if prob == 0.0:
         return None, 0.0
-    return StateVector(state.num_targets + 1, block / np.sqrt(prob)), prob
+    return StateVector(state.num_targets + 1, states[0, index]), prob
 
 
 def q_branch_relabel(bit: int) -> int:
@@ -419,60 +457,15 @@ def q_branch_relabel(bit: int) -> int:
     return 1 - bit
 
 
-def _pipeline(unitary: Unitary, target: StateVector, k: int) -> PhotonicState:
-    ph = prepare_entangled_input(target)
-    ph = apply_blue_unitary(ph, unitary, k)
-    return beamsplitter_mix(ph)
-
-
-def photonic_controlled_power(unitary: Unitary, k: int) -> Unitary:
-    """Effective control+target operator of the post-selected pipeline.
-
-    Reconstructs the induced map column by column from the first
-    even-parity pattern (all upper ports) and asserts it matches the
-    direct block matrix diag(I, U^(2^(k-1))) up to global phase.
-    """
-    n = int(np.log2(unitary.dim))
-    if 1 << n != unitary.dim:
-        raise ContractError(f"unitary dim {unitary.dim} is not a power of two")
-    dim = unitary.dim
-    first_case = (0,) * n
-    scale = np.sqrt(float(1 << (n + 1)))
-    columns = []
-    for j in range(dim):
-        ports = _pipeline(unitary, qmath.basis_state(n, j), k)
-        block = _projected_block(ports, first_case)
-        columns.append(block * scale)
-    induced = np.stack(columns, axis=1)  # maps psi -> |0>psi + |1>W psi
-    top, bottom = induced[:dim], induced[dim:]
-    if np.max(np.abs(top - np.eye(dim))) > qmath.CONSTRUCTION_TOL:
-        raise ContractError("post-selected pipeline does not act as identity on |H>")
-    effective = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    effective[:dim, :dim] = np.eye(dim)
-    effective[dim:, dim:] = bottom
-    direct = np.linalg.matrix_power(unitary.matrix, 1 << (k - 1))
-    rng = qmath.derive_rng(0x1DEA, k, dim)
-    for _ in range(4):
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi = raw / np.linalg.norm(raw)
-        via_pipeline = np.concatenate([psi, bottom @ psi]) * _SQRT1_2
-        via_direct = np.concatenate([psi, direct @ psi]) * _SQRT1_2
-        if abs(np.vdot(via_direct, via_pipeline)) < 1.0 - 1e-10:
-            raise ContractError(
-                "post-selected pipeline deviates from the direct controlled power"
-            )
-    return Unitary(effective)
-
-
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
-    Each round prepares the entangled input, cascades the blue rails,
-    remixes, and post-selects every port pattern once; the table holds
-    one row per pattern with its exact probability.  Odd-parity (Q)
-    rows are kept and relabeled by flipping the measured bit.
-    ``branch_counts`` tallies the branches drawn in sampled runs so
-    callers can report the even/odd split.
+    Each round prepares the entangled input of every trial, cascades
+    its blue rails, remixes, and post-selects every port pattern once;
+    the table holds one branch per pattern with its exact probability.
+    Odd-parity (Q) branches are kept and relabeled by flipping the
+    measured bit.  ``branch_counts`` tallies the branches drawn in
+    sampled runs so callers can report the even/odd split.
     """
 
     name = "photonic"
@@ -481,19 +474,23 @@ class PhotonicProvider:
         self.branch_counts = {"P": 0, "Q": 0}
 
     def round_table(
-        self, unitary: Unitary, target: StateVector, k: int, omega: float
-    ) -> tuple[qpe.BranchRow, ...]:
-        ports = _pipeline(unitary, target, k)
-        rows = []
-        for branch in parity_cases(ports.num_targets):
-            sv, prob = postselect(ports, branch)
-            if sv is None:
-                continue
-            plus, minus = qpe.ancilla_bit_distribution(sv, omega)
-            if branch.label == "Q":
-                plus, minus = minus, plus
-            rows.append(qpe.BranchRow(prob, plus, minus, branch.label))
-        return tuple(rows)
+        self, unitaries: np.ndarray, target: StateVector, k: int, omegas
+    ) -> qpe.RoundTable:
+        count = len(unitaries)
+        arr = _prepare(target.amplitudes, count)
+        qmath.check_normalized(arr.reshape(count, -1))
+        arr = _cascade(arr, unitaries, k)
+        qmath.check_normalized(arr.reshape(count, -1))
+        arr = _mix(arr)
+        qmath.check_normalized(arr.reshape(count, -1))
+        states, weight = _postselect_all(arr)
+        qmath.check_normalized(states, live=weight > 0)
+        plus, minus = qpe.control_pairs(states, np.asarray(omegas)[:, None])
+        labels = tuple("PQ"[bin(x).count("1") % 2] for x in range(weight.shape[1]))
+        flip = np.array([label == "Q" for label in labels])
+        return qpe.RoundTable(
+            weight, np.where(flip, minus, plus), np.where(flip, plus, minus), labels
+        )
 
 
 def apply_noise(

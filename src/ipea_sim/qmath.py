@@ -38,6 +38,7 @@ __all__ = [
     "as_complex_matrix",
     "basis_state",
     "state_from_amplitudes",
+    "check_normalized",
     "derive_rng",
     "tensor",
     "apply",
@@ -230,6 +231,23 @@ class MeasurementOutcome:
             raise ContractError(f"outcome_index must be 0 or 1, got {self.outcome_index}")
         if not (-DRIFT_TOL <= self.probability <= 1.0 + DRIFT_TOL):
             raise ContractError(f"probability out of range: {self.probability!r}")
+
+
+def check_normalized(amplitudes: np.ndarray, live=True) -> None:
+    """StateVector's finiteness and norm checks for a batch of states.
+
+    Every state along the last axis of ``amplitudes`` must be finite
+    with sum |a|^2 within 1e-10 of 1; ``live`` (a boolean mask over the
+    leading axes) exempts states that stand for events that never occur.
+    """
+    norm_sq = (np.abs(amplitudes) ** 2).sum(axis=-1)
+    # A non-finite amplitude makes its norm non-finite, which fails too.
+    off = ~(np.abs(norm_sq - 1.0) <= CONSTRUCTION_TOL) & live
+    if off.any():
+        worst = float(norm_sq[off][0])
+        if not np.isfinite(worst):
+            raise ContractError("amplitudes must be finite")
+        raise ContractError(f"state is not normalized: sum |a|^2 = {worst!r}")
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:

@@ -19,30 +19,38 @@ binary fraction 0.b1...bm.
 
 Controlled-power providers
 --------------------------
-``ipea_run`` and ``ipea_run_exact`` are generic over how the gate
-C-U^(2^(k-1)) is realized.  Every repetition of a round starts from a
-freshly prepared target, so the state just before the control is
-measured is the same for all of them.  A provider therefore builds each
-round once and returns its branch table::
+The iterative engine is generic over how the gate C-U^(2^(k-1)) is
+realized, and it runs a batch of trials together: a stack of T
+unitaries, one shared target and one generator per trial.  Every
+repetition of a round starts from a freshly prepared target, so the
+state just before the control is measured is the same for all of them.
+A provider therefore builds each round once for the whole batch and
+returns its branch table::
 
-    round_table(unitary, target, k, omega) -> tuple[BranchRow, ...]
+    round_table(unitaries, target, k, omegas) -> RoundTable
 
-Each row holds a branch weight, the bit pair (P(bit 0), P(bit 1)) after
-the feedback rotation ``omega``, and the branch label.  ``MatrixProvider``
-below applies the explicit block matrix and returns one unlabeled row of
-weight 1.  The photonics module supplies a dual-rail optical realization
-with parity post-selection and returns one row per port pattern; its
-odd-parity rows (label ``"Q"``) are salvaged by flipping the measured
-bit, so their pair is stored already swapped.
+``unitaries`` is a (T, d, d) stack and ``omegas`` holds the T feedback
+rotations.  The table holds (T, B) arrays: each branch's weight and its
+bit pair (P(bit 0), P(bit 1)) after the rotation, plus the B branch
+labels.  ``MatrixProvider`` below applies the explicit block matrix and
+returns one unlabeled branch of weight 1.  The photonics module supplies
+a dual-rail optical realization with parity post-selection and returns
+one branch per port pattern.  Its odd-parity branches (label ``"Q"``)
+are salvaged by flipping the measured bit, so their pair is stored
+already swapped; a pattern that (numerically) never fires has weight 0.
 
-Exact mode takes the weighted sum of the rows.  Sampled mode draws each
-repetition from the table: first a uniform for the branch, searched in
-the cdf of the normalized weights exactly as ``Generator.choice`` does
-(skipped when the table is a single unlabeled row), then a uniform for
-the control outcome, "+" when it falls below P(+).  So a matrix
-repetition takes one uniform and a photonic repetition two, and a
-round's uniforms come from one ``rng.random(n)`` call, which yields the
-same values as n single draws.
+Exact mode takes the weighted sum of a one-trial table.  Sampled mode
+draws each trial's repetitions from its own row of the table with its
+own generator: first a uniform for the branch, searched in the cdf of
+the normalized weights exactly as ``Generator.choice`` does (skipped
+when the table is a single unlabeled branch), then a uniform for the
+control outcome, "+" when it falls below P(+).  So a matrix repetition
+takes one uniform and a photonic repetition two, and a trial's uniforms
+for one round come from one ``rng.random(n)`` call, which yields the
+same values as n single draws.  A trial's estimate thus depends only on
+its own unitary and generator, never on the batch it ran in.  The
+engine runs a batch in chunks of ``batch_trials(reps)`` trials, so a
+round never holds more than ``MAX_ROUND_UNIFORMS`` uniforms.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import numpy as np
 
 from . import qmath
 from .qmath import (
+    CONSTRUCTION_TOL,
     CapacityError,
     ContractError,
     StateVector,
@@ -62,15 +71,20 @@ from .qmath import (
 )
 
 __all__ = [
+    "MAX_ROUND_UNIFORMS",
     "EigenproblemSpec",
     "PhaseEstimate",
     "CollapseResult",
     "ExactIpeaResult",
-    "BranchRow",
+    "RoundTable",
+    "BatchEstimate",
     "MatrixProvider",
     "resolve_provider",
     "feedback_angle",
+    "control_pairs",
     "ancilla_bit_distribution",
+    "batch_trials",
+    "ipea_batch",
     "ipea_run",
     "ipea_run_exact",
     "qpe_full_distribution",
@@ -80,7 +94,12 @@ __all__ = [
     "bits_of",
 ]
 
+# A round of one chunk of trials draws at most this many uniforms.
+MAX_ROUND_UNIFORMS = 1 << 16
+
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
+_PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
+_MINUS = np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)
 
 
 def _validated_bits(bits) -> tuple[int, ...]:
@@ -100,6 +119,13 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def _feedback_angles(numerators, width: int) -> np.ndarray:
+    # -2 pi times 0.0 b_{k+1} ... b_m, where each numerator holds the
+    # ``width`` = m - k measured bits with b_{k+1} most significant; the
+    # quotient by a power of two is exact.
+    return -2.0 * np.pi * (np.asarray(numerators) / float(1 << (width + 1)))
+
+
 def feedback_angle(k: int, measured_bits) -> float:
     """Feedback rotation angle for round k, in radians.
 
@@ -114,8 +140,7 @@ def feedback_angle(k: int, measured_bits) -> float:
     numerator = 0
     for b in bits:
         numerator = (numerator << 1) | b
-    xi = numerator / (1 << (len(bits) + 1))
-    return -2.0 * np.pi * xi
+    return float(_feedback_angles(numerator, len(bits)))
 
 
 @dataclass(frozen=True)
@@ -145,6 +170,11 @@ class PhaseEstimate:
             numerator = (numerator << 1) | b
         return cls(bits=bits, value=numerator / (1 << len(bits)))
 
+    @classmethod
+    def from_numerator(cls, numerator: int, m: int) -> "PhaseEstimate":
+        """The m-bit estimate numerator / 2^m."""
+        return cls.from_bits(bits_of(int(numerator), m))
+
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -164,19 +194,32 @@ class EigenproblemSpec:
             )
 
 
-class BranchRow(NamedTuple):
-    """One branch of a round's table.
+class RoundTable(NamedTuple):
+    """One round's branch table for a batch of T trials and B branches.
 
-    ``weight`` is the branch's (unnormalized) probability; ``p0`` and
-    ``p1`` are the probabilities of bit 0 and bit 1 within the branch,
-    already swapped on a relabeled ``"Q"`` branch; ``label`` names the
-    post-selected branch, or is None for an unbranched realization.
+    ``weight[t, b]`` is the (unnormalized) probability of branch b in
+    trial t, 0 for a branch that never occurs; ``p0`` and ``p1`` are the
+    probabilities of bit 0 and bit 1 within the branch, already swapped
+    on a relabeled ``"Q"`` branch; ``labels`` names the post-selected
+    branches, or is ``(None,)`` for an unbranched realization.
     """
 
-    weight: float
-    p0: float
-    p1: float
-    label: str | None = None
+    weight: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    labels: tuple
+
+
+class BatchEstimate(NamedTuple):
+    """Sampled estimates of a batch of trials.
+
+    Trial t's estimate is ``numerators[t] / 2^m``; ``branch_tally`` maps
+    each drawn branch label to its per-trial count (empty for an
+    unbranched provider).
+    """
+
+    numerators: np.ndarray
+    branch_tally: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,26 +247,40 @@ class ExactIpeaResult:
     bit_posteriors: tuple[float, ...]
 
 
-def _phase_on_control(state: StateVector, omega: float) -> StateVector:
-    # diag(1, e^{i*omega}) on qubit 0; only the relative phase matters.
-    amps = state.amplitudes.copy()
-    half = amps.size // 2
-    amps[half:] *= np.exp(1j * omega)
-    return StateVector(state.num_qubits, amps)
+def control_pairs(amplitudes: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """(P(+), P(-)) on the control qubit after each feedback rotation.
+
+    ``amplitudes`` holds control+target states along its last axis
+    (control first, so the second half carries |1>); ``omegas`` holds
+    one angle per state (its shape is the leading shape of
+    ``amplitudes``, or broadcasts to it).  The rotation is
+    diag(1, e^{i omega}) on the control; only the relative phase
+    matters.
+    """
+    half = amplitudes.shape[-1] // 2
+    rotated = np.array(amplitudes, dtype=complex)
+    rotated[..., half:] *= np.exp(1j * np.asarray(omegas))[..., None]
+    pairs = rotated.reshape(rotated.shape[:-1] + (2, half))
+    plus = (np.abs(_PLUS @ pairs) ** 2).sum(axis=-1)
+    minus = (np.abs(_MINUS @ pairs) ** 2).sum(axis=-1)
+    return plus, minus
 
 
 def ancilla_bit_distribution(state: StateVector, omega: float) -> tuple[float, float]:
     """(P(+), P(-)) on the control qubit after the feedback rotation."""
-    rotated = _phase_on_control(state, omega)
-    return qmath.outcome_probabilities(rotated, 0, qmath.PLUS_MINUS)
+    plus, minus = control_pairs(state.amplitudes[None], [omega])
+    return float(plus[0]), float(minus[0])
 
 
-def _unitary_power_matrix(unitary: Unitary, k: int) -> np.ndarray:
+def _unitary_powers(unitaries: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ContractError(f"iteration index k must be >= 1, got {k}")
     if k > 63:
         raise ContractError(f"iteration index k={k} is out of range")
-    return np.linalg.matrix_power(unitary.matrix, 1 << (k - 1))
+    # k - 1 squarings: np.linalg.matrix_power's arithmetic for 2^(k-1).
+    for _ in range(k - 1):
+        unitaries = unitaries @ unitaries
+    return unitaries
 
 
 class MatrixProvider:
@@ -232,18 +289,21 @@ class MatrixProvider:
     name = "matrix"
 
     def round_table(
-        self, unitary: Unitary, target: StateVector, k: int, omega: float
-    ) -> tuple[BranchRow, ...]:
-        w = _unitary_power_matrix(unitary, k)
-        if w.shape[0] != target.dim:
+        self, unitaries: np.ndarray, target: StateVector, k: int, omegas
+    ) -> RoundTable:
+        w = _unitary_powers(unitaries, k)
+        if w.shape[-1] != target.dim:
             raise ContractError(
-                f"unitary dim {w.shape[0]} does not match target dim {target.dim}"
+                f"unitary dim {w.shape[-1]} does not match target dim {target.dim}"
             )
-        amps = np.concatenate([target.amplitudes, w @ target.amplitudes]) * _SQRT1_2
-        plus, minus = ancilla_bit_distribution(
-            StateVector(target.num_qubits + 1, amps), omega
-        )
-        return (BranchRow(1.0, plus, minus),)
+        count, dim = len(w), target.dim
+        states = np.empty((count, 2 * dim), dtype=complex)
+        states[:, :dim] = target.amplitudes
+        states[:, dim:] = (w @ target.amplitudes[:, None])[..., 0]
+        states *= _SQRT1_2
+        qmath.check_normalized(states)
+        plus, minus = control_pairs(states, omegas)
+        return RoundTable(np.ones((count, 1)), plus[:, None], minus[:, None], (None,))
 
 
 def resolve_provider(provider):
@@ -265,57 +325,61 @@ def resolve_provider(provider):
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _branch_cdf(rows) -> np.ndarray:
-    """Cumulative branch distribution, checked and built as Generator.choice does."""
-    weights = np.array([row.weight for row in rows], dtype=float)
-    total = sum(row.weight for row in rows)
-    p = weights / total if total > 0 else weights
-    if p.size == 0 or np.any(p < 0) or not abs(p.sum() - 1.0) <= _CHOICE_ATOL:
+def _branch_cdfs(weight: np.ndarray) -> np.ndarray:
+    """Each trial's cumulative branch distribution, checked and built as
+    Generator.choice does."""
+    total = np.zeros(len(weight))
+    for column in weight.T:  # in branch order, as the builtin sum adds them
+        total += column
+    p = weight / np.where(total > 0, total, 1.0)[:, None]
+    bad = (p < 0).any(axis=1) | ~(np.abs(p.sum(axis=1) - 1.0) <= _CHOICE_ATOL)
+    if bad.any():
+        t = int(np.argmax(bad))
         raise ContractError(
             "branch probabilities must be non-negative and sum to 1, "
-            f"got weights {weights.tolist()}"
+            f"got weights {weight[t].tolist()}"
         )
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
     return cdf
 
 
-def _sample_ones(rows, reps: int, rng: np.random.Generator, tally) -> int:
-    """Number of 1 bits among ``reps`` repetitions drawn from one table.
+def _draw_round(table: RoundTable, reps: int, rngs) -> tuple[np.ndarray, dict]:
+    """Majority bit of every trial's ``reps`` repetitions, and the drawn branches.
 
-    A table that is a single unlabeled row takes one uniform per
+    A table that is a single unlabeled branch takes one uniform per
     repetition, for the control outcome.  Any other table takes two per
-    repetition: the branch, then the control outcome.  ``tally`` (a
-    label -> count dict, or None) counts the drawn branches.
+    repetition: the branch, then the control outcome.  Returns the
+    trials' bits and a label -> per-trial count dict of drawn branches.
     """
-    flip = np.array([row.label == "Q" for row in rows])
-    # P(+) as measured, before a Q row's relabeling swapped the pair.
-    plus = np.array([row.p1 if f else row.p0 for row, f in zip(rows, flip)])
-    if len(rows) == 1 and rows[0].label is None:
-        picks = np.zeros(reps, dtype=np.intp)
-        u_bit = rng.random(reps)
-    else:
-        cdf = _branch_cdf(rows)
-        u = rng.random(2 * reps)
-        picks = cdf.searchsorted(u[0::2], side="right")
-        u_bit = u[1::2]
-        if tally is not None:
-            for row, count in zip(rows, np.bincount(picks, minlength=len(rows))):
-                tally[row.label] += int(count)
-    # "+" (bit 0 before relabeling) when the uniform falls below P(+).
-    bits = (u_bit >= plus[picks]) ^ flip[picks]
-    return int(np.count_nonzero(bits))
-
-
-def _bit_posterior(rows) -> tuple[float, float]:
-    """(P(bit 0), P(bit 1)) of a round: the weighted sum over its rows."""
-    total = sum(row.weight for row in rows)
-    p0 = 0.0
-    p1 = 0.0
-    for row in rows:
-        p0 += row.weight * row.p0
-        p1 += row.weight * row.p1
-    return p0 / total, p1 / total
+    weight, p0, p1, labels = table
+    count = len(rngs)
+    if weight.shape != (count, len(labels)) or not p0.shape == p1.shape == weight.shape:
+        raise ContractError(
+            f"round table of shape {weight.shape} does not cover {count} trial(s) "
+            f"and {len(labels)} branch(es)"
+        )
+    single = len(labels) == 1 and labels[0] is None
+    cdf = None if single else _branch_cdfs(weight)
+    u = np.empty((count, reps if single else 2 * reps))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    if single:
+        # "+" (bit 0) when the uniform falls below P(+).
+        return (u >= p0).sum(axis=1) > reps // 2, {}
+    # searchsorted(cdf, u, side="right"): the number of cdf entries <= u,
+    # so a zero-width branch is never picked.
+    picks = (cdf[:, None, :] <= u[:, 0::2, None]).sum(axis=2)
+    flip = np.array([label == "Q" for label in labels], dtype=bool)[picks]
+    # "+" (bit 0 before relabeling) when the uniform falls below P(+) as
+    # measured, i.e. before a Q branch's relabeling swapped the pair.
+    trial = np.arange(count)[:, None]
+    plus = np.where(flip, p1[trial, picks], p0[trial, picks])
+    bits = (u[:, 1::2] >= plus) ^ flip
+    drawn: dict = {}
+    for b, label in enumerate(labels):
+        drawn[label] = drawn.get(label, 0) + (picks == b).sum(axis=1)
+    return bits.sum(axis=1) > reps // 2, drawn
 
 
 def _check_reps(reps_per_bit: int) -> None:
@@ -324,6 +388,82 @@ def _check_reps(reps_per_bit: int) -> None:
             f"reps_per_bit must be odd and >= 1 so majority votes are decisive, "
             f"got {reps_per_bit}"
         )
+
+
+def _checked_stack(unitaries, dim: int) -> np.ndarray:
+    """A contiguous complex (T, dim, dim) stack whose every matrix is unitary."""
+    stack = np.ascontiguousarray(unitaries, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+        raise ContractError(
+            f"expected a stack of {dim}x{dim} unitaries, got shape {stack.shape}"
+        )
+    gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
+    gram -= np.eye(dim)
+    dev = np.abs(gram).max(axis=(1, 2))
+    # A non-finite entry makes its deviation NaN or inf, which fails too.
+    bad = ~(dev <= CONSTRUCTION_TOL)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ContractError(
+            f"matrix of trial {t} is not unitary: max |U†U - I| = {dev[t]:.3e}"
+        )
+    return stack
+
+
+def batch_trials(reps_per_bit: int) -> int:
+    """Trials per chunk, so that one round draws at most MAX_ROUND_UNIFORMS uniforms."""
+    _check_reps(reps_per_bit)
+    return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
+
+
+def ipea_batch(
+    unitaries,
+    target: StateVector,
+    m: int,
+    reps_per_bit: int,
+    provider,
+    rngs,
+) -> BatchEstimate:
+    """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
+
+    Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack)
+    on ``target``, drawing from its own generator ``rngs[t]``, and gets
+    exactly the estimate it would get alone.  Rounds run k = m down to
+    1; each round repeats ``reps_per_bit`` times (odd, so the vote is
+    decisive) and every trial's majority bit feeds its next rotation.
+    The caller asserts the target is an eigenstate.  Each round's
+    branch table is built once for a chunk of ``batch_trials(reps)``
+    trials and every repetition of every trial is drawn from it (see the
+    module docstring for the draw pattern).  A provider with a
+    ``branch_counts`` dict has every drawn branch added to it.
+    """
+    if m < 1:
+        raise ContractError(f"bit count m must be >= 1, got {m}")
+    _check_reps(reps_per_bit)
+    provider = resolve_provider(provider)
+    rngs = list(rngs)
+    if len(rngs) != len(unitaries):
+        raise ContractError(f"{len(unitaries)} unitaries but {len(rngs)} generators")
+    numerators = np.zeros(len(rngs), dtype=np.int64)
+    tally: dict = {}
+    step = batch_trials(reps_per_bit)
+    for start in range(0, len(rngs), step):
+        chunk = slice(start, start + step)
+        stack = _checked_stack(unitaries[chunk], target.dim)
+        for k in range(m, 0, -1):
+            omegas = _feedback_angles(numerators[chunk], m - k)
+            table = provider.round_table(stack, target, k, omegas)
+            bits, drawn = _draw_round(table, reps_per_bit, rngs[chunk])
+            numerators[chunk] |= bits.astype(np.int64) << (m - k)
+            for label, counts in drawn.items():
+                if label not in tally:
+                    tally[label] = np.zeros(len(rngs), dtype=np.int64)
+                tally[label][chunk] += counts
+    branch_counts = getattr(provider, "branch_counts", None)
+    if branch_counts is not None:
+        for label, counts in tally.items():
+            branch_counts[label] = branch_counts.get(label, 0) + int(counts.sum())
+    return BatchEstimate(numerators, tally)
 
 
 def ipea_run(
@@ -335,29 +475,18 @@ def ipea_run(
 ) -> PhaseEstimate:
     """Iterative m-bit estimate with per-bit majority voting.
 
-    Rounds run k = m down to 1; each round repeats ``reps_per_bit``
-    times (odd, so the vote is decisive) and the majority bit feeds the
-    next round's rotation.  The caller asserts the input is an
-    eigenstate.  Every repetition of a round starts from the same
-    freshly prepared state, so the provider builds the round's branch
-    table once and all repetitions are drawn from it (see the module
-    docstring for the draw pattern).  A provider with a
-    ``branch_counts`` dict has it incremented once per repetition.
+    The one-trial case of ``ipea_batch``: rounds run k = m down to 1,
+    each repeated ``reps_per_bit`` times (odd), and the majority bit
+    feeds the next round's rotation.  The caller asserts the input is
+    an eigenstate.  A provider with a ``branch_counts`` dict has it
+    incremented once per repetition.
     """
-    if m < 1:
-        raise ContractError(f"bit count m must be >= 1, got {m}")
-    _check_reps(reps_per_bit)
     if rng is None:
         raise ContractError("ipea_run samples and therefore needs an explicit rng")
-    provider = resolve_provider(provider)
-    tally = getattr(provider, "branch_counts", None)
-    tail: list[int] = []
-    for k in range(m, 0, -1):
-        omega = feedback_angle(k, tail)
-        rows = provider.round_table(spec.unitary, spec.input_state, k, omega)
-        ones = _sample_ones(rows, reps_per_bit, rng, tally)
-        tail.insert(0, 1 if ones > reps_per_bit // 2 else 0)
-    return PhaseEstimate.from_bits(tail)
+    batch = ipea_batch(
+        spec.unitary.matrix[None], spec.input_state, m, reps_per_bit, provider, [rng]
+    )
+    return PhaseEstimate.from_numerator(batch.numerators[0], m)
 
 
 def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIpeaResult:
@@ -371,16 +500,21 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
     provider = resolve_provider(provider)
-    tail: list[int] = []
+    stack = spec.unitary.matrix[None]
+    numerator = 0
     posteriors: list[float] = []
     for k in range(m, 0, -1):
-        omega = feedback_angle(k, tail)
-        rows = provider.round_table(spec.unitary, spec.input_state, k, omega)
-        p0, p1 = _bit_posterior(rows)
-        bit = 1 if p1 > p0 else 0
-        posteriors.append(p1 if bit else p0)
-        tail.insert(0, bit)
-    return ExactIpeaResult(PhaseEstimate.from_bits(tail), tuple(posteriors))
+        table = provider.round_table(
+            stack, spec.input_state, k, _feedback_angles([numerator], m - k)
+        )
+        weight, p0, p1 = (column[0].tolist() for column in table[:3])
+        total = sum(weight)
+        post0 = sum(w * p for w, p in zip(weight, p0)) / total
+        post1 = sum(w * p for w, p in zip(weight, p1)) / total
+        bit = 1 if post1 > post0 else 0
+        posteriors.append(post1 if bit else post0)
+        numerator |= bit << (m - k)
+    return ExactIpeaResult(PhaseEstimate.from_numerator(numerator, m), tuple(posteriors))
 
 
 def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:

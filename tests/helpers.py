@@ -4,6 +4,7 @@ import numpy as np
 
 from ipea_sim import qmath
 from ipea_sim.photonics import (
+    ParityBranch,
     apply_blue_unitary,
     beamsplitter_mix,
     parity_cases,
@@ -89,6 +90,46 @@ def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Ge
             ones += bit
         tail.insert(0, 1 if ones > reps // 2 else 0)
     return tuple(tail), counts
+
+
+def photonic_controlled_power(unitary: Unitary, k: int) -> Unitary:
+    """Effective control+target operator of the post-selected pipeline.
+
+    Reconstructs the induced map column by column from the first
+    even-parity pattern (all upper ports) and asserts it matches the
+    direct block matrix diag(I, U^(2^(k-1))) up to global phase.
+    """
+    n = int(np.log2(unitary.dim))
+    assert 1 << n == unitary.dim, f"unitary dim {unitary.dim} is not a power of two"
+    dim = unitary.dim
+    first_case = ParityBranch("P", (0,) * n)
+    scale = np.sqrt(float(1 << (n + 1)))
+    columns = []
+    for j in range(dim):
+        ports = beamsplitter_mix(
+            apply_blue_unitary(prepare_entangled_input(qmath.basis_state(n, j)), unitary, k)
+        )
+        state, prob = postselect(ports, first_case)
+        columns.append(state.amplitudes * np.sqrt(prob) * scale)
+    induced = np.stack(columns, axis=1)  # maps psi -> |0>psi + |1>W psi
+    top, bottom = induced[:dim], induced[dim:]
+    assert np.max(np.abs(top - np.eye(dim))) <= qmath.CONSTRUCTION_TOL, (
+        "post-selected pipeline does not act as identity on |H>"
+    )
+    effective = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    effective[:dim, :dim] = np.eye(dim)
+    effective[dim:, dim:] = bottom
+    direct = np.linalg.matrix_power(unitary.matrix, 1 << (k - 1))
+    rng = qmath.derive_rng(0x1DEA, k, dim)
+    for _ in range(4):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = raw / np.linalg.norm(raw)
+        via_pipeline = np.concatenate([psi, bottom @ psi]) / np.sqrt(2.0)
+        via_direct = np.concatenate([psi, direct @ psi]) / np.sqrt(2.0)
+        assert abs(np.vdot(via_direct, via_pipeline)) >= 1.0 - 1e-10, (
+            "post-selected pipeline deviates from the direct controlled power"
+        )
+    return Unitary(effective)
 
 
 def inverse_qft(m: int) -> np.ndarray:

@@ -7,18 +7,58 @@ import sys
 
 import pytest
 
+from ipea_sim import qpe
 from ipea_sim.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
 MONTECARLO_GOLDEN = DATA / "montecarlo_golden.csv"
 REGISTER_GOLDEN = DATA / "register_golden.csv"
+BATCH_GOLDEN = DATA / "batch_golden.csv"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+PROVIDERS = ("photonic", "matrix")
+
+
+def batch_golden_argvs(tmp_path):
+    """The invocations behind ``batch_golden.csv``, in file order."""
+    argvs = []
+    for provider in PROVIDERS:
+        for bits in ("1", "6"):
+            argvs.append(
+                ["montecarlo", "--dyadic", "--bits", bits, "--reps", "3",
+                 "--trials", "200", "--provider", provider]
+            )
+        argvs.append(
+            ["montecarlo", "--bits", "5", "--trials", "300", "--reps", "1",
+             "--provider", provider]
+        )
+        argvs.append(["fig4", "--reps", "1", "--provider", provider])
+        argvs.append(["fig4", "--provider", provider, "--seed", "3"])
+        cfg = tmp_path / f"ipea_{provider}.cfg"
+        cfg.write_text(
+            "mode ipea\nunitary hwp 10 hwp 70\nbits 5\nreps 5\ntrials 25\n"
+            f"seed 11\nprovider {provider}\neigenstate R\n"
+        )
+        argvs.append(["run", str(cfg)])
+    return argvs
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def montecarlo_golden_text(capsys):
+    """The runs behind ``montecarlo_golden.csv``: photonic, then matrix."""
+    text = ""
+    for provider in PROVIDERS:
+        code, out, _ = run_cli(
+            ["montecarlo", "--bits", "4", "--trials", "200", "--provider", provider],
+            capsys,
+        )
+        assert code == 0
+        text += out
+    return text
 
 
 class TestRunCommand:
@@ -156,15 +196,27 @@ class TestStudyCommands:
     def test_montecarlo_golden(self, capsys):
         # Pins the sampled draw pattern of both providers at reps 1 and
         # 11: the file holds the photonic table, then the matrix table.
+        assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
+
+    def test_montecarlo_golden_across_chunks(self, capsys, monkeypatch):
+        # A bound of 154 uniforms per round splits the 200 trials into
+        # chunks of 7 trials at reps 11 and of 77 at reps 1, the last one
+        # short; a trial's draws must not depend on its chunk.
+        monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 154)
+        assert qpe.batch_trials(11) == 7 and qpe.batch_trials(1) == 77
+        assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
+
+    def test_batch_golden(self, tmp_path, capsys):
+        # Pins the per-trial draws of every batched study: dyadic Monte
+        # Carlo (integers, then random), single-shot Monte Carlo, fig4 at
+        # reps 1 and at another seed, and a multi-trial ipea config whose
+        # rows carry per-trial branch fractions; both providers each.
         text = ""
-        for provider in ("photonic", "matrix"):
-            code, out, _ = run_cli(
-                ["montecarlo", "--bits", "4", "--trials", "200", "--provider", provider],
-                capsys,
-            )
-            assert code == 0
+        for argv in batch_golden_argvs(tmp_path):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
             text += out
-        assert text == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
+        assert text == BATCH_GOLDEN.read_text(encoding="utf-8")
 
     def test_register_golden(self, tmp_path, capsys):
         # Pins the collapse draw pattern and the fig5 numbers: noisy fig5,

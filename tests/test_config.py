@@ -164,6 +164,19 @@ class TestRejections:
             3,
         )
 
+    @pytest.mark.parametrize(
+        "directive", ["unitary hwp 0 hwp 30", "noise 0.9 0.25", "eigenstate H"]
+    )
+    def test_montecarlo_rejects_unread_directive(self, directive):
+        # montecarlo realizes its random phases as diagonal unitaries on
+        # |1>, so a unitary, a noise model or an eigenstate would be ignored
+        keyword = directive.split()[0]
+        expect_error(
+            f"mode montecarlo\nbits 2\n{directive}\ntrials 5\n",
+            f"does not use directive '{keyword}'",
+            3,
+        )
+
     def test_provider_typo(self):
         expect_error("mode ipea\nunitary hwp 0\nprovider optical\n", "provider", 3)
 

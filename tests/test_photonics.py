@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, phase_unitary, random_state
+from helpers import haar_unitary, phase_unitary, photonic_controlled_power, random_state
 from ipea_sim import photonics, qpe
 from ipea_sim.photonics import (
     DegeneracyError,
@@ -22,7 +22,6 @@ from ipea_sim.photonics import (
     jitter_waveplates,
     oracle_eigenphase,
     parity_cases,
-    photonic_controlled_power,
     polarization_state,
     postselect,
     prepare_entangled_input,
@@ -197,22 +196,24 @@ class TestPipeline:
         assert eff.matrix[3, 3] == pytest.approx(np.exp(2j * np.pi * 0.4), abs=1e-10)
 
 
-def _weighted_pair(rows):
-    total = sum(r.weight for r in rows)
-    return (
-        sum(r.weight * r.p0 for r in rows) / total,
-        sum(r.weight * r.p1 for r in rows) / total,
-    )
+def _weighted_pair(table):
+    # (P(bit 0), P(bit 1)) of a one-trial table: its weighted sum
+    weight, p0, p1 = table.weight[0], table.p0[0], table.p1[0]
+    return weight @ p0 / weight.sum(), weight @ p1 / weight.sum()
+
+
+def _one_trial_table(provider, unitary, target, k, omega):
+    return provider.round_table(unitary.matrix[None], target, k, np.array([omega]))
 
 
 class TestPhotonicProvider:
     def test_branch_tally_and_relabel_flag(self):
         prov = PhotonicProvider()
-        rows = prov.round_table(hwp(30.0), polarization_state("H"), 1, -0.3)
-        assert [r.label for r in rows] == ["P", "Q"]
-        # the Q row arrives relabeled: its bit pair equals the P row's
-        p_row, q_row = rows
-        assert (q_row.p0, q_row.p1) == pytest.approx((p_row.p0, p_row.p1), abs=1e-12)
+        table = _one_trial_table(prov, hwp(30.0), polarization_state("H"), 1, -0.3)
+        assert table.labels == ("P", "Q")
+        # the Q branch arrives relabeled: its bit pair equals the P branch's
+        (p_p0, q_p0), (p_p1, q_p1) = table.p0[0], table.p1[0]
+        assert (q_p0, q_p1) == pytest.approx((p_p0, p_p1), abs=1e-12)
         assert prov.branch_counts == {"P": 0, "Q": 0}  # building a table draws nothing
         spec = qpe.EigenproblemSpec(hwp(30.0), polarization_state("H"))
         qpe.ipea_run(spec, 2, 11, prov, derive_rng(23))
@@ -224,16 +225,15 @@ class TestPhotonicProvider:
         psi = polarization_state("R")
         for k in (1, 2, 3):
             for omega in (0.0, -np.pi / 4, -np.pi / 2):
-                got = _weighted_pair(PhotonicProvider().round_table(u, psi, k, omega))
-                want = _weighted_pair(qpe.MatrixProvider().round_table(u, psi, k, omega))
+                got = _weighted_pair(_one_trial_table(PhotonicProvider(), u, psi, k, omega))
+                want = _weighted_pair(_one_trial_table(qpe.MatrixProvider(), u, psi, k, omega))
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_bit_distribution_sums_to_one(self):
-        rows = PhotonicProvider().round_table(hwp(30.0), polarization_state("H"), 1, -0.3)
-        assert sum(r.weight for r in rows) == pytest.approx(1.0, abs=1e-12)
-        for r in rows:
-            assert r.p0 + r.p1 == pytest.approx(1.0, abs=1e-12)
-        p0, p1 = _weighted_pair(rows)
+        table = _one_trial_table(PhotonicProvider(), hwp(30.0), polarization_state("H"), 1, -0.3)
+        assert table.weight.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(table.p0 + table.p1, 1.0, atol=1e-12)
+        p0, p1 = _weighted_pair(table)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 

@@ -26,15 +26,16 @@ from ipea_sim.qmath import (
     state_from_amplitudes,
 )
 from ipea_sim.qpe import (
-    BranchRow,
     EigenproblemSpec,
     MatrixProvider,
     PhaseEstimate,
+    RoundTable,
     bits_of,
     circular_distance,
     collapse_project,
     collapse_run,
     feedback_angle,
+    ipea_batch,
     ipea_run,
     ipea_run_exact,
     qpe_full_distribution,
@@ -90,20 +91,24 @@ class TestPhaseEstimate:
 
 class TestProviders:
     def test_matrix_provider_doubles(self):
-        u = phase_unitary(0.125)
+        u = phase_unitary(0.125).matrix
         # k=3 applies U^4: the control picks up half a turn, so "-" is
-        # certain unless the feedback rotation takes the half turn back
-        (row,) = MatrixProvider().round_table(u, basis_state(1, 1), 3, 0.0)
-        assert row.weight == 1.0 and row.label is None
-        assert row.p0 == pytest.approx(0.0, abs=1e-12)
-        assert row.p1 == pytest.approx(1.0, abs=1e-12)
-        (row,) = MatrixProvider().round_table(u, basis_state(1, 1), 3, -np.pi)
-        assert row.p0 == pytest.approx(1.0, abs=1e-12)
+        # certain unless the feedback rotation takes the half turn back;
+        # every trial of the batch gets its own rotation
+        table = MatrixProvider().round_table(
+            np.stack([u, u]), basis_state(1, 1), 3, np.array([0.0, -np.pi])
+        )
+        assert table.labels == (None,)
+        assert table.weight.tolist() == [[1.0], [1.0]]
+        np.testing.assert_allclose(table.p0, [[0.0], [1.0]], atol=1e-12)
+        np.testing.assert_allclose(table.p1, [[1.0], [0.0]], atol=1e-12)
 
     def test_ancilla_distribution_frozen_value(self):
-        (row,) = MatrixProvider().round_table(phase_unitary(0.625), basis_state(1, 1), 1, 0.0)
-        assert row.p0 == pytest.approx(COS2_0625, abs=1e-12)
-        assert row.p1 == pytest.approx(1.0 - COS2_0625, abs=1e-12)
+        table = MatrixProvider().round_table(
+            phase_unitary(0.625).matrix[None], basis_state(1, 1), 1, np.array([0.0])
+        )
+        assert table.p0[0, 0] == pytest.approx(COS2_0625, abs=1e-12)
+        assert table.p1[0, 0] == pytest.approx(1.0 - COS2_0625, abs=1e-12)
 
     def test_resolve_provider_names(self):
         assert resolve_provider("matrix").name == "matrix"
@@ -120,17 +125,22 @@ class TestProviders:
     def test_branch_weights_must_normalize(self):
         # a table whose weights cannot be normalized is refused once per
         # round, as a contract violation rather than numpy's ValueError
+        def table(weights):
+            w = np.array([weights], dtype=float)
+            labels = ("P", "Q")[: w.shape[1]]
+            return RoundTable(w, np.full_like(w, 0.5), np.full_like(w, 0.5), labels)
+
         class Empty:
-            def round_table(self, unitary, target, k, omega):
-                return ()
+            def round_table(self, unitaries, target, k, omegas):
+                return table(np.zeros(0))
 
         class Weightless:
-            def round_table(self, unitary, target, k, omega):
-                return (BranchRow(0.0, 0.5, 0.5, "P"), BranchRow(0.0, 0.5, 0.5, "Q"))
+            def round_table(self, unitaries, target, k, omegas):
+                return table([0.0, 0.0])
 
         class Negative:
-            def round_table(self, unitary, target, k, omega):
-                return (BranchRow(2.0, 0.5, 0.5, "P"), BranchRow(-1.0, 0.5, 0.5, "Q"))
+            def round_table(self, unitaries, target, k, omegas):
+                return table([2.0, -1.0])
 
         spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
         for prov in (Empty(), Weightless(), Negative()):
@@ -344,6 +354,82 @@ def test_ipea_run_matches_per_repetition_reference(seed, num_qubits, m, reps, pr
     if provider == "photonic":
         assert prov.branch_counts == want_counts
         assert sum(want_counts.values()) == m * reps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 2),
+    st.integers(1, 5),
+    st.sampled_from((1, 3)),
+    st.sampled_from(("matrix", "photonic")),
+)
+def test_ipea_batch_matches_per_trial_reference(seed, trials, num_qubits, m, reps, provider):
+    # A batch of distinct unitaries runs every round once for all its
+    # trials; each trial must still get exactly what the per-repetition
+    # reference gets on its own unitary with its own generator: the same
+    # bits and the same drawn branches.
+    rng = derive_rng(seed)
+    unitaries = [haar_unitary(1 << num_qubits, rng) for _ in range(trials)]
+    target = random_state(num_qubits, rng)
+    prov = resolve_provider(provider)
+    batch = ipea_batch(
+        np.stack([u.matrix for u in unitaries]),
+        target,
+        m,
+        reps,
+        prov,
+        [derive_rng(seed, 1, t) for t in range(trials)],
+    )
+    total = {"P": 0, "Q": 0}
+    for t, u in enumerate(unitaries):
+        want_bits, want_counts = reference_ipea_run(
+            EigenproblemSpec(u, target), m, reps, provider, derive_rng(seed, 1, t)
+        )
+        assert bits_of(int(batch.numerators[t]), m) == want_bits
+        if provider == "photonic":
+            got = {label: int(counts[t]) for label, counts in batch.branch_tally.items()}
+            assert got == want_counts
+            for label, count in want_counts.items():
+                total[label] += count
+    if provider == "photonic":
+        assert prov.branch_counts == total
+    else:
+        assert batch.branch_tally == {}
+
+
+@pytest.mark.parametrize("provider", ["matrix", "photonic"])
+def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
+    # However many trials and repetitions a batch has, one round of one
+    # chunk draws at most MAX_ROUND_UNIFORMS uniforms and its table holds
+    # no more trials than that chunk; the chunks change no trial's result.
+    seen = []
+
+    class Recording:
+        def __init__(self):
+            self.inner = resolve_provider(provider)
+
+        def round_table(self, unitaries, target, k, omegas):
+            seen.append(len(unitaries))
+            return self.inner.round_table(unitaries, target, k, omegas)
+
+    phases = derive_rng(9).random(70)
+    stack = np.array([phase_unitary(phi).matrix for phi in phases])
+    for trials, reps in ((7, 11), (70, 1), (3, 41)):
+        args = (stack[:trials], basis_state(1, 1), 3, reps)
+        whole = ipea_batch(*args, provider, [derive_rng(9, t) for t in range(trials)])
+        with monkeypatch.context() as patch:
+            patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
+            seen.clear()
+            chunked = ipea_batch(*args, Recording(), [derive_rng(9, t) for t in range(trials)])
+        assert max(seen) * 2 * reps <= max(64, 2 * reps)
+        assert sum(seen) == 3 * trials  # every trial in exactly one chunk per round
+        assert len(seen) > 3  # the bound did split the batch
+        np.testing.assert_array_equal(chunked.numerators, whole.numerators)
+        assert chunked.branch_tally.keys() == whole.branch_tally.keys()
+        for label, counts in whole.branch_tally.items():
+            np.testing.assert_array_equal(chunked.branch_tally[label], counts)
 
 
 @settings(max_examples=80, deadline=None)
