@@ -1,10 +1,11 @@
 """Iterative phase estimation on a simulated photonic platform.
 
-The package is layered: ``qmath`` holds the validated linear-algebra
-substrate, ``qpe`` the estimation engines (iterative and full-register),
-``photonics`` the polarization/path gate model with its post-selection
-arithmetic and noise channel, ``tomography`` single-qubit state
-reconstruction, and ``experiments``/``cli`` the runnable studies.
+The package is layered: ``qmath`` holds validated states and operators,
+their checks and the per-trial random streams, ``qpe`` the estimation
+engines (iterative and full-register), ``photonics`` the
+polarization/path gate model with its post-selection arithmetic and
+noise settings, ``tomography`` single-qubit state reconstruction, and
+``experiments``/``cli`` the runnable studies.
 """
 
 from .config import ExperimentConfig, ParseError, parse_experiment

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import experiments
-from .config import ParseError, parse_experiment
+from .config import MAX_BITS, ParseError, parse_experiment
 from .photonics import NoiseSpec
 from .qmath import ContractError
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(fig5)
 
     mc = sub.add_parser("montecarlo", help="precision bound over random phases")
-    mc.add_argument("--bits", type=int, default=3, help="estimate length m")
+    mc.add_argument("--bits", type=int, default=3, help=f"estimate length m, 1..{MAX_BITS}")
     mc.add_argument("--trials", type=int, default=10000)
     mc.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     mc.add_argument(
@@ -136,6 +136,8 @@ def _dispatch(args: argparse.Namespace):
         )
         return panels, experiments.FIG5_FIELDS
     if args.command == "montecarlo":
+        if not 1 <= args.bits <= MAX_BITS:
+            raise ParseError(f"--bits must lie in 1..{MAX_BITS}, got {args.bits}")
         rows = experiments.run_montecarlo(
             m=args.bits,
             trials=args.trials,

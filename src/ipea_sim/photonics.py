@@ -12,10 +12,9 @@ up to a sign that is absorbed by flipping the measured bit, so no
 events need to be discarded.
 
 Waveplate convention: a half waveplate at angle theta is the real
-matrix [[cos 2t, sin 2t], [sin 2t, -cos 2t]] (determinant -1).  The
-physically normalized convention that multiplies each plate by -i is
-available through ``convention="physical"``; it shifts the eigenphase
-of a two-plate composite by one half.  Angles are degrees everywhere.
+matrix [[cos 2t, sin 2t], [sin 2t, -cos 2t]] (determinant -1), and a
+quarter waveplate at angle 0 is diag(1, i); neither carries a global
+phase prefactor.  Angles are degrees everywhere.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ __all__ = [
     "beamsplitter_mix",
     "parity_cases",
     "postselect",
-    "q_branch_relabel",
     "PhotonicProvider",
-    "apply_noise",
     "jitter_waveplates",
 ]
 
@@ -111,11 +108,7 @@ class PhotonicState:
             raise ContractError(
                 f"expected {expected} amplitudes for {n} target(s), got {amps.size}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ContractError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > qmath.CONSTRUCTION_TOL:
-            raise ContractError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
+        qmath.check_normalized(amps)
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "num_targets", n)
@@ -140,10 +133,10 @@ class WaveplateSpec:
             raise ContractError(f"angle must be finite, got {self.angle_deg!r}")
         object.__setattr__(self, "angle_deg", angle)
 
-    def jones(self, convention: str = "real") -> Unitary:
+    def jones(self) -> Unitary:
         if self.kind == "HWP":
-            return hwp(self.angle_deg, convention)
-        return qwp(self.angle_deg, convention)
+            return hwp(self.angle_deg)
+        return qwp(self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -192,27 +185,15 @@ class NoiseSpec:
             )
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in ("real", "physical"):
-        raise ContractError(
-            f"convention must be 'real' or 'physical', got {convention!r}"
-        )
-
-
-def hwp(theta_deg: float, convention: str = "real") -> Unitary:
+def hwp(theta_deg: float) -> Unitary:
     """Half waveplate with fast axis at ``theta_deg`` degrees."""
-    _check_convention(convention)
     t = np.deg2rad(float(theta_deg))
     c, s = np.cos(2.0 * t), np.sin(2.0 * t)
-    m = np.array([[c, s], [s, -c]], dtype=complex)
-    if convention == "physical":
-        m = -1j * m
-    return Unitary(m)
+    return Unitary(np.array([[c, s], [s, -c]], dtype=complex))
 
 
-def qwp(theta_deg: float, convention: str = "real") -> Unitary:
+def qwp(theta_deg: float) -> Unitary:
     """Quarter waveplate with fast axis at ``theta_deg`` degrees."""
-    _check_convention(convention)
     t = np.deg2rad(float(theta_deg))
     c, s = np.cos(t), np.sin(t)
     m = np.array(
@@ -222,12 +203,10 @@ def qwp(theta_deg: float, convention: str = "real") -> Unitary:
         ],
         dtype=complex,
     )
-    if convention == "physical":
-        m = np.exp(-1j * np.pi / 4.0) * m
     return Unitary(m)
 
 
-def compose_waveplates(plates, convention: str = "real") -> Unitary:
+def compose_waveplates(plates) -> Unitary:
     """Product of a waveplate train; the first listed plate acts first."""
     plates = list(plates)
     if not plates:
@@ -235,7 +214,7 @@ def compose_waveplates(plates, convention: str = "real") -> Unitary:
     matrix = np.eye(2, dtype=complex)
     for plate in plates:
         if isinstance(plate, WaveplateSpec):
-            u = plate.jones(convention)
+            u = plate.jones()
         elif isinstance(plate, Unitary):
             if plate.dim != 2:
                 raise ContractError("waveplate matrices must be 2x2")
@@ -450,13 +429,6 @@ def postselect(
     return StateVector(state.num_targets + 1, states[0, index]), prob
 
 
-def q_branch_relabel(bit: int) -> int:
-    """Salvage an odd-parity event by flipping the measured bit."""
-    if bit not in (0, 1):
-        raise ContractError(f"bit must be 0 or 1, got {bit}")
-    return 1 - bit
-
-
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
@@ -491,27 +463,6 @@ class PhotonicProvider:
         return qpe.RoundTable(
             weight, np.where(flip, minus, plus), np.where(flip, plus, minus), labels
         )
-
-
-def apply_noise(
-    state: StateVector, noise: NoiseSpec, rng: np.random.Generator | None = None
-) -> qmath.DensityMatrix:
-    """Degrade a control+target pure state by partial distinguishability.
-
-    Keeps a ``noise.distinguishability`` fraction of the coherent
-    projector and replaces the rest with its control-dephased version
-    (coherences between the control's H and V blocks zeroed).  The rng
-    argument exists for signature symmetry with the sampled runs and is
-    unused here.
-    """
-    del rng
-    p = float(noise.distinguishability)
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    half = state.dim // 2
-    dephased = rho.copy()
-    dephased[:half, half:] = 0.0
-    dephased[half:, :half] = 0.0
-    return qmath.DensityMatrix.from_matrix(p * rho + (1.0 - p) * dephased)
 
 
 def jitter_waveplates(

@@ -1,18 +1,17 @@
 """Complex linear algebra substrate for small qubit-register simulations.
 
-States, operators, tensor products, projective measurement, and the
-fidelity measure shared by the estimation, photonics, and tomography
-layers.  Everything here is a pure function over immutable values;
-randomness enters only through explicitly passed generators.
+Validated states, operators and density matrices, the batch norm check
+the engines apply to whole arrays of states, the fidelity measure, and
+the per-trial random streams shared by the estimation, photonics, and
+tomography layers.  Everything here is a pure function over immutable
+values; randomness enters only through explicitly passed generators.
 
 Conventions
 -----------
-* Qubit 0 is the most significant bit of an amplitude index, so
-  ``tensor(a, b)`` puts ``a``'s qubits in front.
+* Qubit 0 is the most significant bit of an amplitude index.
 * States that agree up to a global phase are compared through the
   overlap magnitude ``|<a|b>|``, never entrywise.
-* Construction tolerances are 1e-10; per-operation drift is held to
-  1e-12.  Post-measurement states are renormalized explicitly.
+* Construction tolerances are 1e-10.
 """
 
 from __future__ import annotations
@@ -24,53 +23,27 @@ import numpy as np
 
 __all__ = [
     "CONSTRUCTION_TOL",
-    "DRIFT_TOL",
-    "COMPUTATIONAL",
-    "PLUS_MINUS",
     "ContractError",
     "CapacityError",
     "Unitary",
     "StateVector",
     "DensityMatrix",
-    "MeasurementOutcome",
     "max_qubits",
-    "max_amplitudes",
     "as_complex_matrix",
     "basis_state",
     "state_from_amplitudes",
     "check_normalized",
     "derive_rng",
-    "tensor",
-    "apply",
-    "outcome_probabilities",
-    "measure",
-    "condition",
     "fidelity",
     "density_from_state",
     "overlap_magnitude",
 ]
 
 CONSTRUCTION_TOL = 1e-10
-DRIFT_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-8
 
 DEFAULT_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "IPEA_SIM_MAX_QUBITS"
-
-COMPUTATIONAL = "computational"
-PLUS_MINUS = "plus_minus"
-
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
-_BASIS_VECTORS = {
-    COMPUTATIONAL: (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-    ),
-    PLUS_MINUS: (
-        np.array([_SQRT1_2, _SQRT1_2], dtype=complex),
-        np.array([_SQRT1_2, -_SQRT1_2], dtype=complex),
-    ),
-}
 
 
 class ContractError(ValueError):
@@ -101,12 +74,8 @@ def max_qubits() -> int:
     return value
 
 
-def max_amplitudes() -> int:
-    return 1 << max_qubits()
-
-
 def _check_capacity(count: int, what: str) -> None:
-    cap = max_amplitudes()
+    cap = 1 << max_qubits()
     if count > cap:
         raise CapacityError(
             f"{what} needs {count} amplitudes, cap is {cap} "
@@ -166,11 +135,7 @@ class StateVector:
             raise ContractError(
                 f"expected {1 << n} amplitudes for {n} qubits, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ContractError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > CONSTRUCTION_TOL:
-            raise ContractError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
+        check_normalized(amps)
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "num_qubits", n)
@@ -213,28 +178,8 @@ class DensityMatrix:
         return cls(m.shape[0], m)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    """One projective measurement result on a full register.
-
-    ``outcome_index`` is 0/1 in the requested basis (for the +/- basis,
-    0 means "+").  ``probability`` is the Born-rule weight of that
-    outcome and ``post_state`` the renormalized projected register.
-    """
-
-    outcome_index: int
-    probability: float
-    post_state: StateVector
-
-    def __post_init__(self):
-        if self.outcome_index not in (0, 1):
-            raise ContractError(f"outcome_index must be 0 or 1, got {self.outcome_index}")
-        if not (-DRIFT_TOL <= self.probability <= 1.0 + DRIFT_TOL):
-            raise ContractError(f"probability out of range: {self.probability!r}")
-
-
 def check_normalized(amplitudes: np.ndarray, live=True) -> None:
-    """StateVector's finiteness and norm checks for a batch of states.
+    """Finiteness and norm checks for one state or a batch of states.
 
     Every state along the last axis of ``amplitudes`` must be finite
     with sum |a|^2 within 1e-10 of 1; ``live`` (a boolean mask over the
@@ -280,115 +225,6 @@ def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
         entropy=int(master_seed), spawn_key=tuple(int(s) for s in stream)
     )
     return np.random.Generator(np.random.Philox(seq))
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators (same kind)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        _check_capacity(a.dim * b.dim, "tensor state")
-        return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        _check_capacity(a.dim * b.dim * a.dim * b.dim, "tensor operator")
-        return Unitary(np.kron(a.matrix, b.matrix))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        out = np.kron(as_complex_matrix(a), as_complex_matrix(b))
-        _check_capacity(out.size, "tensor matrix")
-        return out
-    raise ContractError(
-        f"tensor arguments must be two StateVectors, two Unitaries, or two arrays, "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def _validated_targets(state: StateVector, target_qubits) -> list[int]:
-    targets = [int(q) for q in target_qubits]
-    if len(targets) == 0:
-        raise ContractError("target_qubits must be non-empty")
-    if len(set(targets)) != len(targets):
-        raise ContractError(f"target_qubits must be distinct, got {targets}")
-    for q in targets:
-        if not 0 <= q < state.num_qubits:
-            raise ContractError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
-    return targets
-
-
-def apply(u: Unitary, state: StateVector, target_qubits) -> StateVector:
-    """Apply ``u`` to the listed qubits, identity elsewhere."""
-    targets = _validated_targets(state, target_qubits)
-    t = len(targets)
-    if u.dim != 1 << t:
-        raise ContractError(f"operator dim {u.dim} does not match {t} target qubit(s)")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    ut = u.matrix.reshape((2,) * (2 * t))
-    res = np.tensordot(ut, psi, axes=(list(range(t, 2 * t)), targets))
-    res = np.moveaxis(res, list(range(t)), targets)
-    return StateVector(n, res.reshape(-1))
-
-
-def _basis_pair(basis: str):
-    try:
-        return _BASIS_VECTORS[basis]
-    except KeyError:
-        raise ContractError(
-            f"basis must be {COMPUTATIONAL!r} or {PLUS_MINUS!r}, got {basis!r}"
-        ) from None
-
-
-def _component(state: StateVector, qubit: int, vector: np.ndarray) -> np.ndarray:
-    # Partial inner product <v|_qubit psi; remaining axes keep their order.
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    return np.tensordot(vector.conj(), psi, axes=(0, qubit))
-
-
-def outcome_probabilities(state: StateVector, qubit: int, basis: str) -> tuple[float, float]:
-    """Exact Born-rule pair for measuring one qubit in the given basis."""
-    (qubit,) = _validated_targets(state, [qubit])
-    v0, v1 = _basis_pair(basis)
-    p0 = float(np.sum(np.abs(_component(state, qubit, v0)) ** 2))
-    p1 = float(np.sum(np.abs(_component(state, qubit, v1)) ** 2))
-    return p0, p1
-
-
-def measure(
-    state: StateVector, qubit: int, basis: str, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Sample one projective single-qubit measurement.
-
-    Deterministic for a fixed generator state.  The post state spans
-    the full register, renormalized after projection.
-    """
-    (qubit,) = _validated_targets(state, [qubit])
-    v0, v1 = _basis_pair(basis)
-    p0, p1 = outcome_probabilities(state, qubit, basis)
-    idx = 0 if rng.random() < p0 else 1
-    vec = v0 if idx == 0 else v1
-    prob = p0 if idx == 0 else p1
-    comp = _component(state, qubit, vec)
-    post = np.tensordot(vec, comp, axes=0)
-    post = np.moveaxis(post, 0, qubit).reshape(-1)
-    post = post / np.sqrt(prob)
-    return MeasurementOutcome(idx, prob, StateVector(state.num_qubits, post))
-
-
-def condition(state: StateVector, qubit: int, basis: str, outcome: int):
-    """Project one qubit onto a basis outcome and drop it from the register.
-
-    Returns ``(probability, reduced_state)``; the reduced state is None
-    when the outcome has (numerically) zero weight.
-    """
-    (qubit,) = _validated_targets(state, [qubit])
-    if state.num_qubits < 2:
-        raise ContractError("condition needs at least a 2-qubit register")
-    if outcome not in (0, 1):
-        raise ContractError(f"outcome must be 0 or 1, got {outcome}")
-    vec = _basis_pair(basis)[outcome]
-    comp = _component(state, qubit, vec)
-    prob = float(np.sum(np.abs(comp) ** 2))
-    if prob <= 1e-24:
-        return 0.0, None
-    reduced = (comp / np.sqrt(prob)).reshape(-1)
-    return prob, StateVector(state.num_qubits - 1, reduced)
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:

@@ -10,7 +10,6 @@ from ipea_sim.photonics import (
     parity_cases,
     postselect,
     prepare_entangled_input,
-    q_branch_relabel,
 )
 from ipea_sim.qmath import StateVector, Unitary
 from ipea_sim.qpe import feedback_angle
@@ -50,10 +49,10 @@ def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Ge
     Every repetition rebuilds the controlled state from scratch: the
     photonic pipeline with one ``rng.choice`` over its post-selected port
     patterns, or the matrix provider's block state, then the feedback
-    rotation and a sampled ``qmath.measure`` of the control, relabeled on
-    an odd-parity branch.  Returns the estimate's bits (b1..bm) and the
-    tally of drawn photonic branches; ``ipea_run`` must reproduce both
-    for the same generator.
+    rotation and one Born-rule draw of the control in the +/- basis,
+    flipped on an odd-parity branch.  Returns the estimate's bits
+    (b1..bm) and the tally of drawn photonic branches; ``ipea_run`` must
+    reproduce both for the same generator.
     """
     counts = {"P": 0, "Q": 0}
     target = spec.input_state
@@ -83,10 +82,12 @@ def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Ge
             # diag(1, e^{i omega}) on the control qubit
             amps = state.amplitudes.copy()
             amps[amps.size // 2:] *= np.exp(1j * omega)
-            rotated = StateVector(state.num_qubits, amps)
-            bit = qmath.measure(rotated, 0, qmath.PLUS_MINUS, rng).outcome_index
+            top, bottom = np.split(StateVector(state.num_qubits, amps).amplitudes, 2)
+            # P(+) = |<+|_control psi|^2 = 1/2 sum |a_top + a_bottom|^2
+            p_plus = 0.5 * float(np.sum(np.abs(top + bottom) ** 2))
+            bit = 0 if rng.random() < p_plus else 1
             if label == "Q":
-                bit = q_branch_relabel(bit)
+                bit = 1 - bit
             ones += bit
         tail.insert(0, 1 if ones > reps // 2 else 0)
     return tuple(tail), counts

@@ -193,6 +193,16 @@ class TestStudyCommands:
         assert rows[0].startswith("m,trials,reps_per_bit")
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("bits", ["0", "17", "64"])
+    def test_montecarlo_bits_out_of_range_is_parse_error(self, bits, capsys):
+        # the same 1..16 that a config's bits directive allows
+        code, _, err = run_cli(
+            ["montecarlo", "--dyadic", "--bits", bits, "--trials", "5", "--provider", "matrix"],
+            capsys,
+        )
+        assert code == 2
+        assert "--bits must lie in 1..16" in err
+
     def test_montecarlo_golden(self, capsys):
         # Pins the sampled draw pattern of both providers at reps 1 and
         # 11: the file holds the photonic table, then the matrix table.

@@ -15,7 +15,6 @@ from ipea_sim.photonics import (
     PhotonicState,
     WaveplateSpec,
     apply_blue_unitary,
-    apply_noise,
     beamsplitter_mix,
     compose_waveplates,
     hwp,
@@ -25,10 +24,9 @@ from ipea_sim.photonics import (
     polarization_state,
     postselect,
     prepare_entangled_input,
-    q_branch_relabel,
     qwp,
 )
-from ipea_sim.qmath import ContractError, StateVector, Unitary, basis_state, derive_rng
+from ipea_sim.qmath import ContractError, Unitary, basis_state, derive_rng
 
 
 class TestJonesMatrices:
@@ -49,20 +47,6 @@ class TestJonesMatrices:
 
     def test_qwp_axis_aligned(self):
         np.testing.assert_allclose(qwp(0.0).matrix, [[1, 0], [0, 1j]], atol=1e-15)
-
-    def test_physical_convention_scales(self):
-        np.testing.assert_allclose(
-            hwp(20.0, "physical").matrix, -1j * hwp(20.0).matrix, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            qwp(20.0, "physical").matrix,
-            np.exp(-1j * np.pi / 4) * qwp(20.0).matrix,
-            atol=1e-12,
-        )
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ContractError):
-            hwp(0.0, "lab")
 
     def test_waveplate_spec_wraps_angle(self):
         assert WaveplateSpec("HWP", 190.0).angle_deg == pytest.approx(10.0)
@@ -91,13 +75,6 @@ class TestEigenphaseOracle:
             u = compose_waveplates([hwp(0.0), hwp(float(theta))])
             expected = (-theta / 180.0) % 1.0
             assert oracle_eigenphase(u, "R") == pytest.approx(expected, abs=1e-12)
-
-    def test_physical_convention_shifts_half_turn(self):
-        # two -i prefactors make a global -1: eigenphases move by 0.5
-        plates = [WaveplateSpec("HWP", 0.0), WaveplateSpec("HWP", 45.0)]
-        real_phase = oracle_eigenphase(compose_waveplates(plates), "R")
-        phys_phase = oracle_eigenphase(compose_waveplates(plates, "physical"), "R")
-        assert qpe.circular_distance(phys_phase, (real_phase + 0.5) % 1.0) < 1e-12
 
     def test_selector_forms(self):
         u = compose_waveplates([hwp(0.0), hwp(30.0)])
@@ -176,12 +153,6 @@ class TestPipeline:
             _, prob = postselect(ports, branch)
             assert prob == pytest.approx(0.25, abs=1e-12)
 
-    def test_q_branch_relabel(self):
-        assert q_branch_relabel(0) == 1
-        assert q_branch_relabel(1) == 0
-        with pytest.raises(ContractError):
-            q_branch_relabel(2)
-
     def test_photonic_controlled_power_matches_block(self):
         u = hwp(30.0)
         eff = photonic_controlled_power(u, 1)
@@ -238,16 +209,6 @@ class TestPhotonicProvider:
 
 
 class TestNoise:
-    def test_apply_noise_extremes(self):
-        u, psi = hwp(30.0).matrix, polarization_state("H").amplitudes
-        state = StateVector(2, np.concatenate([psi, u @ psi]) / np.sqrt(2))
-        pure = np.outer(state.amplitudes, state.amplitudes.conj())
-        rho_clean = apply_noise(state, NoiseSpec(1.0, 0.0))
-        np.testing.assert_allclose(rho_clean.matrix, pure, atol=1e-12)
-        rho_deph = apply_noise(state, NoiseSpec(0.0, 0.0))
-        assert np.max(np.abs(rho_deph.matrix[:2, 2:])) == 0.0
-        np.testing.assert_allclose(rho_deph.matrix[:2, :2], pure[:2, :2], atol=1e-12)
-
     def test_noise_spec_bounds(self):
         with pytest.raises(ContractError):
             NoiseSpec(distinguishability=1.2)
