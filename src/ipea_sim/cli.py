@@ -8,7 +8,10 @@ Subcommands::
     ipea-sim montecarlo [--bits M] [--trials N] [--provider P] ...
 
 Exit status: 0 on success, 2 for configuration/usage errors, 3 when a
-numerical contract is violated at run time.
+numerical contract is violated at run time.  A flag that sets a
+directive's value is checked by that directive's ``config.DIRECTIVES``
+row: an out-of-range value, or ``run --seed`` on a config that reads no
+seed (exact ``ipea``, ``qpe_full``), exits 2 naming the flag.
 """
 
 from __future__ import annotations
@@ -17,16 +20,26 @@ import argparse
 import sys
 
 from . import experiments
-from .config import MAX_BITS, ParseError, parse_experiment
+from .config import DIRECTIVES, ParseError, check_flag, parse_experiment
 from .photonics import NoiseSpec
 from .qmath import ContractError
+
+# argparse destinations that set a directive's value: (directive, argument index)
+FLAG_DIRECTIVES = {"bits": ("bits", 0), "reps": ("reps", 0), "trials": ("trials", 0),
+                   "seed": ("seed", 0), "noise_p": ("noise", 0), "noise_sigma": ("noise", 1)}
+# the column of DIRECTIVES that each study reads; run takes its config's
+STUDY_COLUMNS = {"fig4": "ipea", "fig5": None, "montecarlo": "montecarlo"}
+
+
+def _row_arg(key: str):
+    return DIRECTIVES[key].args[0]
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write the table here instead of stdout")
     parser.add_argument(
         "--format",
-        choices=("csv", "json"),
+        choices=_row_arg("output").choices,
         help="output format (default: csv; for run, the config's output directive)",
     )
 
@@ -46,9 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig4 = sub.add_parser("fig4", help="twelve-angle waveplate sweep")
     fig4.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     fig4.add_argument("--reps", type=int, default=11, help="repetitions per bit (odd)")
-    fig4.add_argument(
-        "--provider", choices=("matrix", "photonic"), default="photonic"
-    )
+    fig4.add_argument("--provider", choices=_row_arg("provider").choices, default="photonic")
     fig4.add_argument(
         "--exact",
         action="store_true",
@@ -85,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(fig5)
 
     mc = sub.add_parser("montecarlo", help="precision bound over random phases")
-    mc.add_argument("--bits", type=int, default=3, help=f"estimate length m, 1..{MAX_BITS}")
+    mc.add_argument(
+        "--bits", type=int, default=3, help=f"estimate length m, {_row_arg('bits').span}"
+    )
     mc.add_argument("--trials", type=int, default=10000)
     mc.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    mc.add_argument(
-        "--provider", choices=("matrix", "photonic"), default="photonic"
-    )
+    mc.add_argument("--provider", choices=_row_arg("provider").choices, default="photonic")
     mc.add_argument("--reps", type=int, default=11, help="majority-vote repetitions")
     mc.add_argument(
         "--dyadic",
@@ -102,6 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args: argparse.Namespace, column: str | None) -> None:
+    for dest, (key, index) in FLAG_DIRECTIVES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            check_flag("--" + dest.replace("_", "-"), key, value, column, index)
+
+
 def _dispatch(args: argparse.Namespace):
     if args.command == "run":
         try:
@@ -110,41 +128,26 @@ def _dispatch(args: argparse.Namespace):
         except OSError as exc:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
         config = parse_experiment(text)
+        _check_flags(args, config.column())
         if args.format is None:
             args.format = config.output
         return experiments.run_config(config, seed=args.seed)
+    _check_flags(args, STUDY_COLUMNS.get(args.command))
     if args.command == "fig4":
         records = experiments.run_fig4(
-            seed=args.seed,
-            reps=args.reps,
-            provider=args.provider,
-            exact=args.exact,
+            seed=args.seed, reps=args.reps, provider=args.provider, exact=args.exact
         )
         return records, experiments.FIG4_FIELDS
     if args.command == "fig5":
-        noise = None
-        if not args.no_noise:
-            noise = NoiseSpec(
-                distinguishability=args.noise_p,
-                angle_jitter_sigma_deg=args.noise_sigma,
-            )
+        noise = None if args.no_noise else NoiseSpec(args.noise_p, args.noise_sigma)
         panels = experiments.run_fig5(
-            seed=args.seed,
-            shots=args.shots,
-            noise=noise,
-            resamples=args.resamples,
+            seed=args.seed, shots=args.shots, noise=noise, resamples=args.resamples
         )
         return panels, experiments.FIG5_FIELDS
     if args.command == "montecarlo":
-        if not 1 <= args.bits <= MAX_BITS:
-            raise ParseError(f"--bits must lie in 1..{MAX_BITS}, got {args.bits}")
         rows = experiments.run_montecarlo(
-            m=args.bits,
-            trials=args.trials,
-            seed=args.seed,
-            provider=args.provider,
-            reps=args.reps,
-            dyadic=args.dyadic,
+            m=args.bits, trials=args.trials, seed=args.seed,
+            provider=args.provider, reps=args.reps, dyadic=args.dyadic,
         )
         return rows, experiments.MONTECARLO_FIELDS
     raise ParseError(f"unknown command {args.command!r}")

@@ -10,44 +10,40 @@ are skipped, each directive may appear at most once)::
     reps       <odd count>                        majority votes per bit
     trials     <count>                            0 selects exact-probability mode
     seed       <u64>
-    noise      <distinguishability> <sigma_deg>
+    noise      <distinguishability> <sigma_deg>   p in [0, 1], sigma finite and ≥ 0
     provider   matrix | photonic
     eigenstate R | L | H | V | D | A
     output     csv | json
 
-Every ``bits`` value the grammar accepts runs in every mode.  Every
-malformed line produces a ParseError naming its line number; a
-misspelled keyword is an error, never a silently ignored default.  So
-is a directive the mode never reads: ``qpe_full`` takes no ``reps``,
-``seed``, ``noise`` or ``provider``, ``collapse`` no ``reps`` or
-``provider``, and ``montecarlo`` (which draws its own diagonal
-unitaries and eigenstate) no ``unitary``, ``noise`` or ``eigenstate``.
+``DIRECTIVES`` holds one row per directive: its arguments (kind, span
+and check), its default and the columns (modes, with ``ipea`` at
+``trials 0`` as ``exact``) that read it.  The parser, ``ExperimentConfig``
+and the CLI flags check values through these rows.  A malformed line, a
+misspelled keyword or a directive its column never reads is a ParseError
+naming its line: ``qpe_full`` reads no ``reps``, ``seed``, ``noise`` or
+``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
+(which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
+``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import ContractError, StateVector, Unitary
 
-__all__ = ["MODES", "ParseError", "ExperimentConfig", "parse_experiment"]
+__all__ = ["MODES", "COLUMNS", "DIRECTIVES", "ParseError", "ExperimentConfig",
+           "parse_experiment", "check_flag"]
 
 MODES = ("ipea", "qpe_full", "collapse", "montecarlo")
-PROVIDERS = ("matrix", "photonic")
-OUTPUT_FORMATS = ("csv", "json")
-EIGENSTATES = ("R", "L", "H", "V", "D", "A")
+COLUMNS = ("ipea", "exact", "qpe_full", "collapse", "montecarlo")
 
 MAX_BITS = 16
 MAX_SEED = (1 << 64) - 1
-# Directives a mode never reads; naming one is an error, not a no-op.
-UNREAD_DIRECTIVES = {
-    "qpe_full": ("reps", "seed", "noise", "provider"),
-    "collapse": ("reps", "provider"),
-    "montecarlo": ("unitary", "noise", "eigenstate"),
-}
 
 
 class ParseError(ValueError):
@@ -60,6 +56,79 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class Arg(NamedTuple):
+    """One argument of a directive and the values it accepts."""
+
+    label: str  # names the argument after the keyword; "" for a lone argument
+    kind: type  # int, float or str: how a token is read
+    span: str  # the accepted values, in words
+    check: Callable[[object], str | None]  # value -> None, or why it is refused
+    choices: tuple[str, ...] = ()
+
+
+def _choice(*options: str) -> Arg:
+    reason = f"must be one of {', '.join(options)}"
+    return Arg("", str, " | ".join(options), lambda v: None if v in options else reason, options)
+
+
+class Directive(NamedTuple):
+    """One grammar row: its arguments, default and the columns that read it."""
+
+    args: tuple[Arg, ...]  # empty for the free-form unitary description
+    default: object
+    columns: frozenset[str]
+    make: Callable | None = None  # builds the value of a multi-argument row
+
+
+_FINITE = Arg("", float, "finite numbers", lambda v: None if np.isfinite(v) else "must be finite")
+_EVERY = frozenset(COLUMNS)
+_TARGETED = frozenset({"ipea", "exact", "qpe_full", "collapse"})
+
+DIRECTIVES = {
+    "mode": Directive((_choice(*MODES),), None, _EVERY),
+    "unitary": Directive((), None, _TARGETED),
+    "bits": Directive((Arg("", int, f"1..{MAX_BITS}", lambda v: "must be ≥ 1" if v < 1
+                           else f"must be ≤ {MAX_BITS}" if v > MAX_BITS else None),), 3, _EVERY),
+    "reps": Directive(
+        (Arg("", int, "the odd numbers 1, 3, 5, ...", lambda v: "must be ≥ 1" if v < 1
+             else "must be odd so majority votes are decisive" if v % 2 == 0 else None),),
+        11, frozenset({"ipea", "montecarlo"})),
+    "trials": Directive((Arg("", int, "0, 1, 2, ...",
+                             lambda v: "must be ≥ 0" if v < 0 else None),), None, _EVERY),
+    "seed": Directive((Arg("", int, "0..2^64-1", lambda v: None if 0 <= v <= MAX_SEED
+                           else "must fit in an unsigned 64-bit integer"),),
+                      0, frozenset({"ipea", "collapse", "montecarlo"})),
+    "noise": Directive(
+        (Arg("distinguishability", float, "[0, 1]",
+             lambda v: None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"),
+         Arg("sigma", float, "[0, ∞)",
+             lambda v: _FINITE.check(v) or ("must be ≥ 0" if v < 0.0 else None))),
+        None, frozenset({"ipea", "collapse"}), NoiseSpec),
+    "provider": Directive((_choice("matrix", "photonic"),), "photonic",
+                          frozenset({"ipea", "exact", "montecarlo"})),
+    "eigenstate": Directive((_choice("R", "L", "H", "V", "D", "A"),), "R", _TARGETED),
+    "output": Directive((_choice("csv", "json"),), "csv", _EVERY),
+}
+
+# ExperimentConfig fields named apart from their directive
+_FIELD = {"reps": "reps_per_bit"}
+
+
+def _unread(column: str, key: str) -> str | None:
+    if column in DIRECTIVES[key].columns:
+        return None
+    where = "exact ipea (trials 0)" if column == "exact" else f"mode {column!r}"
+    return f"{where} does not use directive {key!r}"
+
+
+def _trials_refusal(mode: str, trials: int | None) -> str | None:
+    if mode == "montecarlo" and trials == 0:
+        return "montecarlo needs trials ≥ 1 (exact mode applies to ipea runs)"
+    if mode == "qpe_full" and trials not in (None, 0, 1):
+        return "qpe_full is exact and takes no trial count beyond 1"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Parse-validated run description; every run consumes one of these."""
@@ -67,34 +136,34 @@ class ExperimentConfig:
     mode: str
     plates: tuple[WaveplateSpec, ...] | None = None
     matrix: Unitary | None = None
-    bits: int = 3
-    reps_per_bit: int = 11
-    trials: int | None = None
-    seed: int = 0
-    noise: NoiseSpec | None = None
-    provider: str = "photonic"
-    eigenstate: str = "R"
-    output: str = "csv"
+    bits: int = DIRECTIVES["bits"].default
+    reps_per_bit: int = DIRECTIVES["reps"].default
+    trials: int | None = DIRECTIVES["trials"].default
+    seed: int = DIRECTIVES["seed"].default
+    noise: NoiseSpec | None = DIRECTIVES["noise"].default
+    provider: str = DIRECTIVES["provider"].default
+    eigenstate: str = DIRECTIVES["eigenstate"].default
+    output: str = DIRECTIVES["output"].default
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ContractError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ContractError(f"bits must lie in 1..{MAX_BITS}, got {self.bits}")
-        if self.reps_per_bit < 1 or self.reps_per_bit % 2 == 0:
-            raise ContractError(f"reps must be odd, got {self.reps_per_bit}")
-        if self.trials is not None and self.trials < 0:
-            raise ContractError(f"trials must be >= 0, got {self.trials}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ContractError(f"seed must be a u64, got {self.seed}")
-        if self.provider not in PROVIDERS:
-            raise ContractError(f"unknown provider {self.provider!r}")
-        if self.eigenstate not in EIGENSTATES:
-            raise ContractError(f"unknown eigenstate {self.eigenstate!r}")
-        if self.output not in OUTPUT_FORMATS:
-            raise ContractError(f"unknown output format {self.output!r}")
+        for key, row in DIRECTIVES.items():
+            value = getattr(self, _FIELD.get(key, key)) if row.args else None
+            if value is None:
+                continue
+            for arg, v in zip(row.args, astuple(value) if row.make else (value,)):
+                reason = arg.check(v)
+                if reason is not None:
+                    name = f"{key} {arg.label}".strip()
+                    raise ContractError(f"{name} {reason}, got {v!r}")
+        reason = _trials_refusal(self.mode, self.trials)
+        if reason is not None:
+            raise ContractError(reason)
         if self.plates is not None and self.matrix is not None:
             raise ContractError("config cannot carry both plates and a matrix")
+
+    def column(self) -> str:
+        """The column of ``DIRECTIVES`` this run reads."""
+        return "exact" if self.mode == "ipea" and self.trials == 0 else self.mode
 
     def unitary(self) -> Unitary:
         if self.matrix is not None:
@@ -112,20 +181,30 @@ class ExperimentConfig:
         return 10000 if self.mode == "montecarlo" else 1
 
 
-def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
+def check_flag(flag: str, key: str, value, column: str | None = None, index: int = 0) -> None:
+    """Refuse, naming ``flag``, a value for argument ``index`` of directive
+    ``key`` that its row refuses, or that ``column`` (if given) does not read."""
+    arg = DIRECTIVES[key].args[index]
+    if arg.check(value) is not None:
+        raise ParseError(f"{flag} must lie in {arg.span}, got {value}")
+    if column is not None:
+        reason = _unread(column, key) or (
+            _trials_refusal(column, value) if key == "trials" else None
+        )
+        if reason is not None:
+            raise ParseError(f"{flag} {value}: {reason}")
 
 
-def _parse_float(token: str, what: str, line: int) -> float:
+def _value(key: str, arg: Arg, token: str, line: int):
     try:
-        value = float(token)
+        value = int(token, 10) if arg.kind is int else arg.kind(token)
     except ValueError:
-        raise ParseError(f"{what} must be a number, got {token!r}", line) from None
-    if not np.isfinite(value):
-        raise ParseError(f"{what} must be finite, got {token!r}", line)
+        reason = "must be an integer" if arg.kind is int else "must be a number"
+    else:
+        reason = arg.check(value)
+    if reason is not None:
+        name = f"{key} {arg.label}".strip()
+        raise ParseError(f"{name} {reason}, got {token!r}", line)
     return value
 
 
@@ -135,165 +214,78 @@ def _parse_unitary(args: list[str], line: int):
     if args[0] == "matrix":
         entries = args[1:]
         if len(entries) != 4:
-            raise ParseError(
-                f"unitary matrix needs 4 re,im pairs, got {len(entries)}", line
-            )
+            raise ParseError(f"unitary matrix needs 4 re,im pairs, got {len(entries)}", line)
         values = []
         for pair in entries:
             parts = pair.split(",")
             if len(parts) != 2:
                 raise ParseError(f"matrix entry {pair!r} is not re,im", line)
-            re = _parse_float(parts[0], "matrix entry", line)
-            im = _parse_float(parts[1], "matrix entry", line)
+            re, im = (_value("matrix entry", _FINITE, part, line) for part in parts)
             values.append(complex(re, im))
-        m = np.array(values, dtype=complex).reshape(2, 2)
         try:
-            return None, Unitary(m)
+            return None, Unitary(np.array(values, dtype=complex).reshape(2, 2))
         except ContractError as exc:
             raise ParseError(f"matrix is not unitary ({exc})", line) from None
     plates = []
-    i = 0
-    while i < len(args):
+    for i in range(0, len(args), 2):
         kind = args[i]
         if kind not in ("hwp", "qwp"):
             raise ParseError(f"unknown waveplate kind {kind!r}", line)
         if i + 1 >= len(args):
             raise ParseError(f"waveplate {kind!r} is missing its angle", line)
-        angle = _parse_float(args[i + 1], "waveplate angle", line)
+        angle = _value("waveplate angle", _FINITE, args[i + 1], line)
         plates.append(WaveplateSpec(kind.upper(), angle))
-        i += 2
     return tuple(plates), None
 
 
+def _read(key: str, tokens: list[str], line: int):
+    row = DIRECTIVES[key]
+    if not row.args:
+        return _parse_unitary(tokens, line)
+    if len(tokens) != len(row.args):
+        if len(row.args) == 1:
+            raise ParseError(f"{key} takes one argument", line)
+        usage = " ".join(f"<{arg.label}>" for arg in row.args)
+        raise ParseError(f"{key} takes two arguments: {usage}", line)
+    values = [_value(key, arg, token, line) for arg, token in zip(row.args, tokens)]
+    return row.make(*values) if row.make else values[0]
+
+
 def parse_experiment(text: str) -> ExperimentConfig:
-    """Parse a configuration file into an ExperimentConfig.
+    """Parse a configuration file into an ExperimentConfig, each line through its row.
 
     Raises ParseError with a line number for any malformed, unknown,
-    duplicated, or out-of-range directive, and for cross-field
+    duplicated, out-of-range or unread directive, and for cross-field
     problems such as a montecarlo run with zero trials.
     """
-    seen: dict[str, int] = {}
+    lines: dict[str, int] = {}
     values: dict[str, object] = {}
-
-    def note(key: str, line: int, value) -> None:
-        if key in seen:
-            raise ParseError(
-                f"duplicate directive {key!r} (first on line {seen[key]})", line
-            )
-        seen[key] = line
-        values[key] = value
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = content.split()
-        keyword, args = tokens[0], tokens[1:]
-        if keyword == "mode":
-            if len(args) != 1 or args[0] not in MODES:
-                raise ParseError(
-                    f"mode must be one of {', '.join(MODES)}, got {' '.join(args)!r}",
-                    lineno,
-                )
-            note("mode", lineno, args[0])
-        elif keyword == "unitary":
-            plates, matrix = _parse_unitary(args, lineno)
-            note("unitary", lineno, (plates, matrix))
-        elif keyword == "bits":
-            if len(args) != 1:
-                raise ParseError("bits takes one argument", lineno)
-            bits = _parse_int(args[0], "bits", lineno)
-            if bits < 1:
-                raise ParseError("bits must be ≥ 1", lineno)
-            if bits > MAX_BITS:
-                raise ParseError(f"bits must be ≤ {MAX_BITS}", lineno)
-            note("bits", lineno, bits)
-        elif keyword == "reps":
-            if len(args) != 1:
-                raise ParseError("reps takes one argument", lineno)
-            reps = _parse_int(args[0], "reps", lineno)
-            if reps < 1:
-                raise ParseError("reps must be ≥ 1", lineno)
-            if reps % 2 == 0:
-                raise ParseError("reps must be odd so majority votes are decisive", lineno)
-            note("reps", lineno, reps)
-        elif keyword == "trials":
-            if len(args) != 1:
-                raise ParseError("trials takes one argument", lineno)
-            trials = _parse_int(args[0], "trials", lineno)
-            if trials < 0:
-                raise ParseError("trials must be ≥ 0", lineno)
-            note("trials", lineno, trials)
-        elif keyword == "seed":
-            if len(args) != 1:
-                raise ParseError("seed takes one argument", lineno)
-            seed = _parse_int(args[0], "seed", lineno)
-            if not 0 <= seed <= MAX_SEED:
-                raise ParseError("seed must fit in an unsigned 64-bit integer", lineno)
-            note("seed", lineno, seed)
-        elif keyword == "noise":
-            if len(args) != 2:
-                raise ParseError("noise takes two arguments: <p> <sigma_deg>", lineno)
-            p = _parse_float(args[0], "noise distinguishability", lineno)
-            sigma = _parse_float(args[1], "noise sigma", lineno)
-            if not 0.0 <= p <= 1.0:
-                raise ParseError("noise distinguishability must lie in [0, 1]", lineno)
-            if sigma < 0.0:
-                raise ParseError("noise sigma must be ≥ 0", lineno)
-            note("noise", lineno, NoiseSpec(p, sigma))
-        elif keyword == "provider":
-            if len(args) != 1 or args[0] not in PROVIDERS:
-                raise ParseError(
-                    f"provider must be one of {', '.join(PROVIDERS)}", lineno
-                )
-            note("provider", lineno, args[0])
-        elif keyword == "eigenstate":
-            if len(args) != 1 or args[0] not in EIGENSTATES:
-                raise ParseError(
-                    f"eigenstate must be one of {', '.join(EIGENSTATES)}", lineno
-                )
-            note("eigenstate", lineno, args[0])
-        elif keyword == "output":
-            if len(args) != 1 or args[0] not in OUTPUT_FORMATS:
-                raise ParseError(
-                    f"output must be one of {', '.join(OUTPUT_FORMATS)}", lineno
-                )
-            note("output", lineno, args[0])
-        else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno)
+        key = tokens[0]
+        if key not in DIRECTIVES:
+            raise ParseError(f"unknown directive {key!r}", lineno)
+        if key in lines:
+            raise ParseError(f"duplicate directive {key!r} (first on line {lines[key]})", lineno)
+        lines[key] = lineno
+        values[key] = _read(key, tokens[1:], lineno)
 
     if "mode" not in values:
         raise ParseError("missing required directive 'mode'")
     mode = values["mode"]
-
-    plates, matrix = values.get("unitary", (None, None))
-    if mode in ("ipea", "qpe_full", "collapse") and plates is None and matrix is None:
+    if "unitary" not in values and mode in DIRECTIVES["unitary"].columns:
         raise ParseError(f"mode {mode!r} requires a unitary directive")
-
-    trials = values.get("trials")
-    if mode == "montecarlo" and trials == 0:
-        raise ParseError(
-            "montecarlo needs trials ≥ 1 (exact mode applies to ipea runs)",
-            seen["trials"],
-        )
-    if mode in ("qpe_full",) and trials not in (None, 0, 1):
-        raise ParseError(
-            "qpe_full is exact and takes no trial count beyond 1", seen["trials"]
-        )
-    for key in UNREAD_DIRECTIVES.get(mode, ()):
-        if key in seen:
-            raise ParseError(f"mode {mode!r} does not use directive {key!r}", seen[key])
-
-    return ExperimentConfig(
-        mode=mode,
-        plates=plates,
-        matrix=matrix,
-        bits=values.get("bits", 3),
-        reps_per_bit=values.get("reps", 11),
-        trials=trials,
-        seed=values.get("seed", 0),
-        noise=values.get("noise"),
-        provider=values.get("provider", "photonic"),
-        eigenstate=values.get("eigenstate", "R"),
-        output=values.get("output", "csv"),
-    )
+    reason = _trials_refusal(mode, values.get("trials"))
+    if reason is not None:
+        raise ParseError(reason, lines["trials"])
+    plates, matrix = values.pop("unitary", (None, None))
+    fields = {_FIELD.get(key, key): value for key, value in values.items()}
+    config = ExperimentConfig(plates=plates, matrix=matrix, **fields)
+    column = config.column()
+    for key, line in lines.items():
+        reason = _unread(column, key)
+        if reason is not None:
+            raise ParseError(reason, line)
+    return config

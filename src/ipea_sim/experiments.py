@@ -287,12 +287,7 @@ def run_fig5(
                 rho_hat = tomography.reconstruct_from_expectations(
                     exp["X"], exp["Y"], exp["Z"]
                 )
-                report = tomography.ReconstructionReport(
-                    rho=rho_hat,
-                    fidelity_vs_ideal=fidelity(rho_hat, ideal),
-                    fidelity_std=0.0,
-                    shots_per_basis=0,
-                )
+                std = 0.0
             else:
                 counts = tomography.simulate_counts(
                     rho, shots, derive_rng(seed, panel_index, 1)
@@ -301,12 +296,12 @@ def run_fig5(
                 _, std = tomography.bootstrap_fidelity(
                     counts, ideal, resamples, derive_rng(seed, panel_index, 2)
                 )
-                report = tomography.ReconstructionReport(
-                    rho=rho_hat,
-                    fidelity_vs_ideal=fidelity(rho_hat, ideal),
-                    fidelity_std=std,
-                    shots_per_basis=shots,
-                )
+            report = tomography.ReconstructionReport(
+                rho=rho_hat,
+                fidelity_vs_ideal=fidelity(rho_hat, ideal),
+                fidelity_std=std,
+                shots_per_basis=shots,
+            )
             results.append(
                 PanelResult(
                     panel=next(labels),

@@ -112,6 +112,14 @@ def _validated_bits(bits) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _numerator(bits: tuple[int, ...]) -> int:
+    # The integer b1 b2 ... bm, b1 most significant.
+    numerator = 0
+    for b in bits:
+        numerator = (numerator << 1) | b
+    return numerator
+
+
 def bits_of(value: int, width: int) -> tuple[int, ...]:
     """Binary digits of ``value``, most significant first."""
     if not 0 <= value < 1 << width:
@@ -137,10 +145,7 @@ def feedback_angle(k: int, measured_bits) -> float:
     if k < 1:
         raise ContractError(f"iteration index k must be >= 1, got {k}")
     bits = _validated_bits(measured_bits)
-    numerator = 0
-    for b in bits:
-        numerator = (numerator << 1) | b
-    return float(_feedback_angles(numerator, len(bits)))
+    return float(_feedback_angles(_numerator(bits), len(bits)))
 
 
 @dataclass(frozen=True)
@@ -155,20 +160,14 @@ class PhaseEstimate:
         if len(bits) < 1:
             raise ContractError("estimate needs at least one bit")
         object.__setattr__(self, "bits", bits)
-        numerator = 0
-        for b in bits:
-            numerator = (numerator << 1) | b
-        exact = numerator / (1 << len(bits))
+        exact = _numerator(bits) / (1 << len(bits))
         if self.value != exact:
             raise ContractError(f"value {self.value!r} does not equal 0.{bits} = {exact!r}")
 
     @classmethod
     def from_bits(cls, bits) -> "PhaseEstimate":
         bits = _validated_bits(bits)
-        numerator = 0
-        for b in bits:
-            numerator = (numerator << 1) | b
-        return cls(bits=bits, value=numerator / (1 << len(bits)))
+        return cls(bits=bits, value=_numerator(bits) / (1 << len(bits)))
 
     @classmethod
     def from_numerator(cls, numerator: int, m: int) -> "PhaseEstimate":

@@ -141,6 +141,14 @@ class TestRunCommand:
         assert code == 0, err
         assert [len(line.split(",")[1]) for line in out.splitlines()[1:]] == [16, 16]
 
+    def test_seed_override_refused_where_no_seed_is_read(self, capsys):
+        # exact ipea (trials 0) draws nothing, so a seed would be ignored
+        code, out, err = run_cli(["run", str(CONFIGS / "sweep_point.cfg"), "--seed", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ipea-sim: --seed ")
+        assert "does not use directive 'seed'" in err
+
     def test_capacity_violation_is_contract_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IPEA_SIM_MAX_QUBITS", "8")
         cfg = tmp_path / "exp.cfg"
@@ -164,7 +172,7 @@ class TestStudyCommands:
 
     def test_fig4_rejects_even_reps(self, capsys):
         code, _, err = run_cli(["fig4", "--reps", "4"], capsys)
-        assert code == 3
+        assert code == 2
         assert "odd" in err
 
     def test_fig5_exact_noiseless(self, capsys):
@@ -202,6 +210,39 @@ class TestStudyCommands:
         )
         assert code == 2
         assert "--bits must lie in 1..16" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", ["fig4", "fig5", "montecarlo", "run"])
+    def test_seed_out_of_u64_is_parse_error(self, command, seed, tmp_path, capsys):
+        # the same u64 range that a config's seed directive allows
+        cfg = tmp_path / "sampled.cfg"
+        cfg.write_text("mode ipea\nunitary hwp 0 hwp 45\nbits 2\ntrials 2\n")
+        argv = {
+            "fig4": ["fig4"],
+            "fig5": ["fig5", "--shots", "0"],
+            "montecarlo": ["montecarlo", "--trials", "5"],
+            "run": ["run", str(cfg)],
+        }[command]
+        code, out, err = run_cli(argv + ["--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ipea-sim: --seed ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["montecarlo", "--reps", "2"],
+            ["montecarlo", "--trials", "0"],
+            ["fig5", "--noise-p", "2"],
+            ["fig5", "--noise-sigma", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_flag_is_parse_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ipea-sim: {argv[1]} ")
 
     def test_montecarlo_golden(self, capsys):
         # Pins the sampled draw pattern of both providers at reps 1 and

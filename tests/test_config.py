@@ -1,11 +1,16 @@
 """Config grammar checks: totality, line numbers, cross-field rules."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
-from ipea_sim.config import ExperimentConfig, ParseError, parse_experiment
+from ipea_sim import config
+from ipea_sim.config import COLUMNS, DIRECTIVES, ExperimentConfig, ParseError, parse_experiment
 from ipea_sim.photonics import NoiseSpec, WaveplateSpec
 from ipea_sim.qmath import ContractError
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 FULL = """\
 # waveplate sweep, third row
@@ -70,6 +75,43 @@ class TestHappyPath:
     def test_input_state_follows_eigenstate(self):
         cfg = parse_experiment("mode ipea\nunitary hwp 0 hwp 30\neigenstate V\n")
         np.testing.assert_allclose(cfg.input_state().amplitudes, [0, 1])
+
+
+# One accepted line per directive, to place in a config of any column.
+SAMPLE_LINES = {
+    "mode": "mode ipea",
+    "unitary": "unitary hwp 0 hwp 30",
+    "bits": "bits 2",
+    "reps": "reps 3",
+    "trials": "trials 1",
+    "seed": "seed 5",
+    "noise": "noise 0.5 3",
+    "provider": "provider matrix",
+    "eigenstate": "eigenstate H",
+    "output": "output json",
+}
+
+
+def table_cells(read: bool) -> list[tuple[str, str]]:
+    """(column, directive) pairs of DIRECTIVES whose row reads, or omits, that column."""
+    return [
+        (column, key)
+        for column in COLUMNS
+        for key, row in DIRECTIVES.items()
+        if (column in row.columns) == read
+    ]
+
+
+def column_head(column: str, key: str) -> list[str]:
+    """The lines a config of ``column`` needs before a ``key`` line."""
+    head = ["mode ipea", "trials 0"] if column == "exact" else [f"mode {column}"]
+    if key != "unitary" and column in DIRECTIVES["unitary"].columns:
+        head.append(SAMPLE_LINES["unitary"])
+    return head
+
+
+def grammar_keywords(block: str) -> list[str]:
+    return list(dict.fromkeys(line.split()[0] for line in block.splitlines() if line.strip()))
 
 
 def expect_error(text: str, fragment: str, line: int | None):
@@ -177,6 +219,19 @@ class TestRejections:
             3,
         )
 
+    @pytest.mark.parametrize("column, key", table_cells(read=False))
+    def test_every_column_rejects_unread_directive(self, column, key):
+        head = column_head(column, key)
+        expect_error(
+            "\n".join(head + [SAMPLE_LINES[key], "bits 2"]) + "\n",
+            f"does not use directive '{key}'",
+            len(head) + 1,
+        )
+
+    def test_exact_column_reads_no_draw_parameters(self):
+        unread = {key for column, key in table_cells(read=False) if column == "exact"}
+        assert unread == {"seed", "reps", "noise"}
+
     def test_provider_typo(self):
         expect_error("mode ipea\nunitary hwp 0\nprovider optical\n", "provider", 3)
 
@@ -187,6 +242,27 @@ class TestRejections:
         expect_error("mode ipea\nunitary hwp 0\noutput yaml\n", "output", 3)
 
 
+class TestDirectiveTable:
+    @pytest.mark.parametrize("column, key", table_cells(read=True))
+    def test_every_column_accepts_read_directive(self, column, key):
+        head = column_head(column, key)
+        if key not in {line.split()[0] for line in head}:
+            head.append(SAMPLE_LINES[key])
+        cfg = parse_experiment("\n".join(head) + "\n")
+        assert cfg.column() == column
+
+    def test_samples_cover_every_directive(self):
+        assert list(SAMPLE_LINES) == list(DIRECTIVES)
+
+    def test_grammar_docs_list_the_table(self):
+        # the grammar block of the config docstring and of README's config section
+        doc_block = config.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+        readme = README.read_text(encoding="utf-8")
+        readme_block = readme.split("### Config files", 1)[1].split("```")[1]
+        assert grammar_keywords(doc_block) == list(DIRECTIVES)
+        assert grammar_keywords(readme_block) == list(DIRECTIVES)
+
+
 class TestConfigObject:
     def test_direct_construction_validates(self):
         with pytest.raises(ContractError):
@@ -195,6 +271,22 @@ class TestConfigObject:
             ExperimentConfig(mode="ipea", reps_per_bit=2)
         with pytest.raises(ContractError):
             ExperimentConfig(mode="nope")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": -1},
+            {"seed": 1 << 64},
+            {"trials": -1},
+            {"provider": "optical"},
+            {"noise": NoiseSpec(0.5, float("inf"))},
+            {"mode": "qpe_full", "trials": 7},
+            {"mode": "montecarlo", "trials": 0},
+        ],
+    )
+    def test_direct_construction_checks_every_row(self, fields):
+        with pytest.raises(ContractError):
+            ExperimentConfig(**{"mode": "ipea", **fields})
 
     def test_unitary_requires_source(self):
         cfg = ExperimentConfig(mode="montecarlo")
