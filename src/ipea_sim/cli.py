@@ -4,14 +4,16 @@ Subcommands::
 
     ipea-sim run <config> [--seed N] [--out PATH] [--format csv|json]
     ipea-sim fig4 [--seed N] [--reps N] [--provider P] [--exact] ...
-    ipea-sim fig5 [--seed N] [--shots N] [--noise-p X] [--noise-sigma X] ...
+    ipea-sim fig5 [--seed N] [--shots N] [--resamples N] [--noise-p X] ...
     ipea-sim montecarlo [--bits M] [--trials N] [--provider P] ...
 
 Exit status: 0 on success, 2 for configuration/usage errors, 3 when a
 numerical contract is violated at run time.  A flag that sets a
 directive's value is checked by that directive's ``config.DIRECTIVES``
-row: an out-of-range value, or ``run --seed`` on a config that reads no
-seed (exact ``ipea``, ``qpe_full``), exits 2 naming the flag.
+row: an out-of-range value, ``run --seed`` on a config that reads no
+seed (exact ``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed``
+or ``--reps``, exits 2 naming the flag; so does ``fig5 --shots`` below 0
+or ``--resamples`` below 1.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .qmath import ContractError
 # argparse destinations that set a directive's value: (directive, argument index)
 FLAG_DIRECTIVES = {"bits": ("bits", 0), "reps": ("reps", 0), "trials": ("trials", 0),
                    "seed": ("seed", 0), "noise_p": ("noise", 0), "noise_sigma": ("noise", 1)}
-# the column of DIRECTIVES that each study reads; run takes its config's
+# the DIRECTIVES column each study reads (fig4 --exact: "exact"); run takes its config's
 STUDY_COLUMNS = {"fig4": "ipea", "fig5": None, "montecarlo": "montecarlo"}
 
 
@@ -57,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(run)
 
     fig4 = sub.add_parser("fig4", help="twelve-angle waveplate sweep")
-    fig4.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    fig4.add_argument("--reps", type=int, default=11, help="repetitions per bit (odd)")
+    # None until checked, since exact mode refuses both; then the sampled defaults
+    fig4.add_argument("--seed", type=int, help=f"default {experiments.DEFAULT_SEED}")
+    fig4.add_argument("--reps", type=int, help="repetitions per bit (odd, default 11)")
     fig4.add_argument("--provider", choices=_row_arg("provider").choices, default="photonic")
     fig4.add_argument(
         "--exact",
@@ -132,13 +135,17 @@ def _dispatch(args: argparse.Namespace):
         if args.format is None:
             args.format = config.output
         return experiments.run_config(config, seed=args.seed)
-    _check_flags(args, STUDY_COLUMNS.get(args.command))
+    exact = getattr(args, "exact", False)
+    _check_flags(args, "exact" if exact else STUDY_COLUMNS.get(args.command))
     if args.command == "fig4":
-        records = experiments.run_fig4(
-            seed=args.seed, reps=args.reps, provider=args.provider, exact=args.exact
-        )
+        seed = experiments.DEFAULT_SEED if args.seed is None else args.seed
+        reps = DIRECTIVES["reps"].default if args.reps is None else args.reps
+        records = experiments.run_fig4(seed=seed, reps=reps, provider=args.provider, exact=exact)
         return records, experiments.FIG4_FIELDS
     if args.command == "fig5":
+        for dest, least in (("shots", 0), ("resamples", 1)):
+            if getattr(args, dest) < least:
+                raise ParseError(f"--{dest} must be ≥ {least}, got {getattr(args, dest)}")
         noise = None if args.no_noise else NoiseSpec(args.noise_p, args.noise_sigma)
         panels = experiments.run_fig5(
             seed=args.seed, shots=args.shots, noise=noise, resamples=args.resamples

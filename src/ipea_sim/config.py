@@ -7,7 +7,7 @@ are skipped, each directive may appear at most once)::
     unitary    hwp <deg> [hwp <deg> ...]          a waveplate train
     unitary    matrix <re,im re,im re,im re,im>   2x2, row-major
     bits       <m>                                1..16
-    reps       <odd count>                        majority votes per bit
+    reps       <odd count>                        majority votes per bit, 1..32767
     trials     <count>                            0 selects exact-probability mode
     seed       <u64>
     noise      <distinguishability> <sigma_deg>   p in [0, 1], sigma finite and ≥ 0
@@ -35,6 +35,7 @@ import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import ContractError, StateVector, Unitary
+from .qpe import MAX_ROUND_UNIFORMS
 
 __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "ParseError", "ExperimentConfig",
            "parse_experiment", "check_flag"]
@@ -44,6 +45,8 @@ COLUMNS = ("ipea", "exact", "qpe_full", "collapse", "montecarlo")
 
 MAX_BITS = 16
 MAX_SEED = (1 << 64) - 1
+# The most repetitions whose draws, two uniforms each, fit one trial's round.
+MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
 
 
 class ParseError(ValueError):
@@ -90,7 +93,8 @@ DIRECTIVES = {
     "bits": Directive((Arg("", int, f"1..{MAX_BITS}", lambda v: "must be ≥ 1" if v < 1
                            else f"must be ≤ {MAX_BITS}" if v > MAX_BITS else None),), 3, _EVERY),
     "reps": Directive(
-        (Arg("", int, "the odd numbers 1, 3, 5, ...", lambda v: "must be ≥ 1" if v < 1
+        (Arg("", int, f"the odd numbers 1..{MAX_REPS}", lambda v: "must be ≥ 1" if v < 1
+             else f"must be ≤ {MAX_REPS}" if v > MAX_REPS
              else "must be odd so majority votes are decisive" if v % 2 == 0 else None),),
         11, frozenset({"ipea", "montecarlo"})),
     "trials": Directive((Arg("", int, "0, 1, 2, ...",

@@ -300,9 +300,11 @@ def _prepare(target: np.ndarray, count: int) -> np.ndarray:
     return arr
 
 
-def _cascade(arr: np.ndarray, unitaries: np.ndarray, k: int) -> np.ndarray:
-    if not 1 <= k <= MAX_CASCADE_K:
-        raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {k}")
+def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndarray]:
+    """The blue rails after 2^(k-1) passes through the unitaries, k = 1..m, from
+    one literal cascade: one product per pass, never a precomputed power."""
+    if not 1 <= m <= MAX_CASCADE_K:
+        raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {m}")
     count = arr.shape[0]
     n = _num_targets(arr)
     if unitaries.shape[-1] != 1 << n:
@@ -316,10 +318,19 @@ def _cascade(arr: np.ndarray, unitaries: np.ndarray, k: int) -> np.ndarray:
         raise ContractError(
             "state is not rail-correlated; build it with prepare_entangled_input"
         )
-    for _ in range(1 << (k - 1)):
+    ladder = []
+    for passes in range(1, (1 << (m - 1)) + 1):
         blue = unitaries @ blue
+        if passes & (passes - 1) == 0:
+            ladder.append(blue)
+    return ladder
+
+
+def _with_blue(arr: np.ndarray, blue: np.ndarray) -> np.ndarray:
+    # A copy of ``arr`` whose blue rails are ``blue``.
+    n = _num_targets(arr)
     out = arr.copy()
-    out[_rails(n, 1)] = blue.reshape((count,) + (2,) * n)
+    out[_rails(n, 1)] = blue.reshape((arr.shape[0],) + (2,) * n)
     return out
 
 
@@ -367,15 +378,12 @@ def prepare_entangled_input(psi: StateVector) -> PhotonicState:
 
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
-    """Pass the blue rails through the unitary 2^(k-1) times.
-
-    The cascade is literal: the blue polarization amplitudes are
-    multiplied by the matrix once per copy, never by a precomputed
-    power.  k is capped at 16.
-    """
+    """Pass the blue rails through the unitary 2^(k-1) times, one literal
+    copy at a time; k is capped at 16."""
     if state.stage != STAGE_RAILS:
         raise ContractError("blue rails no longer exist after the beamsplitters")
-    arr = _cascade(state._tensor()[None], unitary.matrix[None], k)
+    arr = state._tensor()[None]
+    arr = _with_blue(arr, _blue_ladder(arr, unitary.matrix[None], k)[-1])
     return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_RAILS)
 
 
@@ -432,12 +440,10 @@ def postselect(
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
-    Each round prepares the entangled input of every trial, cascades
-    its blue rails, remixes, and post-selects every port pattern once;
-    the table holds one branch per pattern with its exact probability.
-    Odd-parity (Q) branches are kept and relabeled by flipping the
-    measured bit.  ``branch_counts`` tallies the branches drawn in
-    sampled runs so callers can report the even/odd split.
+    A chunk prepares its input and cascades its blue rails once; each
+    round remixes its rung of the cascade into one branch per port
+    pattern, odd-parity (Q) ones relabeled by flipping the measured bit.
+    ``branch_counts`` tallies the branches drawn in sampled runs.
     """
 
     name = "photonic"
@@ -445,24 +451,27 @@ class PhotonicProvider:
     def __init__(self):
         self.branch_counts = {"P": 0, "Q": 0}
 
-    def round_table(
-        self, unitaries: np.ndarray, target: StateVector, k: int, omegas
-    ) -> qpe.RoundTable:
+    def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
         count = len(unitaries)
-        arr = _prepare(target.amplitudes, count)
-        qmath.check_normalized(arr.reshape(count, -1))
-        arr = _cascade(arr, unitaries, k)
-        qmath.check_normalized(arr.reshape(count, -1))
-        arr = _mix(arr)
-        qmath.check_normalized(arr.reshape(count, -1))
-        states, weight = _postselect_all(arr)
-        qmath.check_normalized(states, live=weight > 0)
-        plus, minus = qpe.control_pairs(states, np.asarray(omegas)[:, None])
-        labels = tuple("PQ"[bin(x).count("1") % 2] for x in range(weight.shape[1]))
+        prepared = _prepare(target.amplitudes, count)
+        qmath.check_normalized(prepared.reshape(count, -1))
+        ladder = _blue_ladder(prepared, unitaries, m)
+        labels = tuple("PQ"[bin(x).count("1") % 2] for x in range(target.dim))
         flip = np.array([label == "Q" for label in labels])
-        return qpe.RoundTable(
-            weight, np.where(flip, minus, plus), np.where(flip, plus, minus), labels
-        )
+
+        def table(k: int, omegas) -> qpe.RoundTable:
+            arr = _with_blue(prepared, qpe._rung(ladder, k))
+            qmath.check_normalized(arr.reshape(count, -1))
+            arr = _mix(arr)
+            qmath.check_normalized(arr.reshape(count, -1))
+            states, weight = _postselect_all(arr)
+            qmath.check_normalized(states, live=weight > 0)
+            plus, minus = qpe.control_pairs(states, np.asarray(omegas)[:, None])
+            return qpe.RoundTable(
+                weight, np.where(flip, minus, plus), np.where(flip, plus, minus), labels
+            )
+
+        return table
 
 
 def jitter_waveplates(

@@ -19,38 +19,15 @@ binary fraction 0.b1...bm.
 
 Controlled-power providers
 --------------------------
-The iterative engine is generic over how the gate C-U^(2^(k-1)) is
-realized, and it runs a batch of trials together: a stack of T
-unitaries, one shared target and one generator per trial.  Every
-repetition of a round starts from a freshly prepared target, so the
-state just before the control is measured is the same for all of them.
-A provider therefore builds each round once for the whole batch and
-returns its branch table::
-
-    round_table(unitaries, target, k, omegas) -> RoundTable
-
-``unitaries`` is a (T, d, d) stack and ``omegas`` holds the T feedback
-rotations.  The table holds (T, B) arrays: each branch's weight and its
-bit pair (P(bit 0), P(bit 1)) after the rotation, plus the B branch
-labels.  ``MatrixProvider`` below applies the explicit block matrix and
-returns one unlabeled branch of weight 1.  The photonics module supplies
-a dual-rail optical realization with parity post-selection and returns
-one branch per port pattern.  Its odd-parity branches (label ``"Q"``)
-are salvaged by flipping the measured bit, so their pair is stored
-already swapped; a pattern that (numerically) never fires has weight 0.
-
-Exact mode takes the weighted sum of a one-trial table.  Sampled mode
-draws each trial's repetitions from its own row of the table with its
-own generator: first a uniform for the branch, searched in the cdf of
-the normalized weights exactly as ``Generator.choice`` does (skipped
-when the table is a single unlabeled branch), then a uniform for the
-control outcome, "+" when it falls below P(+).  So a matrix repetition
-takes one uniform and a photonic repetition two, and a trial's uniforms
-for one round come from one ``rng.random(n)`` call, which yields the
-same values as n single draws.  A trial's estimate thus depends only on
-its own unitary and generator, never on the batch it ran in.  The
-engine runs a batch in chunks of ``batch_trials(reps)`` trials, so a
-round never holds more than ``MAX_ROUND_UNIFORMS`` uniforms.
+README's provider paragraph gives the interface.  ``_ipea_rounds`` is
+the one round loop: it builds a chunk's rounds once and turns each
+round's branch table into one bit per trial, by the majority of sampled
+repetitions (``ipea_batch``) or by the argmax of the posterior
+(``ipea_run_exact``).  A trial draws a round's uniforms in one
+``rng.random(n)`` call, the same values as n single draws, and picks a
+branch in the cdf of the normalized weights as ``Generator.choice``
+does, so its estimate depends only on its own unitary and generator,
+never on the batch or chunk it ran in.
 """
 
 from __future__ import annotations
@@ -271,15 +248,21 @@ def ancilla_bit_distribution(state: StateVector, omega: float) -> tuple[float, f
     return float(plus[0]), float(minus[0])
 
 
-def _unitary_powers(unitaries: np.ndarray, k: int) -> np.ndarray:
-    if k < 1:
-        raise ContractError(f"iteration index k must be >= 1, got {k}")
-    if k > 63:
-        raise ContractError(f"iteration index k={k} is out of range")
-    # k - 1 squarings: np.linalg.matrix_power's arithmetic for 2^(k-1).
-    for _ in range(k - 1):
-        unitaries = unitaries @ unitaries
-    return unitaries
+def _squaring_ladder(unitaries: np.ndarray, m: int) -> list[np.ndarray]:
+    """[U, U^2, ..., U^(2^(m-1))] by m - 1 squarings, as np.linalg.matrix_power does."""
+    if not 1 <= m <= 63:
+        raise ContractError(f"bit count m={m} is outside 1..63")
+    ladder = [unitaries]
+    for _ in range(m - 1):
+        ladder.append(ladder[-1] @ ladder[-1])
+    return ladder
+
+
+def _rung(ladder: list, k: int):
+    """Round k's entry of a chunk's ladder (rung 1 is the first)."""
+    if not 1 <= k <= len(ladder):
+        raise ContractError(f"iteration index k={k} is outside 1..{len(ladder)}")
+    return ladder[k - 1]
 
 
 class MatrixProvider:
@@ -287,22 +270,24 @@ class MatrixProvider:
 
     name = "matrix"
 
-    def round_table(
-        self, unitaries: np.ndarray, target: StateVector, k: int, omegas
-    ) -> RoundTable:
-        w = _unitary_powers(unitaries, k)
-        if w.shape[-1] != target.dim:
+    def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
+        if unitaries.shape[-1] != target.dim:
             raise ContractError(
-                f"unitary dim {w.shape[-1]} does not match target dim {target.dim}"
+                f"unitary dim {unitaries.shape[-1]} does not match target dim {target.dim}"
             )
-        count, dim = len(w), target.dim
-        states = np.empty((count, 2 * dim), dtype=complex)
-        states[:, :dim] = target.amplitudes
-        states[:, dim:] = (w @ target.amplitudes[:, None])[..., 0]
-        states *= _SQRT1_2
-        qmath.check_normalized(states)
-        plus, minus = control_pairs(states, omegas)
-        return RoundTable(np.ones((count, 1)), plus[:, None], minus[:, None], (None,))
+        ladder = _squaring_ladder(unitaries, m)
+        count, dim = len(unitaries), target.dim
+
+        def table(k: int, omegas) -> RoundTable:
+            states = np.empty((count, 2 * dim), dtype=complex)
+            states[:, :dim] = target.amplitudes
+            states[:, dim:] = (_rung(ladder, k) @ target.amplitudes[:, None])[..., 0]
+            states *= _SQRT1_2
+            qmath.check_normalized(states)
+            plus, minus = control_pairs(states, omegas)
+            return RoundTable(np.ones((count, 1)), plus[:, None], minus[:, None], (None,))
+
+        return table
 
 
 def resolve_provider(provider):
@@ -315,7 +300,7 @@ def resolve_provider(provider):
 
             return PhotonicProvider()
         raise ContractError(f"unknown provider {provider!r}")
-    if hasattr(provider, "round_table"):
+    if hasattr(provider, "rounds"):
         return provider
     raise ContractError(f"object {provider!r} does not implement the provider interface")
 
@@ -415,6 +400,21 @@ def batch_trials(reps_per_bit: int) -> int:
     return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
 
 
+def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decide):
+    """The IPEA round loop over one chunk of trials; returns their numerators.
+
+    The provider builds the chunk's rounds once.  Rounds then run k = m
+    down to 1, and ``decide`` turns round k's branch table into every
+    trial's bit, which feeds that trial's next feedback rotation.
+    """
+    numerators = np.zeros(len(stack), dtype=np.int64)
+    table = provider.rounds(stack, target, m)
+    for k in range(m, 0, -1):
+        bits = decide(table(k, _feedback_angles(numerators, m - k)))
+        numerators |= bits.astype(np.int64) << (m - k)
+    return numerators
+
+
 def ipea_batch(
     unitaries,
     target: StateVector,
@@ -426,15 +426,11 @@ def ipea_batch(
     """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
 
     Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack)
-    on ``target``, drawing from its own generator ``rngs[t]``, and gets
-    exactly the estimate it would get alone.  Rounds run k = m down to
-    1; each round repeats ``reps_per_bit`` times (odd, so the vote is
-    decisive) and every trial's majority bit feeds its next rotation.
-    The caller asserts the target is an eigenstate.  Each round's
-    branch table is built once for a chunk of ``batch_trials(reps)``
-    trials and every repetition of every trial is drawn from it (see the
-    module docstring for the draw pattern).  A provider with a
-    ``branch_counts`` dict has every drawn branch added to it.
+    on ``target``, which the caller asserts is an eigenstate, drawing
+    from its own generator ``rngs[t]``, and gets exactly the estimate it
+    would get alone.  Each round repeats ``reps_per_bit`` times (odd, so
+    the vote is decisive).  A provider with a ``branch_counts`` dict has
+    every drawn branch added to it.
     """
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
@@ -448,16 +444,15 @@ def ipea_batch(
     step = batch_trials(reps_per_bit)
     for start in range(0, len(rngs), step):
         chunk = slice(start, start + step)
-        stack = _checked_stack(unitaries[chunk], target.dim)
-        for k in range(m, 0, -1):
-            omegas = _feedback_angles(numerators[chunk], m - k)
-            table = provider.round_table(stack, target, k, omegas)
+
+        def majority(table: RoundTable, chunk=chunk) -> np.ndarray:
             bits, drawn = _draw_round(table, reps_per_bit, rngs[chunk])
-            numerators[chunk] |= bits.astype(np.int64) << (m - k)
             for label, counts in drawn.items():
-                if label not in tally:
-                    tally[label] = np.zeros(len(rngs), dtype=np.int64)
-                tally[label][chunk] += counts
+                tally.setdefault(label, np.zeros(len(rngs), dtype=np.int64))[chunk] += counts
+            return bits
+
+        stack = _checked_stack(unitaries[chunk], target.dim)
+        numerators[chunk] = _ipea_rounds(provider, stack, target, m, majority)
     branch_counts = getattr(provider, "branch_counts", None)
     if branch_counts is not None:
         for label, counts in tally.items():
@@ -472,14 +467,8 @@ def ipea_run(
     provider="matrix",
     rng: np.random.Generator | None = None,
 ) -> PhaseEstimate:
-    """Iterative m-bit estimate with per-bit majority voting.
-
-    The one-trial case of ``ipea_batch``: rounds run k = m down to 1,
-    each repeated ``reps_per_bit`` times (odd), and the majority bit
-    feeds the next round's rotation.  The caller asserts the input is
-    an eigenstate.  A provider with a ``branch_counts`` dict has it
-    incremented once per repetition.
-    """
+    """Iterative m-bit estimate with per-bit majority voting: the
+    one-trial case of ``ipea_batch``."""
     if rng is None:
         raise ContractError("ipea_run samples and therefore needs an explicit rng")
     batch = ipea_batch(
@@ -489,31 +478,23 @@ def ipea_run(
 
 
 def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIpeaResult:
-    """Deterministic variant: each bit is the argmax of its posterior.
-
-    No sampling happens; each round's posterior is the weighted sum of
-    its branch table (for the optical provider, the average over all
-    parity branches with odd branches already relabeled).  Ties resolve
-    to bit 0.
-    """
+    """Deterministic variant: each bit is the argmax of its posterior, the
+    weighted sum of its branch table added in branch order (for the optical
+    provider, over all parity branches, odd ones already relabeled).  Ties
+    resolve to bit 0."""
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
-    provider = resolve_provider(provider)
-    stack = spec.unitary.matrix[None]
-    numerator = 0
     posteriors: list[float] = []
-    for k in range(m, 0, -1):
-        table = provider.round_table(
-            stack, spec.input_state, k, _feedback_angles([numerator], m - k)
-        )
+
+    def argmax(table: RoundTable) -> np.ndarray:
         weight, p0, p1 = (column[0].tolist() for column in table[:3])
-        total = sum(weight)
-        post0 = sum(w * p for w, p in zip(weight, p0)) / total
-        post1 = sum(w * p for w, p in zip(weight, p1)) / total
-        bit = 1 if post1 > post0 else 0
-        posteriors.append(post1 if bit else post0)
-        numerator |= bit << (m - k)
-    return ExactIpeaResult(PhaseEstimate.from_numerator(numerator, m), tuple(posteriors))
+        post0, post1 = (sum(w * p for w, p in zip(weight, ps)) / sum(weight) for ps in (p0, p1))
+        posteriors.append(post1 if post1 > post0 else post0)
+        return np.array([post1 > post0])
+
+    stack = spec.unitary.matrix[None]
+    numerators = _ipea_rounds(resolve_provider(provider), stack, spec.input_state, m, argmax)
+    return ExactIpeaResult(PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors))
 
 
 def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:
@@ -537,9 +518,7 @@ def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.
     dim = 1 << m
     stage = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
     # squares[e] = U^(2^e); register qubit j controls U^(2^(m-1-j)).
-    squares = [unitary.matrix]
-    for _ in range(m - 1):
-        squares.append(squares[-1] @ squares[-1])
+    squares = _squaring_ladder(unitary.matrix, m)
     x = np.arange(dim)
     for j in range(m):
         w = squares[m - 1 - j]

@@ -170,6 +170,14 @@ class TestStudyCommands:
         bits_p = [line.split(",")[3] for line in photonic_out.splitlines()[1:]]
         assert bits_m == bits_p
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--reps", "5")])
+    def test_fig4_exact_refuses_draw_flags(self, flag, value, capsys):
+        # exact mode draws nothing, so a seed or a repetition count would be ignored
+        code, out, err = run_cli(["fig4", "--exact", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ipea-sim: {flag} {value}: ")
+
     def test_fig4_rejects_even_reps(self, capsys):
         code, _, err = run_cli(["fig4", "--reps", "4"], capsys)
         assert code == 2
@@ -232,9 +240,13 @@ class TestStudyCommands:
         "argv",
         [
             ["montecarlo", "--reps", "2"],
+            ["montecarlo", "--reps", "32769"],
             ["montecarlo", "--trials", "0"],
             ["fig5", "--noise-p", "2"],
             ["fig5", "--noise-sigma", "inf"],
+            ["fig5", "--shots", "-1"],
+            ["fig5", "--resamples", "0"],
+            ["fig5", "--resamples", "-1"],
         ],
         ids=" ".join,
     )

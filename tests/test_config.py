@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ipea_sim import config
+from ipea_sim import config, qpe
 from ipea_sim.config import COLUMNS, DIRECTIVES, ExperimentConfig, ParseError, parse_experiment
 from ipea_sim.photonics import NoiseSpec, WaveplateSpec
 from ipea_sim.qmath import ContractError
@@ -142,6 +142,12 @@ class TestRejections:
 
     def test_reps_even(self):
         expect_error("mode ipea\nunitary hwp 0\nreps 4\n", "odd", 3)
+
+    def test_reps_too_large(self):
+        # one trial's round of 32,767 repetitions, two uniforms each, fits the cap
+        assert 2 * config.MAX_REPS < qpe.MAX_ROUND_UNIFORMS <= 2 * (config.MAX_REPS + 2)
+        assert parse_experiment("mode ipea\nunitary hwp 0\nreps 32767\n").reps_per_bit == 32767
+        expect_error("mode ipea\nunitary hwp 0\nreps 32769\n", "reps must be ≤ 32767", 3)
 
     def test_seed_overflow(self):
         expect_error(

@@ -174,7 +174,7 @@ def _weighted_pair(table):
 
 
 def _one_trial_table(provider, unitary, target, k, omega):
-    return provider.round_table(unitary.matrix[None], target, k, np.array([omega]))
+    return provider.rounds(unitary.matrix[None], target, k)(k, np.array([omega]))
 
 
 class TestPhotonicProvider:

@@ -14,7 +14,17 @@ from helpers import (
     reference_ipea_run,
     reference_register,
 )
-from ipea_sim import qpe
+from ipea_sim import photonics, qpe
+from ipea_sim.photonics import (
+    apply_blue_unitary,
+    beamsplitter_mix,
+    compose_waveplates,
+    hwp,
+    parity_cases,
+    polarization_state,
+    postselect,
+    prepare_entangled_input,
+)
 from ipea_sim.qmath import (
     CapacityError,
     ContractError,
@@ -95,18 +105,16 @@ class TestProviders:
         # k=3 applies U^4: the control picks up half a turn, so "-" is
         # certain unless the feedback rotation takes the half turn back;
         # every trial of the batch gets its own rotation
-        table = MatrixProvider().round_table(
-            np.stack([u, u]), basis_state(1, 1), 3, np.array([0.0, -np.pi])
-        )
+        rounds = MatrixProvider().rounds(np.stack([u, u]), basis_state(1, 1), 3)
+        table = rounds(3, np.array([0.0, -np.pi]))
         assert table.labels == (None,)
         assert table.weight.tolist() == [[1.0], [1.0]]
         np.testing.assert_allclose(table.p0, [[0.0], [1.0]], atol=1e-12)
         np.testing.assert_allclose(table.p1, [[1.0], [0.0]], atol=1e-12)
 
     def test_ancilla_distribution_frozen_value(self):
-        table = MatrixProvider().round_table(
-            phase_unitary(0.625).matrix[None], basis_state(1, 1), 1, np.array([0.0])
-        )
+        rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
+        table = rounds(1, np.array([0.0]))
         assert table.p0[0, 0] == pytest.approx(COS2_0625, abs=1e-12)
         assert table.p1[0, 0] == pytest.approx(1.0 - COS2_0625, abs=1e-12)
 
@@ -131,16 +139,16 @@ class TestProviders:
             return RoundTable(w, np.full_like(w, 0.5), np.full_like(w, 0.5), labels)
 
         class Empty:
-            def round_table(self, unitaries, target, k, omegas):
-                return table(np.zeros(0))
+            def rounds(self, unitaries, target, m):
+                return lambda k, omegas: table(np.zeros(0))
 
         class Weightless:
-            def round_table(self, unitaries, target, k, omegas):
-                return table([0.0, 0.0])
+            def rounds(self, unitaries, target, m):
+                return lambda k, omegas: table([0.0, 0.0])
 
         class Negative:
-            def round_table(self, unitaries, target, k, omegas):
-                return table([2.0, -1.0])
+            def rounds(self, unitaries, target, m):
+                return lambda k, omegas: table([2.0, -1.0])
 
         spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
         for prov in (Empty(), Weightless(), Negative()):
@@ -403,16 +411,24 @@ def test_ipea_batch_matches_per_trial_reference(seed, trials, num_qubits, m, rep
 def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
     # However many trials and repetitions a batch has, one round of one
     # chunk draws at most MAX_ROUND_UNIFORMS uniforms and its table holds
-    # no more trials than that chunk; the chunks change no trial's result.
+    # no more trials than that chunk; each chunk builds its rounds once,
+    # and the chunks change no trial's result.
     seen = []
+    tables = []
 
     class Recording:
         def __init__(self):
             self.inner = resolve_provider(provider)
 
-        def round_table(self, unitaries, target, k, omegas):
+        def rounds(self, unitaries, target, m):
             seen.append(len(unitaries))
-            return self.inner.round_table(unitaries, target, k, omegas)
+            table = self.inner.rounds(unitaries, target, m)
+
+            def recorded(k, omegas):
+                tables.append((len(seen), k))
+                return table(k, omegas)
+
+            return recorded
 
     phases = derive_rng(9).random(70)
     stack = np.array([phase_unitary(phi).matrix for phi in phases])
@@ -422,10 +438,13 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
             seen.clear()
+            tables.clear()
             chunked = ipea_batch(*args, Recording(), [derive_rng(9, t) for t in range(trials)])
         assert max(seen) * 2 * reps <= max(64, 2 * reps)
-        assert sum(seen) == 3 * trials  # every trial in exactly one chunk per round
-        assert len(seen) > 3  # the bound did split the batch
+        assert sum(seen) == trials  # every trial in exactly one chunk
+        assert len(seen) > 1  # the bound did split the batch
+        # one rounds call per chunk, then its rounds k = 3, 2, 1 in turn
+        assert tables == [(c, k) for c in range(1, len(seen) + 1) for k in (3, 2, 1)]
         np.testing.assert_array_equal(chunked.numerators, whole.numerators)
         assert chunked.branch_tally.keys() == whole.branch_tally.keys()
         for label, counts in whole.branch_tally.items():
@@ -508,3 +527,114 @@ def test_register_engine_matches_dense_fourier_oracle(seed, num_qubits, m, coher
     np.testing.assert_allclose(
         unnormalized(res.collapsed_target, weights[x]), blocks[x], rtol=0, atol=1e-12
     )
+
+
+def _literal_blue(target: StateVector, unitary: np.ndarray, k: int) -> np.ndarray:
+    # The blue rails of the prepared input after 2^(k-1) single passes,
+    # in the (trials, d, 1) shape the provider multiplies in.
+    blue = (target.amplitudes * (1.0 / np.sqrt(2.0)))[None, :, None]
+    for _ in range(1 << (k - 1)):
+        blue = unitary[None] @ blue
+    return blue[0, :, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(1, 6),
+    st.sampled_from(("matrix", "photonic")),
+)
+def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits, m, provider):
+    # A chunk builds its controlled powers once, for its longest round m.
+    # Round k of that ladder must be exactly what a build that stops at
+    # round k gives; for photonic, also exactly the public pipeline whose
+    # cascade passes the blue rails through U one copy at a time.
+    rng = derive_rng(seed)
+    stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(trials)])
+    target = random_state(num_qubits, rng)
+    prov = resolve_provider(provider)
+    rounds = prov.rounds(stack, target, m)
+    for k in range(m, 0, -1):
+        omegas = -2.0 * np.pi * rng.random(trials)
+        got = rounds(k, omegas)
+        want = prov.rounds(stack, target, k)(k, omegas)
+        assert got.labels == want.labels
+        for field in ("weight", "p0", "p1"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        if provider == "matrix":
+            continue
+        for t in range(trials):
+            rails = apply_blue_unitary(prepare_entangled_input(target), Unitary(stack[t]), k)
+            blue = (1,) + (slice(None), 1) * num_qubits
+            np.testing.assert_array_equal(
+                rails.amplitudes.reshape((2,) * (2 * num_qubits + 1))[blue].reshape(-1),
+                _literal_blue(target, stack[t], k),
+            )
+            ports = beamsplitter_mix(rails)
+            for b, branch in enumerate(parity_cases(num_qubits)):
+                state, prob = postselect(ports, branch)
+                assert got.weight[t, b] == prob
+                if state is None:
+                    continue
+                plus, minus = qpe.control_pairs(state.amplitudes[None], [omegas[t]])
+                pair = (minus, plus) if branch.label == "Q" else (plus, minus)
+                assert (got.p0[t, b], got.p1[t, b]) == (pair[0][0], pair[1][0])
+
+
+@pytest.mark.parametrize("m", [1, 4, 7])
+@pytest.mark.parametrize("provider", ["matrix", "photonic"])
+def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
+    # Per chunk: the matrix provider squares m - 1 times; the photonic
+    # provider prepares and rail-checks its input once and runs one
+    # cascade of 2^(m-1) passes.  Its rounds then only read the ladder.
+    class Counting(np.ndarray):
+        products = 0  # matrix products with a counted stack as left factor
+
+        def __matmul__(self, other):
+            Counting.products += 1
+            return (np.asarray(self) @ np.asarray(other)).view(Counting)
+
+    calls = {"_prepare": 0, "_blue_ladder": 0}
+
+    def counted(name):
+        inner = getattr(photonics, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(photonics, name, counted(name))
+    rng = derive_rng(m)
+    stack = np.stack([haar_unitary(2, rng).matrix for _ in range(3)]).view(Counting)
+    rounds = resolve_provider(provider).rounds(stack, random_state(1, rng), m)
+    built = m - 1 if provider == "matrix" else 1 << (m - 1)
+    assert Counting.products == built
+    for k in range(m, 0, -1):
+        rounds(k, np.zeros(3))
+    if provider == "matrix":
+        # one application of the round's power to the target per round
+        assert Counting.products == built + m
+        assert calls == {"_prepare": 0, "_blue_ladder": 0}
+    else:
+        assert Counting.products == built
+        assert calls == {"_prepare": 1, "_blue_ladder": 1}
+
+
+@pytest.mark.parametrize("m", range(9, 17))
+@pytest.mark.parametrize("provider", ["matrix", "photonic"])
+def test_exact_run_recovers_long_dyadic_phases(provider, m):
+    # Two half waveplates whose angles differ by 180 j / 2^m degrees give
+    # R the eigenphase (-j mod 2^m) / 2^m; exact mode must hit it at every
+    # length up to the cascade cap, where round m passes through U 2^15 times.
+    rng = derive_rng(0xD1AD, m)
+    theta = 180.0 * int(rng.integers(1 << 16)) / (1 << 16)
+    j = int(rng.integers(1 << m))
+    u = compose_waveplates([hwp(theta), hwp(theta + 180.0 * j / (1 << m))])
+    res = ipea_run_exact(EigenproblemSpec(u, polarization_state("R")), m, provider)
+    assert res.estimate.value == ((-j) % (1 << m)) / (1 << m)
+    assert min(res.bit_posteriors) > 1.0 - 1e-9
