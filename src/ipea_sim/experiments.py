@@ -444,23 +444,16 @@ def _qpe_full_rows(config: ExperimentConfig) -> list[dict]:
 
 
 def _collapse_rows(config: ExperimentConfig, seed: int) -> list[dict]:
-    unitary = config.unitary()
-    input_state = config.input_state()
     coherence = None if config.noise is None else config.noise.distinguishability
-    rows = []
-    for trial in range(config.resolved_trials()):
-        result = qpe.collapse_run(
-            unitary, input_state, config.bits, derive_rng(seed, trial), coherence
-        )
-        rows.append(
-            {
-                "trial": trial,
-                "bits": result.estimate.as_string(),
-                "phi_est": result.estimate.value,
-                "outcome_probability": result.outcome_probability,
-            }
-        )
-    return rows
+    rngs = [derive_rng(seed, trial) for trial in range(config.resolved_trials())]
+    results = qpe.collapse_runs(
+        config.unitary(), config.input_state(), config.bits, rngs, coherence
+    )
+    return [
+        {"trial": trial, "bits": result.estimate.as_string(), "phi_est": result.estimate.value,
+         "outcome_probability": result.outcome_probability}
+        for trial, result in enumerate(results)
+    ]
 
 
 def run_config(config: ExperimentConfig, seed: int | None = None):

@@ -33,8 +33,10 @@ __all__ = [
     "basis_state",
     "state_from_amplitudes",
     "check_normalized",
+    "check_density",
     "derive_rng",
     "fidelity",
+    "fidelities",
     "density_from_state",
     "overlap_magnitude",
 ]
@@ -159,14 +161,7 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise ContractError(f"expected shape ({d}, {d}), got {m.shape}")
         _check_capacity(m.size, "density operator")
-        if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION_TOL:
-            raise ContractError("density matrix must be Hermitian within 1e-10")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > CONSTRUCTION_TOL:
-            raise ContractError(f"density matrix trace must be 1, got {tr!r}")
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-        if lo < EIGENVALUE_FLOOR:
-            raise ContractError(f"density matrix has eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
+        check_density(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "dimension", d)
@@ -193,6 +188,23 @@ def check_normalized(amplitudes: np.ndarray, live=True) -> None:
         if not np.isfinite(worst):
             raise ContractError("amplitudes must be finite")
         raise ContractError(f"state is not normalized: sum |a|^2 = {worst!r}")
+
+
+def check_density(matrices: np.ndarray) -> None:
+    """Every matrix along the last two axes is finite, Hermitian and of
+    unit trace within 1e-10, with no eigenvalue below -1e-8."""
+    if not np.all(np.isfinite(matrices)):
+        raise ContractError("matrix entries must be finite")
+    adjoint = matrices.conj().swapaxes(-1, -2)
+    if np.max(np.abs(matrices - adjoint)) > CONSTRUCTION_TOL:
+        raise ContractError("density matrix must be Hermitian within 1e-10")
+    tr = np.trace(matrices, axis1=-2, axis2=-1).reshape(-1)
+    off = tr[np.abs(tr - 1.0) > CONSTRUCTION_TOL]
+    if off.size:
+        raise ContractError(f"density matrix trace must be 1, got {complex(off[0])!r}")
+    lo = float(np.min(np.linalg.eigvalsh((matrices + adjoint) / 2.0)))
+    if lo < EIGENVALUE_FLOOR:
+        raise ContractError(f"density matrix has eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -229,14 +241,23 @@ def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     """<target| rho |target>, clamped to [0, 1]."""
-    if rho.dimension != target.dim:
+    return float(fidelities(rho.matrix, target))
+
+
+def fidelities(matrices: np.ndarray, target: StateVector) -> np.ndarray:
+    """``fidelity`` of each matrix along the last two axes, one dot product each."""
+    if matrices.shape[-1] != target.dim:
         raise ContractError(
-            f"dimension mismatch: rho is {rho.dimension}, target is {target.dim}"
+            f"dimension mismatch: rho is {matrices.shape[-1]}, target is {target.dim}"
         )
-    val = target.amplitudes.conj() @ rho.matrix @ target.amplitudes
-    if abs(val.imag) > CONSTRUCTION_TOL:
-        raise ContractError(f"fidelity came out non-real: {val!r}")
-    return float(min(1.0, max(0.0, val.real)))
+    t = target.amplitudes
+    val = ((t.conj() @ matrices)[..., None, :] @ t[:, None])[..., 0, 0]
+    off = val[np.abs(val.imag) > CONSTRUCTION_TOL]
+    if off.size:
+        raise ContractError(f"fidelity came out non-real: {complex(off[0])!r}")
+    # min(1, max(0, v)) by Python's rules, so a zero stays +0.0
+    clamped = np.where(val.real > 0.0, val.real, 0.0)
+    return np.where(clamped < 1.0, clamped, 1.0)
 
 
 def density_from_state(state: StateVector) -> DensityMatrix:

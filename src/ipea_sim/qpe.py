@@ -9,9 +9,9 @@ Two complementary engines live here:
   the controlled powers, inverts the Fourier transform on the register
   with an FFT, and reads the whole register, which is also what drives
   eigenstate generation from non-eigenstate inputs.  One readout serves
-  the register table and both collapse functions; its ``coherence``
-  parameter selects the coherent circuit (None) or one whose control
-  keeps only that fraction of its coherence.
+  the register table, every trial of a collapse study and a fig5 panel;
+  its ``coherence`` parameter selects the coherent circuit (None) or one
+  whose control keeps only that fraction of its coherence.
 
 Bit convention: measuring the control in the +/- basis maps "+" to bit
 0 and "-" to bit 1.  An estimate ``bits = (b1, ..., bm)`` denotes the
@@ -66,6 +66,7 @@ __all__ = [
     "ipea_run_exact",
     "qpe_full_distribution",
     "collapse_run",
+    "collapse_runs",
     "collapse_project",
     "circular_distance",
     "bits_of",
@@ -620,10 +621,20 @@ def collapse_run(
     eigenvector) and the target collapses onto the matching eigenstate.
     ``coherence`` degrades the control as in ``collapse_project``.
     """
+    return collapse_runs(unitary, input_state, m, [rng], coherence)[0]
+
+
+def collapse_runs(
+    unitary: Unitary, input_state: StateVector, m: int, rngs, coherence: float | None = None
+) -> list[CollapseResult]:
+    """``collapse_run`` once per generator, all from one register readout."""
     weights, target = _register_readout(unitary, input_state, m, coherence)
     probs = weights / weights.sum()
-    x = int(rng.choice(probs.size, p=probs))
-    return CollapseResult(PhaseEstimate.from_bits(bits_of(x, m)), target(x), float(probs[x]))
+    xs = [int(rng.choice(probs.size, p=probs)) for rng in rngs]
+    return [
+        CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
+        for x in xs
+    ]
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 BASES = ("X", "Y", "Z")
+BOOTSTRAP_BLOCK = 1 << 12  # resamples drawn and checked as one array
 
 _PAULIS = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -119,21 +120,21 @@ def simulate_counts(
     if shots < 1:
         raise ContractError(f"shots must be >= 1, got {shots}")
     exp = expectations(rho)
-    counts = {}
-    for basis in BASES:
-        p_plus = min(1.0, max(0.0, (1.0 + exp[basis]) / 2.0))
-        plus = int(rng.binomial(shots, p_plus))
-        counts[basis] = (plus, shots - plus)
-    return PauliCounts(shots, counts)
+    p_plus = [min(1.0, max(0.0, (1.0 + exp[basis]) / 2.0)) for basis in BASES]
+    plus = rng.binomial(shots, p_plus).tolist()
+    return PauliCounts(shots, {basis: (n, shots - n) for basis, n in zip(BASES, plus)})
 
 
-def _rho_from_bloch(rx: float, ry: float, rz: float) -> DensityMatrix:
-    r = np.array([rx, ry, rz], dtype=float)
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0:
-        r = r / norm  # project onto the Bloch sphere surface
-    m = (_I2 + r[0] * _PAULIS["X"] + r[1] * _PAULIS["Y"] + r[2] * _PAULIS["Z"]) / 2.0
-    return DensityMatrix(2, m)
+def _bloch_matrices(r: np.ndarray) -> np.ndarray:
+    """(I + r·σ)/2 for each Bloch vector along the last axis of ``r``.
+
+    A vector outside the Bloch ball is first rescaled onto its surface,
+    by its norm as a (1×3)@(3×1) dot product, as ``np.linalg.norm`` takes it.
+    """
+    norm = np.sqrt(r[..., None, :] @ r[..., :, None])[..., 0]
+    r = r / np.where(norm > 1.0, norm, 1.0)
+    x, y, z = (r[..., i, None, None] for i in range(3))
+    return (_I2 + x * _PAULIS["X"] + y * _PAULIS["Y"] + z * _PAULIS["Z"]) / 2.0
 
 
 def reconstruct_from_expectations(rx: float, ry: float, rz: float) -> DensityMatrix:
@@ -141,7 +142,7 @@ def reconstruct_from_expectations(rx: float, ry: float, rz: float) -> DensityMat
     for name, v in (("rx", rx), ("ry", ry), ("rz", rz)):
         if not np.isfinite(v):
             raise ContractError(f"{name} must be finite, got {v!r}")
-    return _rho_from_bloch(float(rx), float(ry), float(rz))
+    return DensityMatrix(2, _bloch_matrices(np.array([rx, ry, rz], dtype=float)))
 
 
 def reconstruct(counts: PauliCounts) -> DensityMatrix:
@@ -150,10 +151,8 @@ def reconstruct(counts: PauliCounts) -> DensityMatrix:
     Always returns a valid state: statistical overshoot past the Bloch
     ball is rescaled back onto the unit sphere.
     """
-    if counts.shots_per_basis < 1:
-        raise ContractError("cannot reconstruct from zero shots")
     emp = counts.empirical_expectations()
-    return _rho_from_bloch(emp["X"], emp["Y"], emp["Z"])
+    return reconstruct_from_expectations(emp["X"], emp["Y"], emp["Z"])
 
 
 def bootstrap_fidelity(
@@ -166,22 +165,22 @@ def bootstrap_fidelity(
 
     Counts are resampled binomially from the empirical frequencies,
     each resample is reconstructed, and the mean and (population)
-    standard deviation of the resulting fidelities are returned.
+    standard deviation of the resulting fidelities are returned.  Up to
+    ``BOOTSTRAP_BLOCK`` resamples are drawn, reconstructed and checked
+    as one array, with the draws and roundings of one at a time.
     """
     if resamples < 1:
         raise ContractError(f"resamples must be >= 1, got {resamples}")
     if ideal.dim != 2:
         raise ContractError("ideal state must be a single qubit")
     shots = counts.shots_per_basis
-    p_hat = {
-        basis: plus / shots for basis, (plus, _) in counts.counts.items()
-    }
+    p_hat = np.array([counts.counts[basis][0] / shots for basis in BASES])
     fids = np.empty(resamples, dtype=float)
-    for i in range(resamples):
-        redrawn = {}
-        for basis in BASES:
-            plus = int(rng.binomial(shots, p_hat[basis]))
-            redrawn[basis] = (plus, shots - plus)
-        rho = reconstruct(PauliCounts(shots, redrawn))
-        fids[i] = qmath.fidelity(rho, ideal)
+    for start in range(0, resamples, BOOTSTRAP_BLOCK):
+        plus = rng.binomial(shots, p_hat, size=(min(BOOTSTRAP_BLOCK, resamples - start), 3))
+        if not np.all((plus >= 0) & (plus <= shots)):
+            raise ContractError(f"resampled counts fall outside 0..{shots}")
+        rho = _bloch_matrices((plus - (shots - plus)) / shots)
+        qmath.check_density(rho)
+        fids[start:start + plus.shape[0]] = qmath.fidelities(rho, ideal)
     return float(np.mean(fids)), float(np.std(fids))

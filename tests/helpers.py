@@ -11,8 +11,9 @@ from ipea_sim.photonics import (
     postselect,
     prepare_entangled_input,
 )
-from ipea_sim.qmath import StateVector, Unitary
+from ipea_sim.qmath import DensityMatrix, StateVector, Unitary
 from ipea_sim.qpe import feedback_angle
+from ipea_sim.tomography import BASES, PauliCounts
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> Unitary:
@@ -172,3 +173,35 @@ def reference_collapse_blocks(unitary: Unitary, target: StateVector, m: int, coh
         dephased = np.einsum("y,yj,yl->jl", np.abs(q[x]) ** 2, stage, stage.conj())
         blocks.append(coherence * np.outer(amp, amp.conj()) + (1.0 - coherence) * dephased)
     return np.array(blocks)
+
+
+def reference_bootstrap(counts: PauliCounts, ideal: StateVector, resamples: int, rng):
+    """Per-resample parametric bootstrap with a literal reconstruction.
+
+    Each resample draws its X, Y and Z counts one call at a time, builds
+    a PauliCounts, rescales a Bloch vector outside the ball by
+    ``np.linalg.norm``, forms (I + r·σ)/2 as a DensityMatrix and scores
+    it with ``qmath.fidelity``.  ``bootstrap_fidelity`` must return the
+    same (mean, std) bit for bit for the same generator.
+    """
+    sigma = (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )
+    shots = counts.shots_per_basis
+    p_hat = {basis: plus / shots for basis, (plus, _) in counts.counts.items()}
+    fids = np.empty(resamples, dtype=float)
+    for i in range(resamples):
+        redrawn = {}
+        for basis in BASES:
+            plus = int(rng.binomial(shots, p_hat[basis]))
+            redrawn[basis] = (plus, shots - plus)
+        emp = PauliCounts(shots, redrawn).empirical_expectations()
+        r = np.array([emp[basis] for basis in BASES], dtype=float)
+        norm = float(np.linalg.norm(r))
+        if norm > 1.0:
+            r = r / norm
+        m = (np.eye(2, dtype=complex) + r[0] * sigma[0] + r[1] * sigma[1] + r[2] * sigma[2]) / 2.0
+        fids[i] = qmath.fidelity(DensityMatrix(2, m), ideal)
+    return float(np.mean(fids)), float(np.std(fids))

@@ -14,6 +14,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 MONTECARLO_GOLDEN = DATA / "montecarlo_golden.csv"
 REGISTER_GOLDEN = DATA / "register_golden.csv"
 BATCH_GOLDEN = DATA / "batch_golden.csv"
+QPE_FULL_GOLDEN = DATA / "qpe_full_golden.csv"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 PROVIDERS = ("photonic", "matrix")
 
@@ -300,6 +301,21 @@ class TestStudyCommands:
             assert code == 0
             text += out
         assert text == REGISTER_GOLDEN.read_text(encoding="utf-8")
+
+    def test_qpe_full_golden(self, tmp_path, capsys):
+        # Pins the full-register table bytes: CSV at bits 8 and 10, then
+        # JSON at bits 6, for a non-eigenstate input of a two-plate train.
+        text = ""
+        for bits, fmt in ((8, "csv"), (10, "csv"), (6, "json")):
+            cfg = tmp_path / f"qpe_full_b{bits}.cfg"
+            cfg.write_text(
+                f"mode qpe_full\nunitary hwp 10 hwp 70\nbits {bits}\n"
+                f"eigenstate H\noutput {fmt}\n"
+            )
+            code, out, _ = run_cli(["run", str(cfg)], capsys)
+            assert code == 0
+            text += out
+        assert text == QPE_FULL_GOLDEN.read_text(encoding="utf-8")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ipea_sim import experiments
+from ipea_sim import experiments, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
@@ -18,7 +18,7 @@ from ipea_sim.experiments import (
     wilson_interval,
 )
 from ipea_sim.photonics import NoiseSpec
-from ipea_sim.qmath import ContractError
+from ipea_sim.qmath import ContractError, derive_rng
 
 # frozen from cos^2(pi * 0.625) / sin^2(pi * 0.625): the conditional
 # probabilities of the 67.5-degree panels
@@ -188,6 +188,40 @@ class TestRunConfig:
         assert len(rows) == 4
         for row in rows:
             assert row["bits"] in ("0", "1")
+
+    @pytest.mark.parametrize("noise", ["", "noise 0.9 0.25\n"], ids=["pure", "noisy"])
+    def test_collapse_rows_share_one_readout(self, noise, monkeypatch):
+        # One register readout serves every trial, and each trial's row is
+        # what collapse_run draws from that trial's own generator.
+        cfg = parse_experiment(
+            "mode collapse\nunitary hwp 10 hwp 70\neigenstate H\n"
+            f"trials 12\nbits 5\nseed 4\n{noise}"
+        )
+        coherence = None if cfg.noise is None else cfg.noise.distinguishability
+        expected = [
+            qpe.collapse_run(cfg.unitary(), cfg.input_state(), 5, derive_rng(4, t), coherence)
+            for t in range(12)
+        ]
+        readouts = []
+        readout = qpe._register_readout
+
+        def counting_readout(*args):
+            readouts.append(args)
+            return readout(*args)
+
+        monkeypatch.setattr(qpe, "_register_readout", counting_readout)
+        rows, _ = run_config(cfg)
+        assert len(readouts) == 1
+        assert len({row["bits"] for row in rows}) > 1
+        assert rows == [
+            {
+                "trial": t,
+                "bits": res.estimate.as_string(),
+                "phi_est": res.estimate.value,
+                "outcome_probability": res.outcome_probability,
+            }
+            for t, res in enumerate(expected)
+        ]
 
     def test_collapse_with_noise_uses_mixed_path(self):
         cfg = parse_experiment(

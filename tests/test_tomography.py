@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bloch, random_state
+from helpers import random_bloch, random_state, reference_bootstrap
 from ipea_sim import tomography
 from ipea_sim.qmath import (
     ContractError,
@@ -113,6 +113,36 @@ class TestBootstrap:
         assert (mean_a, std_a) == (mean_b, std_b)
         assert mean_a > 0.999
         assert std_a < 0.002
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.data(),
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.sampled_from(("random", "0", "1", "+", "+i")),
+    )
+    def test_array_bootstrap_equals_per_resample_loop(
+        self, seed, data, resamples, block, ideal_kind
+    ):
+        # Blocks smaller than the resample count make the draws span
+        # several blocks; the axis states let a fidelity reach exactly 0
+        # or 1, where the clamp acts.
+        shots = data.draw(st.integers(1, 10**6), label="shots")
+        plus = [data.draw(st.integers(0, shots), label=f"plus {b}") for b in "XYZ"]
+        counts = PauliCounts(shots, {b: (p, shots - p) for b, p in zip("XYZ", plus)})
+        ideal = {
+            "random": lambda: random_state(1, derive_rng(seed, 1)),
+            "0": lambda: basis_state(1, 0),
+            "1": lambda: basis_state(1, 1),
+            "+": lambda: state_from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2.0)),
+            "+i": lambda: state_from_amplitudes(np.array([1.0, 1.0j]) / np.sqrt(2.0)),
+        }[ideal_kind]()
+        expected = reference_bootstrap(counts, ideal, resamples, derive_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tomography, "BOOTSTRAP_BLOCK", block)
+            got = bootstrap_fidelity(counts, ideal, resamples, derive_rng(seed))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     def test_input_validation(self):
         psi = basis_state(1, 0)
