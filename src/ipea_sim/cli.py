@@ -13,12 +13,17 @@ directive's value is checked by that directive's ``config.DIRECTIVES``
 row: an out-of-range value, ``run --seed`` on a config that reads no
 seed (exact ``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed``
 or ``--reps``, exits 2 naming the flag; so does ``fig5 --shots`` below 0
-or ``--resamples`` below 1.
+or ``--resamples`` below 1.  A config that cannot be read, or an
+``--out`` path that cannot be written, exits 2 naming the path.
+
+``main`` may be called any number of times in one process; the parser
+is built on the first call only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import experiments
@@ -46,7 +51,12 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every caller.
+
+    Parsing leaves it unchanged, so callers only parse with it.
+    """
     parser = argparse.ArgumentParser(
         prog="ipea-sim",
         description="Iterative phase estimation simulator with a photonic gate model.",
@@ -165,7 +175,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         records, fields = _dispatch(args)
-        text = experiments.emit(records, args.format or "csv", path=args.out, fields=fields)
+        try:
+            text = experiments.emit(records, args.format or "csv", path=args.out, fields=fields)
+        except OSError as exc:
+            raise ParseError(f"cannot write output {args.out!r}: {exc}") from exc
     except ParseError as exc:
         print(f"ipea-sim: {exc}", file=sys.stderr)
         return 2

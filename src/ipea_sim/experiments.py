@@ -38,6 +38,7 @@ from .photonics import (
 from .qmath import (
     ContractError,
     StateVector,
+    TrialStreams,
     Unitary,
     basis_state,
     derive_rng,
@@ -191,7 +192,7 @@ def run_fig4(
             FIG4_BITS,
             reps,
             provider,
-            [derive_rng(seed, index) for index in range(len(unitaries))],
+            TrialStreams(seed, (), range(len(unitaries))),
         )
     records = []
     for theta, unitary, estimate, branch_frac in zip(
@@ -214,13 +215,13 @@ def run_fig4(
     return records
 
 
-def _sampled_estimates(unitaries, target, m, reps, provider, rngs):
+def _sampled_estimates(unitaries, target, m, reps, provider, draws):
     """Each trial's estimate and its share of even-parity (P) branches.
 
     The trials run as one batch; the share is None for every trial of an
     unbranched provider.
     """
-    batch = qpe.ipea_batch(unitaries, target, m, reps, provider, rngs)
+    batch = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
     estimates = [qpe.PhaseEstimate.from_numerator(n, m) for n in batch.numerators]
     if not batch.branch_tally:
         return estimates, [None] * len(estimates)
@@ -325,24 +326,25 @@ def _montecarlo_pass(
     dyadic: bool,
 ) -> int:
     # Each trial draws its phase and then every repetition from its own
-    # generator; the trials run as batches of diag(1, e^{2 pi i phi}).
+    # stream; the trials run as batches of diag(1, e^{2 pi i phi}), each
+    # batch keyed in one pass.
     prov = qpe.resolve_provider(provider)
     target = basis_state(1, 1)
     successes = 0
     step = qpe.batch_trials(reps_per_bit)
     for start in range(0, trials, step):
-        rngs = [derive_rng(seed, stream, t) for t in range(start, min(trials, start + step))]
+        draws = TrialStreams(seed, (stream,), range(start, min(trials, start + step)))
         if dyadic:
-            phis = [int(rng.integers(0, 1 << m)) / (1 << m) for rng in rngs]
+            phis = draws.integers(m) / (1 << m)
         else:
-            phis = [float(rng.random()) for rng in rngs]
+            phis = draws.uniforms(1)[:, 0]
         stack = np.zeros((len(phis), 2, 2), dtype=complex)
         stack[:, 0, 0] = 1.0
-        stack[:, 1, 1] = np.exp(2j * np.pi * np.array(phis))
-        batch = qpe.ipea_batch(stack, target, m, reps_per_bit, prov, rngs)
-        for numerator, phi in zip(batch.numerators.tolist(), phis):
-            if circular_distance(numerator / (1 << m), phi) <= 2.0**-m:
-                successes += 1
+        stack[:, 1, 1] = np.exp(2j * np.pi * phis)
+        batch = qpe.ipea_batch(stack, target, m, reps_per_bit, prov, draws)
+        # circular_distance, elementwise
+        d = np.abs(batch.numerators / (1 << m) - phis) % 1.0
+        successes += int((np.minimum(d, 1.0 - d) <= 2.0**-m).sum())
     return successes
 
 
@@ -407,7 +409,7 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
             config.bits,
             config.reps_per_bit,
             config.provider,
-            [derive_rng(seed, trial) for trial in range(trials)],
+            TrialStreams(seed, (), range(trials)),
         )
     rows = []
     for trial, (estimate, branch_frac) in enumerate(zip(estimates, branch_fracs)):

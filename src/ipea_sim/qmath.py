@@ -4,7 +4,8 @@ Validated states, operators and density matrices, the batch norm check
 the engines apply to whole arrays of states, the fidelity measure, and
 the per-trial random streams shared by the estimation, photonics, and
 tomography layers.  Everything here is a pure function over immutable
-values; randomness enters only through explicitly passed generators.
+values; randomness enters only through explicitly passed generators
+and trial streams.
 
 Conventions
 -----------
@@ -16,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ __all__ = [
     "check_normalized",
     "check_density",
     "derive_rng",
+    "TrialStreams",
     "fidelity",
     "fidelities",
     "density_from_state",
@@ -43,6 +46,12 @@ __all__ = [
 
 CONSTRUCTION_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
+
+# A TrialStreams refill draws at most TRIAL_WINDOW_WORDS words per trial
+# (setting a trial's key costs about as much as drawing 100 words) and
+# about DRAW_WINDOW_WORDS (2 MiB) for all its trials together.
+TRIAL_WINDOW_WORDS = 128
+DRAW_WINDOW_WORDS = 1 << 18
 
 DEFAULT_MAX_QUBITS = 20
 MAX_QUBITS_ENV = "IPEA_SIM_MAX_QUBITS"
@@ -237,6 +246,172 @@ def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
         entropy=int(master_seed), spawn_key=tuple(int(s) for s in stream)
     )
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe with a 4-word pool).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words32(value: int) -> list[int]:
+    # An integer as SeedSequence splits it: 32-bit words, least significant first.
+    if value < 0:
+        raise ContractError(f"seeds, streams and trial indices must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash(value: int, const: int, mult: int) -> tuple[int, int]:
+    # One step of SeedSequence's word hash: the hashed word and the next constant.
+    value ^= const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _hash_rows(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    # ``_hash`` of row i of a uint32 array at the i-th of successive steps.
+    xor, times = [], []
+    for _ in range(len(values)):
+        xor.append(const)
+        const = const * mult & _MASK32
+        times.append(const)
+    values = (values ^ np.array(xor, np.uint32)[:, None]) * np.array(times, np.uint32)[:, None]
+    return values ^ values >> np.uint32(16), const
+
+
+def _mix(x, y):
+    # SeedSequence's pool mix, on ints or on uint32 arrays.
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _spawn_keys(master_seed: int, stream: tuple, trials) -> np.ndarray:
+    """(T, 2) Philox keys of ``derive_rng(master_seed, *stream, t)`` for each trial t.
+
+    The arithmetic of ``SeedSequence.mix_entropy`` and
+    ``generate_state(2, np.uint64)``.  Every trial shares the run entropy
+    and the stream prefix, so the pool absorbs those once; each pool word
+    then absorbs a trial's index words on its own, so the rest is a few
+    array steps over every trial and pool word at once.
+    """
+    try:
+        trials = np.asarray(trials, dtype=np.uint64).reshape(-1)
+    except OverflowError as exc:
+        raise ContractError(f"trial indices must lie in 0..2^64-1: {exc}") from exc
+    run = _words32(int(master_seed))
+    # with a spawn key, the run entropy is padded to the pool size
+    run += [0] * (_POOL - len(run))
+    const, pool = _INIT_A, []
+    for word in run[:_POOL]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in run[_POOL:] + [w for s in stream for w in _words32(int(s))]:
+        for dst in range(_POOL):
+            hashed, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    keys = np.empty((len(trials), 2), dtype=np.uint64)
+    # An index below 2^32 is one spawn-key word, a larger one two.
+    for rows, words in ((high == 0, (low,)), (high != 0, (low, high))):
+        if rows.any():
+            mixed, step = np.array(pool, dtype=np.uint32)[:, None], const
+            for word in words:
+                hashed, step = _hash_rows(np.tile(word[rows], (_POOL, 1)), step, _MULT_A)
+                mixed = _mix(mixed, hashed)
+            state, _ = _hash_rows(mixed, _INIT_B, _MULT_B)
+            # generate_state reads the uint32 words as little-endian uint64 pairs
+            keys[rows] = np.ascontiguousarray(state.T).astype("<u4").view("<u8")
+    return keys
+
+
+class TrialStreams:
+    """The streams ``derive_rng(master_seed, *stream, t)`` of a run of trials.
+
+    Every trial's Philox key comes from one vectorised pass of
+    SeedSequence's uint32 hash, since ``Philox(seq)`` is
+    ``Philox(key=seq.generate_state(2, np.uint64))`` with counter 0.  Words
+    are then drawn with one reused ``Philox`` set to each trial's key, so
+    trial t reads exactly the 64-bit words its own ``derive_rng`` generator
+    would.  Every request takes the same number of words from every trial,
+    so one word offset is the whole position of the run in its streams.
+
+    Memory: a request that runs past the buffered words draws a new window
+    of ``max(count, min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // T))``
+    words for each of the T trials, 8 bytes a word, so a run buffers at
+    most ``max(T * count, DRAW_WINDOW_WORDS)`` words (2 MiB unless one
+    request is larger).
+    """
+
+    def __init__(self, master_seed: int, stream, trials):
+        self.keys = _spawn_keys(master_seed, tuple(stream), trials)
+        self.offset = 0
+        self._window = np.empty((len(self.keys), 0), dtype=np.uint64)
+        self._window_start = 0
+        self._bitgen = np.random.Philox(key=0)  # its state is set before every use
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rows(self, start: int, stop: int) -> "TrialStreams":
+        """Trials ``start:stop`` at the same offset, drawing apart from this run."""
+        part = copy.copy(self)
+        part.keys, part._window = self.keys[start:stop], self._window[start:stop]
+        return part
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` raw 64-bit words of every trial, shape (T, count)."""
+        ahead = self.offset - self._window_start
+        if ahead + count > self._window.shape[1]:
+            per_trial = min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // max(len(self.keys), 1))
+            self._refill(max(count, per_trial))
+            ahead = 0
+        self.offset += count
+        return self._window[:, ahead : ahead + count]
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """Each trial's next ``rng.random(count)``: one word per double, its top 53 bits."""
+        return (self.words(count) >> np.uint64(11)) * (1.0 / (1 << 53))
+
+    def integers(self, bits: int) -> np.ndarray:
+        """Each trial's next ``rng.integers(0, 2**bits)``, one word each.
+
+        numpy's Lemire draw never rejects on a power-of-two range: up to 32
+        bits it is the word's low half shifted right by 32 - bits, above
+        that the whole word shifted right by 64 - bits.  A 32-bit draw
+        leaves the word's high half buffered in the generator for the next
+        one, so this matches the first such call on each stream only.
+        """
+        if not 1 <= bits <= 63:
+            raise ContractError(f"integers(0, 2^bits) needs bits in 1..63, got {bits}")
+        word = self.words(1)[:, 0]
+        if bits <= 32:
+            return (word & np.uint64(_MASK32)) >> np.uint64(32 - bits)
+        return word >> np.uint64(64 - bits)
+
+    def _refill(self, size: int) -> None:
+        # Words 4j..4j+3 of a key come from its block at counter j + 1.
+        skip, bitgen = self.offset % 4, self._bitgen
+        state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0,
+                 "state": {"counter": [self.offset // 4, 0, 0, 0], "key": None}}
+        window = np.empty((len(self.keys), size), dtype=np.uint64)
+        for row, key in zip(window, self.keys.tolist()):
+            state["state"]["key"] = key
+            bitgen.state = state
+            row[:] = bitgen.random_raw(skip + size)[skip:]
+        self._window, self._window_start = window, self.offset
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:

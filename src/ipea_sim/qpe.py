@@ -23,11 +23,11 @@ README's provider paragraph gives the interface.  ``_ipea_rounds`` is
 the one round loop: it builds a chunk's rounds once and turns each
 round's branch table into one bit per trial, by the majority of sampled
 repetitions (``ipea_batch``) or by the argmax of the posterior
-(``ipea_run_exact``).  A trial draws a round's uniforms in one
-``rng.random(n)`` call, the same values as n single draws, and picks a
-branch in the cdf of the normalized weights as ``Generator.choice``
-does, so its estimate depends only on its own unitary and generator,
-never on the batch or chunk it ran in.
+(``ipea_run_exact``).  A trial draws a round's uniforms as one
+``rng.random(n)`` call on its own stream would, and picks a branch in
+the cdf of the normalized weights as ``Generator.choice`` does, so its
+estimate depends only on its own unitary and stream, never on the batch
+or chunk it ran in.
 """
 
 from __future__ import annotations
@@ -329,16 +329,18 @@ def _branch_cdfs(weight: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_round(table: RoundTable, reps: int, rngs) -> tuple[np.ndarray, dict]:
+def _draw_round(table: RoundTable, reps: int, draws) -> tuple[np.ndarray, dict]:
     """Majority bit of every trial's ``reps`` repetitions, and the drawn branches.
 
     A table that is a single unlabeled branch takes one uniform per
     repetition, for the control outcome.  Any other table takes two per
-    repetition: the branch, then the control outcome.  Returns the
-    trials' bits and a label -> per-trial count dict of drawn branches.
+    repetition: the branch, then the control outcome.  ``draws`` is the
+    chunk's uniform source: ``draws.uniforms(n)`` is the next n uniforms
+    of each of its trials.  Returns the trials' bits and a label ->
+    per-trial count dict of drawn branches.
     """
     weight, p0, p1, labels = table
-    count = len(rngs)
+    count = len(draws)
     if weight.shape != (count, len(labels)) or not p0.shape == p1.shape == weight.shape:
         raise ContractError(
             f"round table of shape {weight.shape} does not cover {count} trial(s) "
@@ -346,9 +348,7 @@ def _draw_round(table: RoundTable, reps: int, rngs) -> tuple[np.ndarray, dict]:
         )
     single = len(labels) == 1 and labels[0] is None
     cdf = None if single else _branch_cdfs(weight)
-    u = np.empty((count, reps if single else 2 * reps))
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
+    u = draws.uniforms(reps if single else 2 * reps)
     if single:
         # "+" (bit 0) when the uniform falls below P(+).
         return (u >= p0).sum(axis=1) > reps // 2, {}
@@ -416,40 +416,64 @@ def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decid
     return numerators
 
 
+class _GeneratorDraws:
+    """A one-trial uniform source that draws each request from a caller's generator."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def __len__(self) -> int:
+        return 1
+
+    def rows(self, start: int, stop: int) -> "_GeneratorDraws":
+        return self
+
+    def uniforms(self, count: int) -> np.ndarray:
+        return self.rng.random(count)[None]
+
+
 def ipea_batch(
     unitaries,
     target: StateVector,
     m: int,
     reps_per_bit: int,
     provider,
-    rngs,
+    draws,
 ) -> BatchEstimate:
     """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
 
     Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack)
-    on ``target``, which the caller asserts is an eigenstate, drawing
-    from its own generator ``rngs[t]``, and gets exactly the estimate it
-    would get alone.  Each round repeats ``reps_per_bit`` times (odd, so
-    the vote is decisive).  A provider with a ``branch_counts`` dict has
-    every drawn branch added to it.
+    on ``target``, which the caller asserts is an eigenstate, drawing its
+    uniforms from row t of ``draws``, and gets exactly the estimate it
+    would get alone.  ``draws`` is a ``qmath.TrialStreams`` over the T
+    trials, read from its current offset (every chunk starts there), or,
+    for one trial, a caller's generator, advanced by exactly the uniforms
+    drawn.  Each round repeats ``reps_per_bit`` times (odd, so the vote
+    is decisive).  A provider with a ``branch_counts`` dict has every
+    drawn branch added to it.
     """
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
     _check_reps(reps_per_bit)
     provider = resolve_provider(provider)
-    rngs = list(rngs)
-    if len(rngs) != len(unitaries):
-        raise ContractError(f"{len(unitaries)} unitaries but {len(rngs)} generators")
-    numerators = np.zeros(len(rngs), dtype=np.int64)
+    if isinstance(draws, np.random.Generator):
+        draws = _GeneratorDraws(draws)
+    elif not isinstance(draws, qmath.TrialStreams):
+        raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
+    trials = len(draws)
+    if trials != len(unitaries):
+        raise ContractError(f"{len(unitaries)} unitaries but {trials} trial stream(s)")
+    numerators = np.zeros(trials, dtype=np.int64)
     tally: dict = {}
     step = batch_trials(reps_per_bit)
-    for start in range(0, len(rngs), step):
+    for start in range(0, trials, step):
         chunk = slice(start, start + step)
+        source = draws.rows(start, start + step)
 
-        def majority(table: RoundTable, chunk=chunk) -> np.ndarray:
-            bits, drawn = _draw_round(table, reps_per_bit, rngs[chunk])
+        def majority(table: RoundTable, chunk=chunk, source=source) -> np.ndarray:
+            bits, drawn = _draw_round(table, reps_per_bit, source)
             for label, counts in drawn.items():
-                tally.setdefault(label, np.zeros(len(rngs), dtype=np.int64))[chunk] += counts
+                tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts
             return bits
 
         stack = _checked_stack(unitaries[chunk], target.dim)
@@ -473,7 +497,7 @@ def ipea_run(
     if rng is None:
         raise ContractError("ipea_run samples and therefore needs an explicit rng")
     batch = ipea_batch(
-        spec.unitary.matrix[None], spec.input_state, m, reps_per_bit, provider, [rng]
+        spec.unitary.matrix[None], spec.input_state, m, reps_per_bit, provider, rng
     )
     return PhaseEstimate.from_numerator(batch.numerators[0], m)
 

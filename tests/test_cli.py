@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ipea_sim import qpe
+from ipea_sim import cli, qmath, qpe
 from ipea_sim.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -179,6 +179,14 @@ class TestStudyCommands:
         assert out == ""
         assert err.startswith(f"ipea-sim: {flag} {value}: ")
 
+    def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
+        # a missing directory, then a directory in place of the file
+        for dest in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, out, err = run_cli(["fig4", "--out", str(dest)], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"ipea-sim: cannot write output {str(dest)!r}: ")
+
     def test_fig4_rejects_even_reps(self, capsys):
         code, _, err = run_cli(["fig4", "--reps", "4"], capsys)
         assert code == 2
@@ -262,13 +270,24 @@ class TestStudyCommands:
         # 11: the file holds the photonic table, then the matrix table.
         assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
 
-    def test_montecarlo_golden_across_chunks(self, capsys, monkeypatch):
+    def test_montecarlo_golden_across_chunks(self, tmp_path, capsys, monkeypatch):
         # A bound of 154 uniforms per round splits the 200 trials into
         # chunks of 7 trials at reps 11 and of 77 at reps 1, the last one
-        # short; a trial's draws must not depend on its chunk.
+        # short, and the batch golden's runs too (300 trials at reps 1
+        # into 77 + 77 + 77 + 69, dyadic reps 3 into chunks of 25, fig4
+        # into 7 + 5).  A window of 64 words makes the chunks refill their
+        # draws at offsets inside a Philox block.  A trial's draws must
+        # depend on neither.
         monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 154)
+        monkeypatch.setattr(qmath, "DRAW_WINDOW_WORDS", 64)
         assert qpe.batch_trials(11) == 7 and qpe.batch_trials(1) == 77
         assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
+        text = ""
+        for argv in batch_golden_argvs(tmp_path):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            text += out
+        assert text == BATCH_GOLDEN.read_text(encoding="utf-8")
 
     def test_batch_golden(self, tmp_path, capsys):
         # Pins the per-trial draws of every batched study: dyadic Monte
@@ -324,6 +343,44 @@ class TestStudyCommands:
 
 
 class TestEntryPoint:
+    def test_main_reuses_one_parser(self, tmp_path, capsys):
+        # One process: a usage error, a refused flag, then one valid op
+        # of each subcommand.  Each call must print and return what it
+        # does on a freshly built parser, and the parser is built once.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("mode ipea\nunitary hwp 0 hwp 45\ntrials 0\n")
+        argvs = [
+            ["montecarlo", "--bits"],
+            ["fig4", "--exact", "--seed", "1"],
+            ["run", str(cfg)],
+            ["fig4", "--exact"],
+            ["fig5", "--shots", "0", "--no-noise"],
+            ["montecarlo", "--bits", "2", "--trials", "50"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        cli.build_parser.cache_clear()
+        reused = [call(argv) for argv in argvs]
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused] == [("SystemExit", 2), 2, 0, 0, 0, 0]
+        for argv, got in zip(argvs, reused):
+            cli.build_parser.cache_clear()
+            assert call(argv) == got, argv
+        proc = subprocess.run(
+            [sys.executable, "-m", "ipea_sim.cli", "fig4", "--exact"],
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == reused[3][1].encode()
+
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("mode ipea\nunitary hwp 0 hwp 45\ntrials 0\n")

@@ -1,7 +1,11 @@
 """Substrate checks: validated containers, capacity cap, fidelity, rng."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_state
 from ipea_sim import qmath
@@ -10,6 +14,7 @@ from ipea_sim.qmath import (
     ContractError,
     DensityMatrix,
     StateVector,
+    TrialStreams,
     Unitary,
     basis_state,
     density_from_state,
@@ -142,3 +147,57 @@ class TestFidelityAndRng:
             derive_rng(11, 2, 3).random(8), derive_rng(11, 2, 3).random(8)
         )
 
+
+
+# Trial indices on both sides of 2^32, where a spawn key grows to two words.
+TRIAL_INDICES = st.one_of(
+    st.integers(0, 40), st.integers(2**32 - 2, 2**32 + 2), st.integers(0, 2**64 - 1)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**40), max_size=2),
+    st.lists(TRIAL_INDICES, min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(1, 16), st.integers(17, 63)),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.sampled_from((1, 6, 1 << 18)),
+    st.integers(0, 5),
+)
+def test_trial_streams_draw_what_derive_rng_draws(
+    seed, stream, trials, bits, slices, window, lo
+):
+    # Keys from the vectorised hash and words from the reused Philox
+    # must be exactly each trial's own generator: an optional
+    # integers(0, 2^bits) first, as --dyadic draws its phase, then
+    # random() in consecutive slices.  A small window makes the slices
+    # refill at offsets inside a Philox block; a sub-run taken with
+    # rows() at each offset reads the same words without moving the run.
+    rngs = [derive_rng(seed, *stream, t) for t in trials]
+    ints = [int(rng.integers(0, 1 << bits)) for rng in rngs] if bits else None
+    want = np.array([rng.random(sum(slices)) for rng in rngs])
+    lo = min(lo, len(trials) - 1)
+    with mock.patch.object(qmath, "DRAW_WINDOW_WORDS", window):
+        streams = TrialStreams(seed, stream, trials)
+        if bits:
+            assert streams.integers(bits).tolist() == ints
+        at = 0
+        for count in slices:
+            part = streams.rows(lo, len(trials))
+            np.testing.assert_array_equal(part.uniforms(count), want[lo:, at : at + count])
+            np.testing.assert_array_equal(streams.uniforms(count), want[:, at : at + count])
+            at += count
+    assert streams.offset == at + (1 if bits else 0)
+
+
+def test_trial_streams_refuse_what_derive_rng_cannot_seed():
+    with pytest.raises(ContractError):
+        TrialStreams(-1, (), [0])
+    with pytest.raises(ContractError):
+        TrialStreams(1, (-2,), [0])
+    for trials in ([-1], [2**64]):
+        with pytest.raises(ContractError):
+            TrialStreams(1, (), trials)
+    with pytest.raises(ContractError):
+        TrialStreams(1, (), [0]).integers(64)

@@ -30,6 +30,7 @@ from ipea_sim.qmath import (
     ContractError,
     DensityMatrix,
     StateVector,
+    TrialStreams,
     Unitary,
     basis_state,
     derive_rng,
@@ -355,10 +356,13 @@ def test_ipea_run_matches_per_repetition_reference(seed, num_qubits, m, reps, pr
     rng = derive_rng(seed)
     u = haar_unitary(1 << num_qubits, rng)
     spec = EigenproblemSpec(u, random_state(num_qubits, rng))
-    want_bits, want_counts = reference_ipea_run(spec, m, reps, provider, derive_rng(seed, 1))
+    want_rng, got_rng = derive_rng(seed, 1), derive_rng(seed, 1)
+    want_bits, want_counts = reference_ipea_run(spec, m, reps, provider, want_rng)
     prov = resolve_provider(provider)
-    got = ipea_run(spec, m, reps, prov, derive_rng(seed, 1))
+    got = ipea_run(spec, m, reps, prov, got_rng)
     assert got.bits == want_bits
+    # exactly the reference's draws, so a reused generator goes on alike
+    assert got_rng.random() == want_rng.random()
     if provider == "photonic":
         assert prov.branch_counts == want_counts
         assert sum(want_counts.values()) == m * reps
@@ -388,7 +392,7 @@ def test_ipea_batch_matches_per_trial_reference(seed, trials, num_qubits, m, rep
         m,
         reps,
         prov,
-        [derive_rng(seed, 1, t) for t in range(trials)],
+        TrialStreams(seed, (1,), range(trials)),
     )
     total = {"P": 0, "Q": 0}
     for t, u in enumerate(unitaries):
@@ -405,6 +409,16 @@ def test_ipea_batch_matches_per_trial_reference(seed, trials, num_qubits, m, rep
         assert prov.branch_counts == total
     else:
         assert batch.branch_tally == {}
+
+
+def test_ipea_batch_needs_one_stream_per_trial():
+    stack = np.array([phase_unitary(0.25).matrix] * 2)
+    # a caller's generator feeds a one-trial batch only
+    for draws in (derive_rng(0), TrialStreams(0, (), range(3))):
+        with pytest.raises(ContractError, match="2 unitaries but"):
+            ipea_batch(stack, basis_state(1, 1), 2, 1, "matrix", draws)
+    with pytest.raises(ContractError, match="draws must be"):
+        ipea_batch(stack, basis_state(1, 1), 2, 1, "matrix", [derive_rng(0), derive_rng(1)])
 
 
 @pytest.mark.parametrize("provider", ["matrix", "photonic"])
@@ -434,12 +448,12 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
     stack = np.array([phase_unitary(phi).matrix for phi in phases])
     for trials, reps in ((7, 11), (70, 1), (3, 41)):
         args = (stack[:trials], basis_state(1, 1), 3, reps)
-        whole = ipea_batch(*args, provider, [derive_rng(9, t) for t in range(trials)])
+        whole = ipea_batch(*args, provider, TrialStreams(9, (), range(trials)))
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
             seen.clear()
             tables.clear()
-            chunked = ipea_batch(*args, Recording(), [derive_rng(9, t) for t in range(trials)])
+            chunked = ipea_batch(*args, Recording(), TrialStreams(9, (), range(trials)))
         assert max(seen) * 2 * reps <= max(64, 2 * reps)
         assert sum(seen) == trials  # every trial in exactly one chunk
         assert len(seen) > 1  # the bound did split the batch
