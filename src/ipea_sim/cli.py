@@ -1,20 +1,21 @@
-"""Command-line front end.
+"""Command-line front end: ``run``, ``fig4``, ``fig5`` and ``montecarlo``.
 
-Subcommands::
-
-    ipea-sim run <config> [--seed N] [--out PATH] [--format csv|json]
-    ipea-sim fig4 [--seed N] [--reps N] [--provider P] [--exact] ...
-    ipea-sim fig5 [--seed N] [--shots N] [--resamples N] [--noise-p X] ...
-    ipea-sim montecarlo [--bits M] [--trials N] [--provider P] ...
+README's "Command line" block lists each subcommand's flags.  No run
+parameter has a parser default, and a flag left out is not passed on, so
+each default lives in one place: the config's for ``run``; for the
+studies, the ``config.DIRECTIVES`` row (``--bits``, ``--reps``,
+``--provider``), ``config.MONTECARLO_TRIALS`` (``--trials``), the study's
+signature (``--seed``, ``--shots``, ``--resamples``) or ``NoiseSpec``
+(``--noise-p``, ``--noise-sigma``).
 
 Exit status: 0 on success, 2 for configuration/usage errors, 3 when a
 numerical contract is violated at run time.  A flag that sets a
-directive's value is checked by that directive's ``config.DIRECTIVES``
-row: an out-of-range value, ``run --seed`` on a config that reads no
-seed (exact ``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed``
-or ``--reps``, exits 2 naming the flag; so does ``fig5 --shots`` below 0
-or ``--resamples`` below 1.  A config that cannot be read, or an
-``--out`` path that cannot be written, exits 2 naming the path.
+directive's value takes its type, choices and range from that row: an
+out-of-range value, ``run --seed`` on a config that reads no seed (exact
+``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed`` or ``--reps``,
+exits 2 naming the flag; so does ``fig5 --shots`` below 0 or
+``--resamples`` below 1.  A config that cannot be read or is not UTF-8,
+or an ``--out`` path that cannot be written, exits 2 naming the path.
 
 ``main`` may be called any number of times in one process; the parser
 is built on the first call only.
@@ -33,20 +34,25 @@ from .qmath import ContractError
 
 # argparse destinations that set a directive's value: (directive, argument index)
 FLAG_DIRECTIVES = {"bits": ("bits", 0), "reps": ("reps", 0), "trials": ("trials", 0),
-                   "seed": ("seed", 0), "noise_p": ("noise", 0), "noise_sigma": ("noise", 1)}
+                   "seed": ("seed", 0), "noise_p": ("noise", 0), "noise_sigma": ("noise", 1),
+                   "provider": ("provider", 0)}
 # the DIRECTIVES column each study reads (fig4 --exact: "exact"); run takes its config's
 STUDY_COLUMNS = {"fig4": "ipea", "fig5": None, "montecarlo": "montecarlo"}
 
 
-def _row_arg(key: str):
-    return DIRECTIVES[key].args[0]
+def _add_directive_flag(parser: argparse.ArgumentParser, dest: str, what: str) -> None:
+    """Add the flag of ``FLAG_DIRECTIVES[dest]``, typed and ranged by its row."""
+    key, index = FLAG_DIRECTIVES[dest]
+    arg = DIRECTIVES[key].args[index]
+    parser.add_argument("--" + dest.replace("_", "-"), type=arg.kind,
+                        choices=arg.choices or None, help=f"{what} ({arg.span})")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write the table here instead of stdout")
     parser.add_argument(
         "--format",
-        choices=_row_arg("output").choices,
+        choices=DIRECTIVES["output"].args[0].choices,
         help="output format (default: csv; for run, the config's output directive)",
     )
 
@@ -65,14 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a config file")
     run.add_argument("config", help="path to the experiment config")
-    run.add_argument("--seed", type=int, help="override the config's seed")
+    _add_directive_flag(run, "seed", "override the config's seed")
     _add_output_flags(run)
 
     fig4 = sub.add_parser("fig4", help="twelve-angle waveplate sweep")
-    # None until checked, since exact mode refuses both; then the sampled defaults
-    fig4.add_argument("--seed", type=int, help=f"default {experiments.DEFAULT_SEED}")
-    fig4.add_argument("--reps", type=int, help="repetitions per bit (odd, default 11)")
-    fig4.add_argument("--provider", choices=_row_arg("provider").choices, default="photonic")
+    _add_directive_flag(fig4, "seed", f"master seed, default {experiments.DEFAULT_SEED}")
+    _add_directive_flag(fig4, "reps", "repetitions per bit")
+    _add_directive_flag(fig4, "provider", "controlled-power provider")
     fig4.add_argument(
         "--exact",
         action="store_true",
@@ -81,41 +86,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(fig4)
 
     fig5 = sub.add_parser("fig5", help="nine eigenstate-generation panels")
-    fig5.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    _add_directive_flag(fig5, "seed", f"master seed, default {experiments.DEFAULT_SEED}")
     fig5.add_argument(
-        "--shots",
-        type=int,
-        default=100000,
-        help="tomography shots per basis; 0 means exact expectations",
+        "--shots", type=int, help="tomography shots per basis; 0 means exact expectations"
     )
-    fig5.add_argument(
-        "--resamples", type=int, default=100, help="bootstrap resamples"
-    )
-    fig5.add_argument(
-        "--noise-p",
-        type=float,
-        default=0.95,
-        help="control-coherence fraction of the noise model",
-    )
-    fig5.add_argument(
-        "--noise-sigma",
-        type=float,
-        default=0.25,
-        help="waveplate angle jitter, degrees",
-    )
+    fig5.add_argument("--resamples", type=int, help="bootstrap resamples, at least 1")
+    _add_directive_flag(fig5, "noise_p", "control-coherence fraction of the noise model")
+    _add_directive_flag(fig5, "noise_sigma", "waveplate angle jitter, degrees")
     fig5.add_argument(
         "--no-noise", action="store_true", help="disable the noise model entirely"
     )
     _add_output_flags(fig5)
 
     mc = sub.add_parser("montecarlo", help="precision bound over random phases")
-    mc.add_argument(
-        "--bits", type=int, default=3, help=f"estimate length m, {_row_arg('bits').span}"
-    )
-    mc.add_argument("--trials", type=int, default=10000)
-    mc.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    mc.add_argument("--provider", choices=_row_arg("provider").choices, default="photonic")
-    mc.add_argument("--reps", type=int, default=11, help="majority-vote repetitions")
+    _add_directive_flag(mc, "bits", "estimate length m")
+    _add_directive_flag(mc, "trials", "random phases drawn")
+    _add_directive_flag(mc, "seed", f"master seed, default {experiments.DEFAULT_SEED}")
+    _add_directive_flag(mc, "provider", "controlled-power provider")
+    _add_directive_flag(mc, "reps", "majority-vote repetitions")
     mc.add_argument(
         "--dyadic",
         action="store_true",
@@ -133,12 +121,19 @@ def _check_flags(args: argparse.Namespace, column: str | None) -> None:
             check_flag("--" + dest.replace("_", "-"), key, value, column, index)
 
 
+def _given(args: argparse.Namespace, *dests: str, **renamed: str) -> dict:
+    """The flags of ``dests`` and ``renamed`` that were given, by parameter name."""
+    names = dict(zip(dests, dests), **renamed)
+    return {name: getattr(args, dest) for name, dest in names.items()
+            if getattr(args, dest) is not None}
+
+
 def _dispatch(args: argparse.Namespace):
     if args.command == "run":
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
         config = parse_experiment(text)
         _check_flags(args, config.column())
@@ -148,23 +143,20 @@ def _dispatch(args: argparse.Namespace):
     exact = getattr(args, "exact", False)
     _check_flags(args, "exact" if exact else STUDY_COLUMNS.get(args.command))
     if args.command == "fig4":
-        seed = experiments.DEFAULT_SEED if args.seed is None else args.seed
-        reps = DIRECTIVES["reps"].default if args.reps is None else args.reps
-        records = experiments.run_fig4(seed=seed, reps=reps, provider=args.provider, exact=exact)
+        records = experiments.run_fig4(exact=exact, **_given(args, "seed", "reps", "provider"))
         return records, experiments.FIG4_FIELDS
     if args.command == "fig5":
         for dest, least in (("shots", 0), ("resamples", 1)):
-            if getattr(args, dest) < least:
-                raise ParseError(f"--{dest} must be ≥ {least}, got {getattr(args, dest)}")
-        noise = None if args.no_noise else NoiseSpec(args.noise_p, args.noise_sigma)
-        panels = experiments.run_fig5(
-            seed=args.seed, shots=args.shots, noise=noise, resamples=args.resamples
-        )
+            value = getattr(args, dest)
+            if value is not None and value < least:
+                raise ParseError(f"--{dest} must be ≥ {least}, got {value}")
+        noise = None if args.no_noise else NoiseSpec(**_given(
+            args, distinguishability="noise_p", angle_jitter_sigma_deg="noise_sigma"))
+        panels = experiments.run_fig5(noise=noise, **_given(args, "seed", "shots", "resamples"))
         return panels, experiments.FIG5_FIELDS
     if args.command == "montecarlo":
         rows = experiments.run_montecarlo(
-            m=args.bits, trials=args.trials, seed=args.seed,
-            provider=args.provider, reps=args.reps, dyadic=args.dyadic,
+            dyadic=args.dyadic, **_given(args, "trials", "seed", "provider", "reps", m="bits")
         )
         return rows, experiments.MONTECARLO_FIELDS
     raise ParseError(f"unknown command {args.command!r}")

@@ -35,10 +35,10 @@ import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import ContractError, StateVector, Unitary
-from .qpe import MAX_ROUND_UNIFORMS
+from .qpe import DEFAULT_REPS, MAX_ROUND_UNIFORMS
 
-__all__ = ["MODES", "COLUMNS", "DIRECTIVES", "ParseError", "ExperimentConfig",
-           "parse_experiment", "check_flag"]
+__all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "ParseError",
+           "ExperimentConfig", "parse_experiment", "check_flag"]
 
 MODES = ("ipea", "qpe_full", "collapse", "montecarlo")
 COLUMNS = ("ipea", "exact", "qpe_full", "collapse", "montecarlo")
@@ -47,6 +47,8 @@ MAX_BITS = 16
 MAX_SEED = (1 << 64) - 1
 # The most repetitions whose draws, two uniforms each, fit one trial's round.
 MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
+# The trials of a Monte Carlo study that names none; any other mode runs one.
+MONTECARLO_TRIALS = 10000
 
 
 class ParseError(ValueError):
@@ -96,7 +98,7 @@ DIRECTIVES = {
         (Arg("", int, f"the odd numbers 1..{MAX_REPS}", lambda v: "must be ≥ 1" if v < 1
              else f"must be ≤ {MAX_REPS}" if v > MAX_REPS
              else "must be odd so majority votes are decisive" if v % 2 == 0 else None),),
-        11, frozenset({"ipea", "montecarlo"})),
+        DEFAULT_REPS, frozenset({"ipea", "montecarlo"})),
     "trials": Directive((Arg("", int, "0, 1, 2, ...",
                              lambda v: "must be ≥ 0" if v < 0 else None),), None, _EVERY),
     "seed": Directive((Arg("", int, "0..2^64-1", lambda v: None if 0 <= v <= MAX_SEED
@@ -182,7 +184,7 @@ class ExperimentConfig:
     def resolved_trials(self) -> int:
         if self.trials is not None:
             return self.trials
-        return 10000 if self.mode == "montecarlo" else 1
+        return MONTECARLO_TRIALS if self.mode == "montecarlo" else 1
 
 
 def check_flag(flag: str, key: str, value, column: str | None = None, index: int = 0) -> None:

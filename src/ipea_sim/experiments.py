@@ -19,12 +19,12 @@ significant digits) or JSON with mirrored fields.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
 from . import qpe, tomography
-from .config import ExperimentConfig
+from .config import DIRECTIVES, MONTECARLO_TRIALS, ExperimentConfig
 from .photonics import (
     DegeneracyError,
     NoiseSpec,
@@ -136,17 +136,18 @@ class PanelResult:
     outcome_prob: float
     report: tomography.ReconstructionReport
 
-    def row(self) -> dict:
-        return {
-            "panel": self.panel,
-            "hwp_deg": self.hwp_deg,
-            "input_state": self.input_state,
-            "outcome": self.outcome,
-            "outcome_prob": self.outcome_prob,
-            "fidelity": self.report.fidelity_vs_ideal,
-            "fidelity_std": self.report.fidelity_std,
-            "shots_per_basis": self.report.shots_per_basis,
-        }
+    # the report's three cells of a FIG5_FIELDS row
+    @property
+    def fidelity(self) -> float:
+        return self.report.fidelity_vs_ideal
+
+    @property
+    def fidelity_std(self) -> float:
+        return self.report.fidelity_std
+
+    @property
+    def shots_per_basis(self) -> int:
+        return self.report.shots_per_basis
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -165,8 +166,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 def run_fig4(
     seed: int = DEFAULT_SEED,
-    reps: int = 11,
-    provider: str = "photonic",
+    reps: int = DIRECTIVES["reps"].default,
+    provider: str = DIRECTIVES["provider"].default,
     exact: bool = False,
 ) -> list[RunRecord]:
     """Twelve-angle sweep: first plate fixed at 0, second at 0..165 deg.
@@ -349,11 +350,11 @@ def _montecarlo_pass(
 
 
 def run_montecarlo(
-    m: int = 3,
-    trials: int = 10000,
+    m: int = DIRECTIVES["bits"].default,
+    trials: int = MONTECARLO_TRIALS,
     seed: int = DEFAULT_SEED,
-    provider: str = "photonic",
-    reps: int = 11,
+    provider: str = DIRECTIVES["provider"].default,
+    reps: int = DIRECTIVES["reps"].default,
     dyadic: bool = False,
 ) -> list[dict]:
     """Precision-bound study over random phases.
@@ -479,13 +480,12 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     raise ContractError(f"unknown mode {config.mode!r}")
 
 
-def _record_dict(record) -> dict:
-    if is_dataclass(record) and not isinstance(record, type):
-        if isinstance(record, PanelResult):
-            return record.row()
-        return asdict(record)
+def _record_dict(record, fields) -> dict:
     if isinstance(record, dict):
         return dict(record)
+    if is_dataclass(record) and not isinstance(record, type):
+        return {name: getattr(record, name) for name in fields or vars(record)
+                if hasattr(record, name)}
     raise ContractError(f"cannot tabulate {type(record).__name__}")
 
 
@@ -520,7 +520,7 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
-    dicts = [_record_dict(r) for r in records]
+    dicts = [_record_dict(r, fields) for r in records]
     if fields is None:
         fields = tuple(dicts[0].keys()) if dicts else FIG4_FIELDS
     else:

@@ -456,7 +456,7 @@ class PhotonicProvider:
         prepared = _prepare(target.amplitudes, count)
         qmath.check_normalized(prepared.reshape(count, -1))
         ladder = _blue_ladder(prepared, unitaries, m)
-        labels = tuple("PQ"[bin(x).count("1") % 2] for x in range(target.dim))
+        labels = tuple(branch.label for branch in parity_cases(target.num_qubits))
         flip = np.array([label == "Q" for label in labels])
 
         def table(k: int, omegas) -> qpe.RoundTable:

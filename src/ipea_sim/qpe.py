@@ -74,6 +74,8 @@ __all__ = [
 
 # A round of one chunk of trials draws at most this many uniforms.
 MAX_ROUND_UNIFORMS = 1 << 16
+# Majority votes per bit when a run names none (the ``reps`` directive's default).
+DEFAULT_REPS = 11
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
@@ -488,7 +490,7 @@ def ipea_batch(
 def ipea_run(
     spec: EigenproblemSpec,
     m: int,
-    reps_per_bit: int = 11,
+    reps_per_bit: int = DEFAULT_REPS,
     provider="matrix",
     rng: np.random.Generator | None = None,
 ) -> PhaseEstimate:

@@ -1,8 +1,10 @@
 """Shared sampling utilities and reference implementations for the test suite."""
 
+import argparse
+
 import numpy as np
 
-from ipea_sim import qmath
+from ipea_sim import cli, qmath
 from ipea_sim.photonics import (
     ParityBranch,
     apply_blue_unitary,
@@ -205,3 +207,11 @@ def reference_bootstrap(counts: PauliCounts, ideal: StateVector, resamples: int,
         m = (np.eye(2, dtype=complex) + r[0] * sigma[0] + r[1] * sigma[1] + r[2] * sigma[2]) / 2.0
         fids[i] = qmath.fidelity(DensityMatrix(2, m), ideal)
     return float(np.mean(fids)), float(np.std(fids))
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """``cli.build_parser()``'s subcommand parsers, by name."""
+    return next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from helpers import subcommand_parsers
 from ipea_sim import cli, qmath, qpe
 from ipea_sim.cli import main
 
@@ -113,9 +114,14 @@ class TestRunCommand:
         assert base != seeded  # six coin-flips at seed 0 vs 12 differ
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
-        code, _, err = run_cli(["run", str(tmp_path / "absent.cfg")], capsys)
-        assert code == 2
-        assert "cannot read config" in err
+        # a missing file, then one whose comment is not UTF-8 (a Latin-1 é)
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# r\xe9glage\nmode qpe_full\nunitary hwp 0 hwp 45\n")
+        for path in (tmp_path / "absent.cfg", latin1):
+            code, out, err = run_cli(["run", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"ipea-sim: cannot read config {str(path)!r}: ")
 
     def test_bad_directive_is_parse_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -340,6 +346,38 @@ class TestStudyCommands:
         with pytest.raises(SystemExit) as info:
             main(["transmogrify"])
         assert info.value.code == 2
+
+
+# Each study's defaults, spelled out: the paper's settings that a run with
+# no flags must use.
+STUDY_DEFAULTS = {
+    "fig4": ["--seed", "7", "--reps", "11", "--provider", "photonic"],
+    "fig5": ["--seed", "7", "--shots", "100000", "--resamples", "100",
+             "--noise-p", "0.95", "--noise-sigma", "0.25"],
+    "montecarlo": ["--bits", "3", "--trials", "10000", "--seed", "7",
+                   "--provider", "photonic", "--reps", "11"],
+}
+
+
+class TestDefaults:
+    def test_parser_declares_no_run_parameter_default(self):
+        valued = [
+            (name, action)
+            for name, sub in subcommand_parsers().items()
+            for action in sub._actions
+            if action.option_strings and action.nargs != 0
+        ]
+        assert {action.dest for _, action in valued} >= set(cli.FLAG_DIRECTIVES)
+        for name, action in valued:
+            assert action.default is None, (name, action.dest)
+
+    @pytest.mark.parametrize("command", sorted(STUDY_DEFAULTS))
+    def test_no_flags_run_the_study_defaults(self, command, capsys):
+        code, bare, _ = run_cli([command], capsys)
+        assert code == 0
+        code, spelled, _ = run_cli([command] + STUDY_DEFAULTS[command], capsys)
+        assert code == 0
+        assert spelled == bare
 
 
 class TestEntryPoint:

@@ -1,11 +1,15 @@
 """Config grammar checks: totality, line numbers, cross-field rules."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipea_sim import config, qpe
+from helpers import subcommand_parsers
+from ipea_sim import config, experiments, qpe
 from ipea_sim.config import COLUMNS, DIRECTIVES, ExperimentConfig, ParseError, parse_experiment
 from ipea_sim.photonics import NoiseSpec, WaveplateSpec
 from ipea_sim.qmath import ContractError
@@ -267,6 +271,96 @@ class TestDirectiveTable:
         readme_block = readme.split("### Config files", 1)[1].split("```")[1]
         assert grammar_keywords(doc_block) == list(DIRECTIVES)
         assert grammar_keywords(readme_block) == list(DIRECTIVES)
+        # README's command-line block: each subcommand's line names exactly its flags
+        cli_block = readme.split("## Command line", 1)[1].split("```")[1]
+        documented = {
+            line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+            for line in cli_block.splitlines()
+            if line.strip()
+        }
+        parsed = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in subcommand_parsers().items()
+        }
+        assert documented == parsed
+
+
+# A base config per column, chosen so that each directive it reads moves
+# the table.  Sampled ipea runs eight photonic trials, whose branch
+# fractions show every draw; collapse and qpe_full read a plate train
+# with an elliptical eigenbasis, on which each input letter has its own
+# weights.  Montecarlo prints only success counts, which two seeds or two
+# providers tie with probability about 0.002 at 1000 trials, so the
+# examples are derandomized and every run draws the same ones.
+MOVING_BASES = {
+    "ipea": ["mode ipea", "unitary hwp 0 hwp 45", "trials 8"],
+    "exact": ["mode ipea", "unitary hwp 0 hwp 45", "trials 0"],
+    "qpe_full": ["mode qpe_full", "unitary hwp 10 qwp 35"],
+    "collapse": ["mode collapse", "unitary hwp 10 qwp 35", "bits 3", "trials 12", "eigenstate H"],
+    "montecarlo": ["mode montecarlo", "trials 1000", "provider matrix", "reps 3"],
+}
+# Allowed values, as a line's arguments, from the short end of each range
+# so that every run is quick.
+MOVING_VALUES = {
+    "unitary": st.integers(0, 179).map(lambda theta: f"hwp 0 hwp {theta}"),
+    "bits": st.integers(1, 8).map(str),
+    "reps": st.integers(0, 15).map(lambda k: str(2 * k + 1)),
+    "trials": st.integers(0, 12).map(str),
+    "seed": st.integers(0, config.MAX_SEED).map(str),
+    "noise": st.tuples(st.sampled_from(("0", "0.25", "0.5", "0.9", "1")),
+                       st.sampled_from(("0", "0.25", "3"))).map(" ".join),
+    "provider": st.sampled_from(("matrix", "photonic")),
+    "eigenstate": st.sampled_from(("R", "L", "H", "V", "D", "A")),
+    "output": st.sampled_from(("csv", "json")),
+}
+# An ipea table shows only the estimate and the phase of the eigenvector
+# the input overlaps most, so inputs that weigh the base's rotation
+# eigenvectors (R and L) alike print alike; H stands for the rest.
+IPEA_EIGENSTATES = st.sampled_from(("R", "L", "H"))
+# Cells still accepted but unread, by the arguments the run ignores
+# (ROADMAP item 4): two values that differ only there print the same table.
+UNREAD_ARGS = {
+    ("ipea", "noise"): {0, 1},  # sampled ipea has no noise model yet
+    ("collapse", "noise"): {1},  # collapse reads p, not the jitter sigma
+    ("exact", "provider"): {0},  # both providers give the same exact bits
+    ("qpe_full", "trials"): {0},  # the exact register table takes 0 or 1
+}
+
+
+def _moving_outcome(lines: list[str]):
+    """The table a config prints, or "refused" if the parse refuses its last line."""
+    try:
+        cfg = parse_experiment("\n".join(lines) + "\n")
+    except ParseError as exc:
+        assert exc.line == len(lines), exc
+        return "refused"
+    rows, fields = experiments.run_config(cfg)
+    return experiments.emit(rows, cfg.output, fields=fields)
+
+
+@pytest.mark.parametrize(
+    "column, key", [cell for cell in table_cells(read=True) if cell[1] != "mode"]
+)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_read_directive_moves_the_table(column, key, data):
+    # Two allowed values of a directive its column reads: the table must
+    # change, or the parse must refuse the line (say, trials 0 in montecarlo).
+    values = MOVING_VALUES[key]
+    if key == "eigenstate" and column in ("ipea", "exact"):
+        values = IPEA_EIGENSTATES
+    first = data.draw(values)
+    second = data.draw(values.filter(lambda value: value != first))
+    base = [line for line in MOVING_BASES[column] if line.split()[0] != key]
+    outcomes = [_moving_outcome(base + [f"{key} {value}"]) for value in (first, second)]
+    if "refused" in outcomes:
+        return
+    differing = {i for i, (a, b) in enumerate(zip(first.split(), second.split())) if a != b}
+    if differing <= UNREAD_ARGS.get((column, key), set()):
+        assert outcomes[0] == outcomes[1]  # once the run reads it, drop the cell above
+    else:
+        assert outcomes[0] != outcomes[1], (first, second)
 
 
 class TestConfigObject:
