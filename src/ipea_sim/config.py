@@ -20,8 +20,8 @@ and check), its default and the columns (modes, with ``ipea`` at
 ``trials 0`` as ``exact``) that read it.  The parser, ``ExperimentConfig``
 and the CLI flags check values through these rows.  A malformed line, a
 misspelled keyword or a directive its column never reads is a ParseError
-naming its line: ``qpe_full`` reads no ``reps``, ``seed``, ``noise`` or
-``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
+naming its line: ``qpe_full`` reads no ``reps``, ``trials``, ``seed``, ``noise``
+or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 (which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
 ``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
 """
@@ -100,7 +100,8 @@ DIRECTIVES = {
              else "must be odd so majority votes are decisive" if v % 2 == 0 else None),),
         DEFAULT_REPS, frozenset({"ipea", "montecarlo"})),
     "trials": Directive((Arg("", int, "0, 1, 2, ...",
-                             lambda v: "must be ≥ 0" if v < 0 else None),), None, _EVERY),
+                             lambda v: "must be ≥ 0" if v < 0 else None),),
+                      None, _EVERY - {"qpe_full"}),
     "seed": Directive((Arg("", int, "0..2^64-1", lambda v: None if 0 <= v <= MAX_SEED
                            else "must fit in an unsigned 64-bit integer"),),
                       0, frozenset({"ipea", "collapse", "montecarlo"})),
@@ -123,16 +124,15 @@ _FIELD = {"reps": "reps_per_bit"}
 def _unread(column: str, key: str) -> str | None:
     if column in DIRECTIVES[key].columns:
         return None
-    where = "exact ipea (trials 0)" if column == "exact" else f"mode {column!r}"
+    where = {"exact": "exact ipea (trials 0)", "qpe_full": "exact mode 'qpe_full'"}.get(
+        column, f"mode {column!r}")
     return f"{where} does not use directive {key!r}"
 
 
 def _trials_refusal(mode: str, trials: int | None) -> str | None:
     if mode == "montecarlo" and trials == 0:
         return "montecarlo needs trials ≥ 1 (exact mode applies to ipea runs)"
-    if mode == "qpe_full" and trials not in (None, 0, 1):
-        return "qpe_full is exact and takes no trial count beyond 1"
-    return None
+    return None if trials is None else _unread(mode, "trials")
 
 
 @dataclass(frozen=True, eq=False)

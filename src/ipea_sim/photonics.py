@@ -302,7 +302,10 @@ def _prepare(target: np.ndarray, count: int) -> np.ndarray:
 
 def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndarray]:
     """The blue rails after 2^(k-1) passes through the unitaries, k = 1..m, from
-    one literal cascade: one product per pass, never a precomputed power."""
+    one literal cascade: one product per pass, never a precomputed power.
+    One trial steps a vector through 2-D ``dot``, which reaches the BLAS zgemv
+    of the stacked matmul with less overhead, so its rungs match it bit for
+    bit; more trials keep one stacked ``unitaries @ blue`` per pass."""
     if not 1 <= m <= MAX_CASCADE_K:
         raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {m}")
     count = arr.shape[0]
@@ -318,11 +321,12 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
         raise ContractError(
             "state is not rail-correlated; build it with prepare_entangled_input"
         )
+    step, blue = (unitaries[0].dot, blue[0, :, 0]) if count == 1 else (unitaries.__matmul__, blue)
     ladder = []
-    for passes in range(1, (1 << (m - 1)) + 1):
-        blue = unitaries @ blue
-        if passes & (passes - 1) == 0:
-            ladder.append(blue)
+    for k in range(m):  # rung k + 1 sits 2^k passes in
+        for _ in range(max(1, (1 << k) >> 1)):
+            blue = step(blue)
+        ladder.append(blue.reshape(count, -1, 1))
     return ladder
 
 
@@ -379,7 +383,7 @@ def prepare_entangled_input(psi: StateVector) -> PhotonicState:
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
     """Pass the blue rails through the unitary 2^(k-1) times, one literal
-    copy at a time; k is capped at 16."""
+    copy (one 2-D ``dot``, bit for bit the stacked product) at a time; k ≤ 16."""
     if state.stage != STAGE_RAILS:
         raise ContractError("blue rails no longer exist after the beamsplitters")
     arr = state._tensor()[None]

@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import copy
+import functools
 import os
 from dataclasses import dataclass
 
@@ -336,13 +337,19 @@ def _spawn_keys(master_seed: int, stream: tuple, trials) -> np.ndarray:
     return keys
 
 
+@functools.cache
+def _philox() -> np.random.Philox:
+    # One per process, built on first use; each refill sets its whole state.
+    return np.random.Philox(key=0)
+
+
 class TrialStreams:
     """The streams ``derive_rng(master_seed, *stream, t)`` of a run of trials.
 
     Every trial's Philox key comes from one vectorised pass of
     SeedSequence's uint32 hash, since ``Philox(seq)`` is
     ``Philox(key=seq.generate_state(2, np.uint64))`` with counter 0.  Words
-    are then drawn with one reused ``Philox`` set to each trial's key, so
+    are then drawn with one shared ``Philox`` set to each trial's key, so
     trial t reads exactly the 64-bit words its own ``derive_rng`` generator
     would.  Every request takes the same number of words from every trial,
     so one word offset is the whole position of the run in its streams.
@@ -359,7 +366,6 @@ class TrialStreams:
         self.offset = 0
         self._window = np.empty((len(self.keys), 0), dtype=np.uint64)
         self._window_start = 0
-        self._bitgen = np.random.Philox(key=0)  # its state is set before every use
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -402,7 +408,7 @@ class TrialStreams:
 
     def _refill(self, size: int) -> None:
         # Words 4j..4j+3 of a key come from its block at counter j + 1.
-        skip, bitgen = self.offset % 4, self._bitgen
+        skip, bitgen = self.offset % 4, _philox()
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0,
                  "state": {"counter": [self.offset // 4, 0, 0, 0], "key": None}}

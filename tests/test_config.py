@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import subcommand_parsers
-from ipea_sim import config, experiments, qpe
+from ipea_sim import cli, config, experiments, qpe
 from ipea_sim.config import COLUMNS, DIRECTIVES, ExperimentConfig, ParseError, parse_experiment
 from ipea_sim.photonics import NoiseSpec, WaveplateSpec
 from ipea_sim.qmath import ContractError
@@ -192,10 +192,19 @@ class TestRejections:
     def test_montecarlo_zero_trials(self):
         expect_error("mode montecarlo\ntrials 0\n", "trials ≥ 1", 2)
 
-    def test_qpe_full_multi_trials(self):
+    def test_qpe_full_multi_trials(self, tmp_path, capsys):
         expect_error(
             "mode qpe_full\nunitary hwp 0 hwp 30\ntrials 7\n", "exact", 3
         )
+        # the exact register table reads no trial count, so 0 and 1 are
+        # refused too rather than parsed and ignored: exit 2, naming the line
+        for trials in (0, 1):
+            cfg = tmp_path / f"trials{trials}.cfg"
+            cfg.write_text(f"mode qpe_full\nunitary hwp 0 hwp 30\ntrials {trials}\n")
+            assert cli.main(["run", str(cfg)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "exact mode 'qpe_full' does not use directive 'trials', line 3" in err
 
     @pytest.mark.parametrize(
         "mode, directive",
@@ -324,7 +333,6 @@ UNREAD_ARGS = {
     ("ipea", "noise"): {0, 1},  # sampled ipea has no noise model yet
     ("collapse", "noise"): {1},  # collapse reads p, not the jitter sigma
     ("exact", "provider"): {0},  # both providers give the same exact bits
-    ("qpe_full", "trials"): {0},  # the exact register table takes 0 or 1
 }
 
 

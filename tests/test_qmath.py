@@ -191,6 +191,30 @@ def test_trial_streams_draw_what_derive_rng_draws(
     assert streams.offset == at + (1 if bits else 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9)), min_size=1, max_size=12),
+)
+def test_trial_streams_share_one_philox_without_crosstalk(seeds, requests):
+    # Every run draws through one process-wide Philox.  Two runs and a
+    # rows() part of each, refilling in turn on a tiny window, must each
+    # still read exactly its own trials' derive_rng words.
+    runs = [TrialStreams(seeds[0], (1,), range(4)), TrialStreams(seeds[1], (2, 3), range(3))]
+    runs += [runs[0].rows(1, 3), runs[1].rows(0, 2)]
+    sources = [(seeds[0], (1,), range(4)), (seeds[1], (2, 3), range(3)),
+               (seeds[0], (1,), range(1, 3)), (seeds[1], (2, 3), range(2))]
+    total = [sum(count for i, count in requests if i == run) for run in range(4)]
+    want = [np.array([derive_rng(seed, *stream, t).random(n) for t in trials])
+            for (seed, stream, trials), n in zip(sources, total)]
+    at = [0] * 4
+    with mock.patch.object(qmath, "DRAW_WINDOW_WORDS", 6):
+        for run, count in requests:
+            got = runs[run].uniforms(count)
+            np.testing.assert_array_equal(got, want[run][:, at[run] : at[run] + count])
+            at[run] += count
+
+
 def test_trial_streams_refuse_what_derive_rng_cannot_seed():
     with pytest.raises(ContractError):
         TrialStreams(-1, (), [0])

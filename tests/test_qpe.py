@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -610,6 +610,10 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
             Counting.products += 1
             return (np.asarray(self) @ np.asarray(other)).view(Counting)
 
+        def dot(self, other):
+            Counting.products += 1
+            return np.asarray(self).dot(other)
+
     calls = {"_prepare": 0, "_blue_ladder": 0}
 
     def counted(name):
@@ -637,6 +641,34 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     else:
         assert Counting.products == built
         assert calls == {"_prepare": 1, "_blue_ladder": 1}
+        # a one-trial chunk steps through 2-D dot, still one product a pass
+        Counting.products = 0
+        resolve_provider(provider).rounds(stack[:1], random_state(1, rng), m)
+        assert Counting.products == built
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=0, num_qubits=1, m=16, row=0)
+@example(seed=1, num_qubits=2, m=16, row=2)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 2),
+    m=st.integers(1, 16),
+    row=st.integers(0, 2),
+)
+def test_one_trial_cascade_equals_its_row_of_a_stacked_cascade(seed, num_qubits, m, row):
+    # A one-trial chunk steps a vector through 2-D dot.  Each of its rungs
+    # must be, bit for bit and in the same (T, d, 1) shape, the trial's
+    # rung inside a stacked 3-trial cascade, up to the 2^15 passes of m = 16.
+    rng = derive_rng(seed)
+    stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(3)])
+    prepared = photonics._prepare(random_state(num_qubits, rng).amplitudes, 3)
+    stacked = photonics._blue_ladder(prepared, stack, m)
+    alone = photonics._blue_ladder(prepared[row : row + 1], stack[row : row + 1], m)
+    assert len(alone) == len(stacked) == m
+    for one, three in zip(alone, stacked):
+        assert (one.shape, three.shape) == ((1, 1 << num_qubits, 1), (3, 1 << num_qubits, 1))
+        assert np.array_equal(one[0], three[row])
 
 
 @pytest.mark.parametrize("m", range(9, 17))
