@@ -129,6 +129,10 @@ def _unread(column: str, key: str) -> str | None:
     return f"{where} does not use directive {key!r}"
 
 
+def _column(mode: str, trials: int | None) -> str:
+    return "exact" if mode == "ipea" and trials == 0 else mode
+
+
 def _trials_refusal(mode: str, trials: int | None) -> str | None:
     if mode == "montecarlo" and trials == 0:
         return "montecarlo needs trials ≥ 1 (exact mode applies to ipea runs)"
@@ -152,8 +156,9 @@ class ExperimentConfig:
     output: str = DIRECTIVES["output"].default
 
     def __post_init__(self):
+        column = self.column()
         for key, row in DIRECTIVES.items():
-            value = getattr(self, _FIELD.get(key, key)) if row.args else None
+            value = getattr(self, _FIELD.get(key, key)) if row.args else self.plates or self.matrix
             if value is None:
                 continue
             for arg, v in zip(row.args, astuple(value) if row.make else (value,)):
@@ -161,6 +166,8 @@ class ExperimentConfig:
                 if reason is not None:
                     name = f"{key} {arg.label}".strip()
                     raise ContractError(f"{name} {reason}, got {v!r}")
+            if value != row.default and (reason := _unread(column, key)):
+                raise ContractError(reason)
         reason = _trials_refusal(self.mode, self.trials)
         if reason is not None:
             raise ContractError(reason)
@@ -169,7 +176,7 @@ class ExperimentConfig:
 
     def column(self) -> str:
         """The column of ``DIRECTIVES`` this run reads."""
-        return "exact" if self.mode == "ipea" and self.trials == 0 else self.mode
+        return _column(self.mode, self.trials)
 
     def unitary(self) -> Unitary:
         if self.matrix is not None:
@@ -286,12 +293,11 @@ def parse_experiment(text: str) -> ExperimentConfig:
     reason = _trials_refusal(mode, values.get("trials"))
     if reason is not None:
         raise ParseError(reason, lines["trials"])
-    plates, matrix = values.pop("unitary", (None, None))
-    fields = {_FIELD.get(key, key): value for key, value in values.items()}
-    config = ExperimentConfig(plates=plates, matrix=matrix, **fields)
-    column = config.column()
+    column = _column(mode, values.get("trials"))
     for key, line in lines.items():
         reason = _unread(column, key)
         if reason is not None:
             raise ParseError(reason, line)
-    return config
+    plates, matrix = values.pop("unitary", (None, None))
+    fields = {_FIELD.get(key, key): value for key, value in values.items()}
+    return ExperimentConfig(plates=plates, matrix=matrix, **fields)

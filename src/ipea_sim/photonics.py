@@ -331,10 +331,10 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
 
 
 def _with_blue(arr: np.ndarray, blue: np.ndarray) -> np.ndarray:
-    # A copy of ``arr`` whose blue rails are ``blue``.
+    # ``arr`` repeated once per ``len(arr)`` rows of ``blue``, its blue rails set to them.
     n = _num_targets(arr)
-    out = arr.copy()
-    out[_rails(n, 1)] = blue.reshape((arr.shape[0],) + (2,) * n)
+    out = np.concatenate([arr] * (len(blue) // len(arr)))
+    out[_rails(n, 1)] = blue.reshape((len(out),) + (2,) * n)
     return out
 
 
@@ -444,9 +444,10 @@ def postselect(
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
-    A chunk prepares its input and cascades its blue rails once; each
-    round remixes its rung of the cascade into one branch per port
-    pattern, odd-parity (Q) ones relabeled by flipping the measured bit.
+    A chunk prepares its input, cascades its blue rails once, and remixes
+    and post-selects every rung of the cascade in one stacked pass into
+    one branch per port pattern, odd-parity (Q) ones relabeled by
+    flipping the measured bit; a round only applies its feedback rotation.
     ``branch_counts`` tallies the branches drawn in sampled runs.
     """
 
@@ -459,21 +460,22 @@ class PhotonicProvider:
         count = len(unitaries)
         prepared = _prepare(target.amplitudes, count)
         qmath.check_normalized(prepared.reshape(count, -1))
-        ladder = _blue_ladder(prepared, unitaries, m)
+        # Rows are rung-major: row (k - 1) * count + t is trial t at rung k.
+        arr = _with_blue(prepared, np.concatenate(_blue_ladder(prepared, unitaries, m)))
+        qmath.check_normalized(arr.reshape(m * count, -1))
+        arr = _mix(arr)
+        qmath.check_normalized(arr.reshape(m * count, -1))
+        states, weight = _postselect_all(arr)
+        qmath.check_normalized(states, live=weight > 0)
+        states = states.reshape((m, count) + states.shape[1:])
+        weight = weight.reshape(m, count, -1)
         labels = tuple(branch.label for branch in parity_cases(target.num_qubits))
         flip = np.array([label == "Q" for label in labels])
 
         def table(k: int, omegas) -> qpe.RoundTable:
-            arr = _with_blue(prepared, qpe._rung(ladder, k))
-            qmath.check_normalized(arr.reshape(count, -1))
-            arr = _mix(arr)
-            qmath.check_normalized(arr.reshape(count, -1))
-            states, weight = _postselect_all(arr)
-            qmath.check_normalized(states, live=weight > 0)
-            plus, minus = qpe.control_pairs(states, np.asarray(omegas)[:, None])
-            return qpe.RoundTable(
-                weight, np.where(flip, minus, plus), np.where(flip, plus, minus), labels
-            )
+            plus, minus = qpe.control_pairs(qpe._rung(states, k), np.asarray(omegas)[:, None])
+            p0, p1 = np.where(flip, minus, plus), np.where(flip, plus, minus)
+            return qpe.RoundTable(qpe._rung(weight, k), p0, p1, labels)
 
         return table
 

@@ -20,14 +20,15 @@ binary fraction 0.b1...bm.
 Controlled-power providers
 --------------------------
 README's provider paragraph gives the interface.  ``_ipea_rounds`` is
-the one round loop: it builds a chunk's rounds once and turns each
-round's branch table into one bit per trial, by the majority of sampled
-repetitions (``ipea_batch``) or by the argmax of the posterior
-(``ipea_run_exact``).  A trial draws a round's uniforms as one
-``rng.random(n)`` call on its own stream would, and picks a branch in
-the cdf of the normalized weights as ``Generator.choice`` does, so its
-estimate depends only on its own unitary and stream, never on the batch
-or chunk it ran in.
+the one round loop: the provider builds every round's branch states of
+a chunk at once, since only the feedback rotation depends on the bits
+already read, and the loop turns each round's branch table into one bit
+per trial, by the majority of sampled repetitions (``ipea_batch``) or by
+the argmax of the posterior (``ipea_run_exact``).  A trial draws a
+round's uniforms as one ``rng.random(n)`` call on its own stream would,
+and picks a branch in the cdf of the normalized weights as
+``Generator.choice`` does, so its estimate depends only on its own
+unitary and stream, never on the batch or chunk it ran in.
 """
 
 from __future__ import annotations
@@ -261,8 +262,8 @@ def _squaring_ladder(unitaries: np.ndarray, m: int) -> list[np.ndarray]:
     return ladder
 
 
-def _rung(ladder: list, k: int):
-    """Round k's entry of a chunk's ladder (rung 1 is the first)."""
+def _rung(ladder: np.ndarray, k: int) -> np.ndarray:
+    """Round k's entry of a chunk's rung-major stack (rung 1 is the first)."""
     if not 1 <= k <= len(ladder):
         raise ContractError(f"iteration index k={k} is outside 1..{len(ladder)}")
     return ladder[k - 1]
@@ -278,16 +279,17 @@ class MatrixProvider:
             raise ContractError(
                 f"unitary dim {unitaries.shape[-1]} does not match target dim {target.dim}"
             )
-        ladder = _squaring_ladder(unitaries, m)
         count, dim = len(unitaries), target.dim
+        # Round k's rung is every trial's U^(2^(k-1)) applied to the target.
+        powered = np.stack(_squaring_ladder(unitaries, m)) @ target.amplitudes[:, None]
+        states = np.empty((m, count, 2 * dim), dtype=complex)
+        states[..., :dim] = target.amplitudes
+        states[..., dim:] = powered[..., 0]
+        states *= _SQRT1_2
+        qmath.check_normalized(states)
 
         def table(k: int, omegas) -> RoundTable:
-            states = np.empty((count, 2 * dim), dtype=complex)
-            states[:, :dim] = target.amplitudes
-            states[:, dim:] = (_rung(ladder, k) @ target.amplitudes[:, None])[..., 0]
-            states *= _SQRT1_2
-            qmath.check_normalized(states)
-            plus, minus = control_pairs(states, omegas)
+            plus, minus = control_pairs(_rung(states, k), omegas)
             return RoundTable(np.ones((count, 1)), plus[:, None], minus[:, None], (None,))
 
         return table

@@ -1,6 +1,7 @@
 """Front-end checks: subcommands, output plumbing, exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,6 +19,17 @@ BATCH_GOLDEN = DATA / "batch_golden.csv"
 QPE_FULL_GOLDEN = DATA / "qpe_full_golden.csv"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 PROVIDERS = ("photonic", "matrix")
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+
+def run_module(argv, **kwargs):
+    """``python -m ipea_sim.cli`` in a child process that imports this checkout's ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "ipea_sim.cli", *argv], capture_output=True, timeout=120,
+        env=env, **kwargs
+    )
 
 
 def batch_golden_argvs(tmp_path):
@@ -411,31 +423,17 @@ class TestEntryPoint:
         for argv, got in zip(argvs, reused):
             cli.build_parser.cache_clear()
             assert call(argv) == got, argv
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipea_sim.cli", "fig4", "--exact"],
-            capture_output=True,
-            timeout=120,
-        )
+        proc = run_module(["fig4", "--exact"])
         assert proc.returncode == 0
         assert proc.stdout == reused[3][1].encode()
 
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("mode ipea\nunitary hwp 0 hwp 45\ntrials 0\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipea_sim.cli", "run", str(cfg)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module(["run", str(cfg)], text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].split(",")[1] == "110"
 
     def test_module_invocation_parse_error(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipea_sim.cli", "run", str(tmp_path / "nope.cfg")],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module(["run", str(tmp_path / "nope.cfg")], text=True)
         assert proc.returncode == 2

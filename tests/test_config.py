@@ -390,6 +390,12 @@ class TestConfigObject:
             {"noise": NoiseSpec(0.5, float("inf"))},
             {"mode": "qpe_full", "trials": 7},
             {"mode": "montecarlo", "trials": 0},
+            {"mode": "qpe_full", "seed": 9},
+            {"mode": "qpe_full", "provider": "matrix"},
+            {"mode": "qpe_full", "noise": NoiseSpec(0.5, 3.0)},
+            {"trials": 0, "reps_per_bit": 5},
+            {"mode": "montecarlo", "noise": NoiseSpec(0.5, 3.0)},
+            {"mode": "montecarlo", "plates": (WaveplateSpec("HWP", 3.0),)},
         ],
     )
     def test_direct_construction_checks_every_row(self, fields):
