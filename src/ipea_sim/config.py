@@ -24,6 +24,8 @@ naming its line: ``qpe_full`` reads no ``reps``, ``trials``, ``seed``, ``noise``
 or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 (which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
 ``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
+Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
+``trials 0``.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def _column(mode: str, trials: int | None) -> str:
 
 
 def _trials_refusal(mode: str, trials: int | None) -> str | None:
-    if mode == "montecarlo" and trials == 0:
-        return "montecarlo needs trials ≥ 1 (exact mode applies to ipea runs)"
+    if mode in ("montecarlo", "collapse") and trials == 0:
+        return f"{mode} needs trials ≥ 1 (exact mode applies to ipea runs)"
     return None if trials is None else _unread(mode, "trials")
 
 

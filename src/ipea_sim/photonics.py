@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from . import qmath, qpe
+from . import qmath
 from .qmath import ContractError, StateVector, Unitary
 
 __all__ = [
@@ -446,8 +446,8 @@ class PhotonicProvider:
 
     A chunk prepares its input, cascades its blue rails once, and remixes
     and post-selects every rung of the cascade in one stacked pass into
-    one branch per port pattern, odd-parity (Q) ones relabeled by
-    flipping the measured bit; a round only applies its feedback rotation.
+    one branch per port pattern, labeled by its parity ("P" even, "Q"
+    odd); ``qpe`` documents the arrays ``rounds`` returns.
     ``branch_counts`` tallies the branches drawn in sampled runs.
     """
 
@@ -466,18 +466,8 @@ class PhotonicProvider:
         arr = _mix(arr)
         qmath.check_normalized(arr.reshape(m * count, -1))
         states, weight = _postselect_all(arr)
-        qmath.check_normalized(states, live=weight > 0)
-        states = states.reshape((m, count) + states.shape[1:])
-        weight = weight.reshape(m, count, -1)
         labels = tuple(branch.label for branch in parity_cases(target.num_qubits))
-        flip = np.array([label == "Q" for label in labels])
-
-        def table(k: int, omegas) -> qpe.RoundTable:
-            plus, minus = qpe.control_pairs(qpe._rung(states, k), np.asarray(omegas)[:, None])
-            p0, p1 = np.where(flip, minus, plus), np.where(flip, plus, minus)
-            return qpe.RoundTable(qpe._rung(weight, k), p0, p1, labels)
-
-        return table
+        return states.reshape((m, count) + states.shape[1:]), weight.reshape(m, count, -1), labels
 
 
 def jitter_waveplates(

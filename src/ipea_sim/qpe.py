@@ -19,16 +19,23 @@ binary fraction 0.b1...bm.
 
 Controlled-power providers
 --------------------------
-README's provider paragraph gives the interface.  ``_ipea_rounds`` is
-the one round loop: the provider builds every round's branch states of
-a chunk at once, since only the feedback rotation depends on the bits
-already read, and the loop turns each round's branch table into one bit
-per trial, by the majority of sampled repetitions (``ipea_batch``) or by
-the argmax of the posterior (``ipea_run_exact``).  A trial draws a
-round's uniforms as one ``rng.random(n)`` call on its own stream would,
-and picks a branch in the cdf of the normalized weights as
-``Generator.choice`` does, so its estimate depends only on its own
-unitary and stream, never on the batch or chunk it ran in.
+Only the feedback rotation depends on the bits already read, so a
+provider's ``rounds(stack, target, m)`` builds every round of a chunk at
+once, for a ``(T, d, d)`` stack and the shared target.  It returns
+``(states, weight, labels)``: round k's ``(T, B, 2d)`` branch states
+(control qubit first) at ``states[k - 1]``, their ``(T, B)`` weights at
+``weight[k - 1]`` (0 for a branch that never occurs), and the B labels:
+``(None,)`` unbranched, else "P", or "Q" where the measured bit is
+flipped.  ``_ipea_rounds``, the one round loop, checks the shapes and
+every live state's norm once per chunk; per round it rotates rung k by
+each trial's feedback angle, swaps every Q branch's bit pair and turns
+that table into one bit per trial, by the majority of sampled
+repetitions (``ipea_batch``) or the argmax of the posterior
+(``ipea_run_exact``).  A trial draws a round's uniforms as one
+``rng.random(n)`` call on its own stream would, and picks a branch in
+the cdf of the normalized weights as ``Generator.choice`` does, so its
+estimate depends only on its own unitary and stream, never on the batch
+or chunk it ran in.
 """
 
 from __future__ import annotations
@@ -146,14 +153,10 @@ class PhaseEstimate:
             raise ContractError(f"value {self.value!r} does not equal 0.{bits} = {exact!r}")
 
     @classmethod
-    def from_bits(cls, bits) -> "PhaseEstimate":
-        bits = _validated_bits(bits)
-        return cls(bits=bits, value=_numerator(bits) / (1 << len(bits)))
-
-    @classmethod
     def from_numerator(cls, numerator: int, m: int) -> "PhaseEstimate":
         """The m-bit estimate numerator / 2^m."""
-        return cls.from_bits(bits_of(int(numerator), m))
+        numerator = int(numerator)
+        return cls(bits=bits_of(numerator, m), value=numerator / (1 << m))
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -175,14 +178,9 @@ class EigenproblemSpec:
 
 
 class RoundTable(NamedTuple):
-    """One round's branch table for a batch of T trials and B branches.
-
-    ``weight[t, b]`` is the (unnormalized) probability of branch b in
-    trial t, 0 for a branch that never occurs; ``p0`` and ``p1`` are the
-    probabilities of bit 0 and bit 1 within the branch, already swapped
-    on a relabeled ``"Q"`` branch; ``labels`` names the post-selected
-    branches, or is ``(None,)`` for an unbranched realization.
-    """
+    """One round's ``(T, B)`` branch weights and labels, as a provider gave
+    them, and each branch's probabilities ``p0`` and ``p1`` of bit 0 and
+    bit 1 after the feedback rotation, already swapped on a Q branch."""
 
     weight: np.ndarray
     p0: np.ndarray
@@ -262,13 +260,6 @@ def _squaring_ladder(unitaries: np.ndarray, m: int) -> list[np.ndarray]:
     return ladder
 
 
-def _rung(ladder: np.ndarray, k: int) -> np.ndarray:
-    """Round k's entry of a chunk's rung-major stack (rung 1 is the first)."""
-    if not 1 <= k <= len(ladder):
-        raise ContractError(f"iteration index k={k} is outside 1..{len(ladder)}")
-    return ladder[k - 1]
-
-
 class MatrixProvider:
     """Realize C-U^(2^(k-1)) as the explicit block matrix diag(I, W)."""
 
@@ -282,17 +273,11 @@ class MatrixProvider:
         count, dim = len(unitaries), target.dim
         # Round k's rung is every trial's U^(2^(k-1)) applied to the target.
         powered = np.stack(_squaring_ladder(unitaries, m)) @ target.amplitudes[:, None]
-        states = np.empty((m, count, 2 * dim), dtype=complex)
-        states[..., :dim] = target.amplitudes
-        states[..., dim:] = powered[..., 0]
+        states = np.empty((m, count, 1, 2 * dim), dtype=complex)
+        states[..., 0, :dim] = target.amplitudes
+        states[..., 0, dim:] = powered[..., 0]
         states *= _SQRT1_2
-        qmath.check_normalized(states)
-
-        def table(k: int, omegas) -> RoundTable:
-            plus, minus = control_pairs(_rung(states, k), omegas)
-            return RoundTable(np.ones((count, 1)), plus[:, None], minus[:, None], (None,))
-
-        return table
+        return states, np.ones((m, count, 1)), (None,)
 
 
 def resolve_provider(provider):
@@ -345,11 +330,6 @@ def _draw_round(table: RoundTable, reps: int, draws) -> tuple[np.ndarray, dict]:
     """
     weight, p0, p1, labels = table
     count = len(draws)
-    if weight.shape != (count, len(labels)) or not p0.shape == p1.shape == weight.shape:
-        raise ContractError(
-            f"round table of shape {weight.shape} does not cover {count} trial(s) "
-            f"and {len(labels)} branch(es)"
-        )
     single = len(labels) == 1 and labels[0] is None
     cdf = None if single else _branch_cdfs(weight)
     u = draws.uniforms(reps if single else 2 * reps)
@@ -405,6 +385,17 @@ def batch_trials(reps_per_bit: int) -> int:
     return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
 
 
+def _round_table(rounds, k: int, omegas) -> RoundTable:
+    """Round k's branch table: rung k's states after each trial's feedback
+    rotation, the bit pair of every Q branch swapped."""
+    states, weight, labels = rounds
+    plus, minus = control_pairs(states[k - 1], omegas[:, None])
+    if "Q" in labels:
+        flip = np.array([label == "Q" for label in labels])
+        plus, minus = np.where(flip, minus, plus), np.where(flip, plus, minus)
+    return RoundTable(weight[k - 1], plus, minus, labels)
+
+
 def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decide):
     """The IPEA round loop over one chunk of trials; returns their numerators.
 
@@ -412,10 +403,19 @@ def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decid
     down to 1, and ``decide`` turns round k's branch table into every
     trial's bit, which feeds that trial's next feedback rotation.
     """
+    states, weight, labels = provider.rounds(stack, target, m)
+    states, weight, labels = np.asarray(states), np.asarray(weight), tuple(labels)
+    shape = (m, len(stack), len(labels))
+    if weight.shape != shape or states.shape != shape + (2 * target.dim,):
+        raise ContractError(
+            f"rounds of shapes {states.shape} and {weight.shape} do not cover {m} round(s), "
+            f"{len(stack)} trial(s) and {len(labels)} branch(es) of {2 * target.dim} amplitudes"
+        )
+    qmath.check_normalized(states, live=weight > 0)
+    rounds = states, weight, labels
     numerators = np.zeros(len(stack), dtype=np.int64)
-    table = provider.rounds(stack, target, m)
     for k in range(m, 0, -1):
-        bits = decide(table(k, _feedback_angles(numerators, m - k)))
+        bits = decide(_round_table(rounds, k, _feedback_angles(numerators, m - k)))
         numerators |= bits.astype(np.int64) << (m - k)
     return numerators
 

@@ -274,6 +274,8 @@ class TestStudyCommands:
             ["fig5", "--shots", "-1"],
             ["fig5", "--resamples", "0"],
             ["fig5", "--resamples", "-1"],
+            ["fig5", "--noise-p", "0.5", "--no-noise", "--shots", "0"],
+            ["fig5", "--noise-sigma", "1", "--no-noise", "--shots", "0"],
         ],
         ids=" ".join,
     )

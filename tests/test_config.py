@@ -190,7 +190,11 @@ class TestRejections:
         expect_error("mode collapse\n", "requires a unitary", None)
 
     def test_montecarlo_zero_trials(self):
+        # only ipea has an exact mode, so collapse refuses trials 0 too
         expect_error("mode montecarlo\ntrials 0\n", "trials ≥ 1", 2)
+        expect_error(
+            "mode collapse\nunitary hwp 0 hwp 30\ntrials 0\n", "collapse needs trials ≥ 1", 3
+        )
 
     def test_qpe_full_multi_trials(self, tmp_path, capsys):
         expect_error(
@@ -396,6 +400,7 @@ class TestConfigObject:
             {"trials": 0, "reps_per_bit": 5},
             {"mode": "montecarlo", "noise": NoiseSpec(0.5, 3.0)},
             {"mode": "montecarlo", "plates": (WaveplateSpec("HWP", 3.0),)},
+            {"mode": "collapse", "trials": 0},
         ],
     )
     def test_direct_construction_checks_every_row(self, fields):

@@ -174,7 +174,8 @@ def _weighted_pair(table):
 
 
 def _one_trial_table(provider, unitary, target, k, omega):
-    return provider.rounds(unitary.matrix[None], target, k)(k, np.array([omega]))
+    rounds = provider.rounds(unitary.matrix[None], target, k)
+    return qpe._round_table(rounds, k, np.array([omega]))
 
 
 class TestPhotonicProvider:

@@ -1,5 +1,7 @@
 """Engine checks: feedback arithmetic, iterative and full-register runs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +42,6 @@ from ipea_sim.qpe import (
     EigenproblemSpec,
     MatrixProvider,
     PhaseEstimate,
-    RoundTable,
     bits_of,
     circular_distance,
     collapse_project,
@@ -52,6 +53,7 @@ from ipea_sim.qpe import (
     qpe_full_distribution,
     resolve_provider,
 )
+from ipea_sim.qpe import _round_table
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -86,10 +88,12 @@ class TestFeedbackArithmetic:
 
 
 class TestPhaseEstimate:
-    def test_from_bits(self):
-        est = PhaseEstimate.from_bits((1, 1, 0))
+    def test_from_numerator(self):
+        est = PhaseEstimate.from_numerator(6, 3)
+        assert est.bits == (1, 1, 0)
         assert est.value == 0.75
         assert est.as_string() == "110"
+        assert est == PhaseEstimate(bits=(1, 1, 0), value=0.75)
 
     def test_rejects_inconsistent_value(self):
         with pytest.raises(ContractError):
@@ -97,7 +101,25 @@ class TestPhaseEstimate:
 
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
-            PhaseEstimate.from_bits(())
+            PhaseEstimate.from_numerator(0, 0)
+        with pytest.raises(ContractError):
+            PhaseEstimate(bits=(), value=0.0)
+
+
+class Custom:
+    """A provider that hands the engine the same branches every round: weights
+    ``weights``, each state ``amplitude`` |0> (``dead`` |0> where the weight is
+    0), its states cut to ``states[cut]``."""
+
+    def __init__(self, weights, labels, amplitude=1.0, dead=1.0, cut=()):
+        self.weights, self.labels = np.array(weights, dtype=float), labels
+        self.amplitude, self.dead, self.cut = amplitude, dead, cut
+
+    def rounds(self, unitaries, target, m):
+        weight = np.tile(self.weights, (m, len(unitaries), 1))
+        states = np.zeros(weight.shape + (2 * target.dim,), dtype=complex)
+        states[..., 0] = np.where(weight > 0, self.amplitude, self.dead)
+        return states[self.cut], weight, self.labels
 
 
 class TestProviders:
@@ -106,8 +128,10 @@ class TestProviders:
         # k=3 applies U^4: the control picks up half a turn, so "-" is
         # certain unless the feedback rotation takes the half turn back;
         # every trial of the batch gets its own rotation
-        rounds = MatrixProvider().rounds(np.stack([u, u]), basis_state(1, 1), 3)
-        table = rounds(3, np.array([0.0, -np.pi]))
+        states, weight, labels = MatrixProvider().rounds(np.stack([u, u]), basis_state(1, 1), 3)
+        assert (states.shape, weight.shape, labels) == ((3, 2, 1, 4), (3, 2, 1), (None,))
+        assert (weight == 1.0).all()
+        table = _round_table((states, weight, labels), 3, np.array([0.0, -np.pi]))
         assert table.labels == (None,)
         assert table.weight.tolist() == [[1.0], [1.0]]
         np.testing.assert_allclose(table.p0, [[0.0], [1.0]], atol=1e-12)
@@ -115,7 +139,7 @@ class TestProviders:
 
     def test_ancilla_distribution_frozen_value(self):
         rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
-        table = rounds(1, np.array([0.0]))
+        table = _round_table(rounds, 1, np.array([0.0]))
         assert table.p0[0, 0] == pytest.approx(COS2_0625, abs=1e-12)
         assert table.p1[0, 0] == pytest.approx(1.0 - COS2_0625, abs=1e-12)
 
@@ -132,29 +156,33 @@ class TestProviders:
             resolve_provider(object())
 
     def test_branch_weights_must_normalize(self):
-        # a table whose weights cannot be normalized is refused once per
-        # round, as a contract violation rather than numpy's ValueError
-        def table(weights):
-            w = np.array([weights], dtype=float)
-            labels = ("P", "Q")[: w.shape[1]]
-            return RoundTable(w, np.full_like(w, 0.5), np.full_like(w, 0.5), labels)
-
-        class Empty:
-            def rounds(self, unitaries, target, m):
-                return lambda k, omegas: table(np.zeros(0))
-
-        class Weightless:
-            def rounds(self, unitaries, target, m):
-                return lambda k, omegas: table([0.0, 0.0])
-
-        class Negative:
-            def rounds(self, unitaries, target, m):
-                return lambda k, omegas: table([2.0, -1.0])
-
+        # weights that cannot be normalized are refused once per round,
+        # as a contract violation rather than numpy's ValueError
         spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
-        for prov in (Empty(), Weightless(), Negative()):
+        for weights in (np.zeros(0), [0.0, 0.0], [2.0, -1.0]):
+            prov = Custom(weights, ("P", "Q")[: len(weights)])
             with pytest.raises(ContractError, match="sum to 1"):
                 ipea_run(spec, 2, 3, prov, derive_rng(0))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_custom_rounds_are_checked(self, exact):
+        # the round engine checks every provider's arrays once per chunk,
+        # in both modes: their shapes, and the norm of every live state
+        spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
+
+        def run(prov):
+            if exact:
+                return ipea_run_exact(spec, 2, prov).estimate
+            return ipea_run(spec, 2, 3, prov, derive_rng(0))
+
+        with pytest.raises(ContractError, match=re.escape("not normalized: sum |a|^2 = 4.0")):
+            run(Custom([1.0], (None,), amplitude=2.0))
+        # a branch that never occurs is exempt, whatever its norm
+        assert len(run(Custom([1.0, 0.0], ("P", "Q"), dead=3.0)).bits) == 2
+        # no branch axis, a round short, a state short, no trials
+        for cut in (np.s_[:, :, 0], np.s_[1:], np.s_[..., 1:], np.s_[:, :0]):
+            with pytest.raises(ContractError, match="do not cover 2 round"):
+                run(Custom([1.0], (None,), cut=cut))
 
 
 class TestIterativeRuns:
@@ -436,13 +464,12 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
 
         def rounds(self, unitaries, target, m):
             seen.append(len(unitaries))
-            table = self.inner.rounds(unitaries, target, m)
+            return self.inner.rounds(unitaries, target, m)
 
-            def recorded(k, omegas):
-                tables.append((len(seen), k))
-                return table(k, omegas)
-
-            return recorded
+    def recorded(rounds, k, omegas):
+        assert len(omegas) == seen[-1]
+        tables.append((len(seen), k))
+        return _round_table(rounds, k, omegas)
 
     phases = derive_rng(9).random(70)
     stack = np.array([phase_unitary(phi).matrix for phi in phases])
@@ -451,6 +478,7 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
         whole = ipea_batch(*args, provider, TrialStreams(9, (), range(trials)))
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
+            patch.setattr(qpe, "_round_table", recorded)
             seen.clear()
             tables.clear()
             chunked = ipea_batch(*args, Recording(), TrialStreams(9, (), range(trials)))
@@ -576,8 +604,10 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
     rounds = prov.rounds(stack, target, m)
     for k in range(m, 0, -1):
         omegas = -2.0 * np.pi * rng.random(trials)
-        got = rounds(k, omegas)
-        want = prov.rounds(stack, target, k)(k, omegas)
+        stopped = prov.rounds(stack, target, k)
+        for built, alone in zip(rounds[:2], stopped[:2]):
+            np.testing.assert_array_equal(built[k - 1], alone[k - 1])
+        got, want = _round_table(rounds, k, omegas), _round_table(stopped, k, omegas)
         assert got.labels == want.labels
         for field in ("weight", "p0", "p1"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -648,7 +678,7 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     built = m if provider == "matrix" else 1 << (m - 1)
     assert Counting.products == built
     for k in range(m, 0, -1):
-        rounds(k, np.zeros(3))
+        _round_table(rounds, k, np.zeros(3))
         assert Counting.products == built
     if provider == "matrix":
         assert calls == {"_prepare": 0, "_blue_ladder": 0}
