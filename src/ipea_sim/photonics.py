@@ -458,12 +458,11 @@ class PhotonicProvider:
 
     def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
         count = len(unitaries)
+        # The target is a checked StateVector, so the prepared input needs no
+        # norm check; _mix is unitary, so one check after it also covers the cascade.
         prepared = _prepare(target.amplitudes, count)
-        qmath.check_normalized(prepared.reshape(count, -1))
         # Rows are rung-major: row (k - 1) * count + t is trial t at rung k.
-        arr = _with_blue(prepared, np.concatenate(_blue_ladder(prepared, unitaries, m)))
-        qmath.check_normalized(arr.reshape(m * count, -1))
-        arr = _mix(arr)
+        arr = _mix(_with_blue(prepared, np.concatenate(_blue_ladder(prepared, unitaries, m))))
         qmath.check_normalized(arr.reshape(m * count, -1))
         states, weight = _postselect_all(arr)
         labels = tuple(branch.label for branch in parity_cases(target.num_qubits))

@@ -26,16 +26,19 @@ once, for a ``(T, d, d)`` stack and the shared target.  It returns
 (control qubit first) at ``states[k - 1]``, their ``(T, B)`` weights at
 ``weight[k - 1]`` (0 for a branch that never occurs), and the B labels:
 ``(None,)`` unbranched, else "P", or "Q" where the measured bit is
-flipped.  ``_ipea_rounds``, the one round loop, checks the shapes and
-every live state's norm once per chunk; per round it rotates rung k by
-each trial's feedback angle, swaps every Q branch's bit pair and turns
-that table into one bit per trial, by the majority of sampled
-repetitions (``ipea_batch``) or the argmax of the posterior
-(``ipea_run_exact``).  A trial draws a round's uniforms as one
-``rng.random(n)`` call on its own stream would, and picks a branch in
-the cdf of the normalized weights as ``Generator.choice`` does, so its
-estimate depends only on its own unitary and stream, never on the batch
-or chunk it ran in.
+flipped.  Work that no measured bit affects runs once per chunk: the
+engine checks the arrays' shapes, every live state's norm and every
+rung's weights (non-negative, with a positive finite sum), and a sampled
+chunk (``ipea_batch``) draws each trial's uniforms for all m rounds in
+one request, picks every repetition's branch in the cdf of its rung's
+normalized weights, as ``Generator.choice`` does, and tallies the picks.
+Per round, ``_ipea_rounds``, the one round loop, rotates rung k by each
+trial's feedback angle, swaps every Q branch's bit pair and turns that
+table into one bit per trial: the majority vote of the repetitions'
+outcomes on their picked branches (sampled) or the argmax of the
+posterior (``ipea_run_exact``).  A trial reads the uniforms its own
+stream's ``rng.random`` calls would give, so its estimate depends only
+on its own unitary and stream, never on the batch or chunk it ran in.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ __all__ = [
     "bits_of",
 ]
 
-# A round of one chunk of trials draws at most this many uniforms.
+# A round of one chunk of trials reads at most this many uniforms; a chunk
+# draws its m rounds' uniforms in one request, at most m times this many.
 MAX_ROUND_UNIFORMS = 1 << 16
 # Majority votes per bit when a run names none (the ``reps`` directive's default).
 DEFAULT_REPS = 11
@@ -295,60 +299,78 @@ def resolve_provider(provider):
     raise ContractError(f"object {provider!r} does not implement the provider interface")
 
 
-# Generator.choice rejects probabilities whose sum misses 1 by more than this.
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+def _branch_totals(weight: np.ndarray) -> np.ndarray:
+    total = np.zeros(weight.shape[:-1])
+    for b in range(weight.shape[-1]):  # in branch order, as the builtin sum adds them
+        total += weight[..., b]
+    return total
+
+
+def _check_weights(weight: np.ndarray) -> None:
+    """Refuse any rung of ``(m, T, B)`` branch weights that cannot be
+    normalized: one with a negative weight, or whose sum is not positive
+    and finite.  Normalized, any other rung sums to 1 within a few ulps,
+    well inside Generator.choice's tolerance."""
+    total = _branch_totals(weight)
+    bad = ~((total > 0) & (total < np.inf)) | (weight < 0).any(axis=-1)
+    if bad.any():
+        k, t = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ContractError(
+            "branch probabilities must be non-negative and sum to 1, "
+            f"got weights {weight[k, t].tolist()} in round {k + 1} of trial {t}"
+        )
 
 
 def _branch_cdfs(weight: np.ndarray) -> np.ndarray:
-    """Each trial's cumulative branch distribution, checked and built as
-    Generator.choice does."""
-    total = np.zeros(len(weight))
-    for column in weight.T:  # in branch order, as the builtin sum adds them
-        total += column
-    p = weight / np.where(total > 0, total, 1.0)[:, None]
-    bad = (p < 0).any(axis=1) | ~(np.abs(p.sum(axis=1) - 1.0) <= _CHOICE_ATOL)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ContractError(
-            "branch probabilities must be non-negative and sum to 1, "
-            f"got weights {weight[t].tolist()}"
-        )
-    cdf = np.cumsum(p, axis=1)
-    cdf /= cdf[:, -1:]
+    """Each row's cumulative branch distribution over the last axis, built
+    from checked weights as Generator.choice builds it."""
+    cdf = np.cumsum(weight / _branch_totals(weight)[..., None], axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-def _draw_round(table: RoundTable, reps: int, draws) -> tuple[np.ndarray, dict]:
-    """Majority bit of every trial's ``reps`` repetitions, and the drawn branches.
+def _majority_votes(rounds, reps: int, draws):
+    """The part of a chunk's sampled rounds that no measured bit affects:
+    every uniform drawn, every branch picked and tallied, once.
 
-    A table that is a single unlabeled branch takes one uniform per
-    repetition, for the control outcome.  Any other table takes two per
-    repetition: the branch, then the control outcome.  ``draws`` is the
-    chunk's uniform source: ``draws.uniforms(n)`` is the next n uniforms
-    of each of its trials.  Returns the trials' bits and a label ->
-    per-trial count dict of drawn branches.
+    A repetition of an unbranched round takes one uniform, for the control
+    outcome; any other takes two: the branch, then the outcome.  Each
+    trial's m rounds come from one ``draws.uniforms(m * n)`` request, which
+    reads what m requests of n would, round m first.  Returns ``vote(k,
+    table)``, every trial's majority bit in round k from its table, and a
+    label -> per-trial count dict of the picked branches.
     """
-    weight, p0, p1, labels = table
-    count = len(draws)
-    single = len(labels) == 1 and labels[0] is None
-    cdf = None if single else _branch_cdfs(weight)
-    u = draws.uniforms(reps if single else 2 * reps)
-    if single:
-        # "+" (bit 0) when the uniform falls below P(+).
-        return (u >= p0).sum(axis=1) > reps // 2, {}
+    _, weight, labels = rounds
+    m, count, width = weight.shape
+    per = 1 if len(labels) == 1 and labels[0] is None else 2
+    u = draws.uniforms(m * reps * per).reshape(count, m, reps, per)
+    # Rung-major like the rounds: u[k - 1] holds round k's (T, reps, per) uniforms.
+    u = u.swapaxes(0, 1)[::-1]
+    outcome = u[..., -1]
+    if per == 1:
+
+        def vote(k: int, table: RoundTable) -> np.ndarray:
+            # "+" (bit 0) when the uniform falls below P(+).
+            return (outcome[k - 1] >= table.p0).sum(axis=1) > reps // 2
+
+        return vote, {}
     # searchsorted(cdf, u, side="right"): the number of cdf entries <= u,
     # so a zero-width branch is never picked.
-    picks = (cdf[:, None, :] <= u[:, 0::2, None]).sum(axis=2)
-    flip = np.array([label == "Q" for label in labels], dtype=bool)[picks]
-    # "+" (bit 0 before relabeling) when the uniform falls below P(+) as
-    # measured, i.e. before a Q branch's relabeling swapped the pair.
-    trial = np.arange(count)[:, None]
-    plus = np.where(flip, p1[trial, picks], p0[trial, picks])
-    bits = (u[:, 1::2] >= plus) ^ flip
+    picks = (_branch_cdfs(weight)[:, :, None, :] <= u[..., :1]).sum(axis=-1)
+    q = np.array([label == "Q" for label in labels], dtype=bool)
+    flip = q[picks]
     drawn: dict = {}
     for b, label in enumerate(labels):
-        drawn[label] = drawn.get(label, 0) + (picks == b).sum(axis=1)
-    return bits.sum(axis=1) > reps // 2, drawn
+        drawn[label] = drawn.get(label, 0) + (picks == b).sum(axis=(0, 2))
+    picks += width * np.arange(count)[:, None]  # flat indices into a (T, B) table
+
+    def vote(k: int, table: RoundTable) -> np.ndarray:
+        # "+" (bit 0 before relabeling) when the uniform falls below P(+) as
+        # measured, i.e. before a Q branch's relabeling swapped the pair.
+        plus = np.where(q, table.p1, table.p0).take(picks[k - 1])
+        return ((outcome[k - 1] >= plus) ^ flip[k - 1]).sum(axis=1) > reps // 2
+
+    return vote, drawn
 
 
 def _check_reps(reps_per_bit: int) -> None:
@@ -380,7 +402,7 @@ def _checked_stack(unitaries, dim: int) -> np.ndarray:
 
 
 def batch_trials(reps_per_bit: int) -> int:
-    """Trials per chunk, so that one round draws at most MAX_ROUND_UNIFORMS uniforms."""
+    """Trials per chunk, so that one round reads at most MAX_ROUND_UNIFORMS uniforms."""
     _check_reps(reps_per_bit)
     return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
 
@@ -396,13 +418,9 @@ def _round_table(rounds, k: int, omegas) -> RoundTable:
     return RoundTable(weight[k - 1], plus, minus, labels)
 
 
-def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decide):
-    """The IPEA round loop over one chunk of trials; returns their numerators.
-
-    The provider builds the chunk's rounds once.  Rounds then run k = m
-    down to 1, and ``decide`` turns round k's branch table into every
-    trial's bit, which feeds that trial's next feedback rotation.
-    """
+def _chunk_rounds(provider, stack: np.ndarray, target: StateVector, m: int):
+    """The provider's rounds for one chunk of trials, checked once: their
+    shapes, every live state's norm and every rung's branch weights."""
     states, weight, labels = provider.rounds(stack, target, m)
     states, weight, labels = np.asarray(states), np.asarray(weight), tuple(labels)
     shape = (m, len(stack), len(labels))
@@ -412,10 +430,21 @@ def _ipea_rounds(provider, stack: np.ndarray, target: StateVector, m: int, decid
             f"{len(stack)} trial(s) and {len(labels)} branch(es) of {2 * target.dim} amplitudes"
         )
     qmath.check_normalized(states, live=weight > 0)
-    rounds = states, weight, labels
-    numerators = np.zeros(len(stack), dtype=np.int64)
+    _check_weights(weight)
+    return states, weight, labels
+
+
+def _ipea_rounds(rounds, decide) -> np.ndarray:
+    """The IPEA round loop over one chunk's rounds; returns the trials' numerators.
+
+    Rounds run k = m down to 1, and ``decide(k, table)`` turns round k's
+    branch table into every trial's bit, which feeds that trial's next
+    feedback rotation.
+    """
+    m, count = rounds[1].shape[:2]
+    numerators = np.zeros(count, dtype=np.int64)
     for k in range(m, 0, -1):
-        bits = decide(_round_table(rounds, k, _feedback_angles(numerators, m - k)))
+        bits = decide(k, _round_table(rounds, k, _feedback_angles(numerators, m - k)))
         numerators |= bits.astype(np.int64) << (m - k)
     return numerators
 
@@ -472,16 +501,11 @@ def ipea_batch(
     step = batch_trials(reps_per_bit)
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
-        source = draws.rows(start, start + step)
-
-        def majority(table: RoundTable, chunk=chunk, source=source) -> np.ndarray:
-            bits, drawn = _draw_round(table, reps_per_bit, source)
-            for label, counts in drawn.items():
-                tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts
-            return bits
-
-        stack = _checked_stack(unitaries[chunk], target.dim)
-        numerators[chunk] = _ipea_rounds(provider, stack, target, m, majority)
+        rounds = _chunk_rounds(provider, _checked_stack(unitaries[chunk], target.dim), target, m)
+        vote, drawn = _majority_votes(rounds, reps_per_bit, draws.rows(start, start + step))
+        for label, counts in drawn.items():
+            tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts
+        numerators[chunk] = _ipea_rounds(rounds, vote)
     branch_counts = getattr(provider, "branch_counts", None)
     if branch_counts is not None:
         for label, counts in tally.items():
@@ -515,14 +539,15 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
         raise ContractError(f"bit count m must be >= 1, got {m}")
     posteriors: list[float] = []
 
-    def argmax(table: RoundTable) -> np.ndarray:
+    def argmax(k: int, table: RoundTable) -> np.ndarray:
         weight, p0, p1 = (column[0].tolist() for column in table[:3])
         post0, post1 = (sum(w * p for w, p in zip(weight, ps)) / sum(weight) for ps in (p0, p1))
         posteriors.append(post1 if post1 > post0 else post0)
         return np.array([post1 > post0])
 
     stack = spec.unitary.matrix[None]
-    numerators = _ipea_rounds(resolve_provider(provider), stack, spec.input_state, m, argmax)
+    rounds = _chunk_rounds(resolve_provider(provider), stack, spec.input_state, m)
+    numerators = _ipea_rounds(rounds, argmax)
     return ExactIpeaResult(PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors))
 
 

@@ -252,6 +252,14 @@ class TestPhotonicStateValidation:
         with pytest.raises(ContractError):
             apply_blue_unitary(state, hwp(0.0), 1)
 
+    def test_cascade_drift_is_refused(self):
+        # a stack within the unitarity tolerance whose norm drifts over the
+        # cascade's 2^15 passes is refused by the check after the beamsplitters
+        matrix = compose_waveplates([hwp(10.0), hwp(47.0)]).matrix * (1 + 4e-11)
+        spec = qpe.EigenproblemSpec(Unitary(matrix), polarization_state("R"))
+        with pytest.raises(ContractError, match="not normalized"):
+            qpe.ipea_run_exact(spec, 16, "photonic")
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))

@@ -155,14 +155,28 @@ class TestProviders:
         with pytest.raises(ContractError):
             resolve_provider(object())
 
-    def test_branch_weights_must_normalize(self):
-        # weights that cannot be normalized are refused once per round,
-        # as a contract violation rather than numpy's ValueError
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_branch_weights_must_normalize(self, exact):
+        # weights that are negative or cannot be normalized are refused once
+        # per chunk in both modes, a lone unlabeled branch's too, as a
+        # contract violation rather than numpy's ValueError, a
+        # ZeroDivisionError or a meaningless posterior
         spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
-        for weights in (np.zeros(0), [0.0, 0.0], [2.0, -1.0]):
-            prov = Custom(weights, ("P", "Q")[: len(weights)])
+        cases = [
+            (np.zeros(0), ()),
+            ([0.0, 0.0], ("P", "Q")),
+            ([2.0, -1.0], ("P", "Q")),
+            ([-1.0, -1.0], ("P", "Q")),
+            ([0.0], (None,)),
+            ([-1.0], (None,)),
+        ]
+        for weights, labels in cases:
+            prov = Custom(weights, labels)
             with pytest.raises(ContractError, match="sum to 1"):
-                ipea_run(spec, 2, 3, prov, derive_rng(0))
+                if exact:
+                    ipea_run_exact(spec, 2, prov)
+                else:
+                    ipea_run(spec, 2, 3, prov, derive_rng(0))
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_custom_rounds_are_checked(self, exact):
@@ -437,6 +451,20 @@ def test_ipea_batch_matches_per_trial_reference(seed, trials, num_qubits, m, rep
         assert prov.branch_counts == total
     else:
         assert batch.branch_tally == {}
+
+
+@pytest.mark.parametrize("provider, per_rep", [("matrix", 1), ("photonic", 2)])
+def test_ipea_run_advances_the_callers_generator_by_its_uniforms(provider, per_rep):
+    # A run of m rounds of reps repetitions draws exactly m * reps uniforms
+    # (matrix: the outcome) or m * 2 * reps (photonic: the branch, then the
+    # outcome) from the caller's generator, so the caller's next draw is
+    # that of a twin that drew them itself.
+    m, reps = 5, 3
+    spec = EigenproblemSpec(compose_waveplates([hwp(10.0), hwp(47.0)]), polarization_state("R"))
+    rng, twin = derive_rng(12), derive_rng(12)
+    ipea_run(spec, m, reps, provider, rng)
+    twin.random(m * per_rep * reps)
+    assert rng.random(4).tolist() == twin.random(4).tolist()
 
 
 def test_ipea_batch_needs_one_stream_per_trial():
