@@ -30,7 +30,6 @@ from .photonics import (
     NoiseSpec,
     WaveplateSpec,
     compose_waveplates,
-    hwp,
     jitter_waveplates,
     oracle_eigenphase,
     polarization_state,
@@ -178,7 +177,8 @@ def run_fig4(
     photonic provider in sampled mode) the even-parity branch fraction.
     Success means the error stays below 2^-4.
     """
-    unitaries = [compose_waveplates([hwp(0.0), hwp(theta)]) for theta in FIG4_THETAS]
+    first = WaveplateSpec("HWP", 0.0)
+    unitaries = [compose_waveplates([first, WaveplateSpec("HWP", t)]) for t in FIG4_THETAS]
     target = polarization_state("R")
     if exact:
         estimates = [

@@ -19,6 +19,7 @@ phase prefactor.  Angles are degrees everywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -71,15 +72,19 @@ class DegeneracyError(ContractError):
 
 
 def polarization_state(label: str) -> StateVector:
-    """Single-photon polarization state for a letter label."""
+    """Single-photon polarization state for a letter label, built once per label."""
     try:
-        vec = POLARIZATION_STATES[label]
-    except KeyError:
+        return _polarization_state(label)
+    except (KeyError, TypeError):  # unknown, or unhashable so never a label
         raise ContractError(
             f"unknown polarization {label!r}, expected one of "
             f"{sorted(POLARIZATION_STATES)}"
         ) from None
-    return StateVector(1, vec)
+
+
+@functools.cache
+def _polarization_state(label: str) -> StateVector:
+    return StateVector(1, POLARIZATION_STATES[label])
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +139,11 @@ class WaveplateSpec:
         object.__setattr__(self, "angle_deg", angle)
 
     def jones(self) -> Unitary:
-        if self.kind == "HWP":
-            return hwp(self.angle_deg)
-        return qwp(self.angle_deg)
+        return Unitary(self._matrix())
+
+    def _matrix(self) -> np.ndarray:
+        # The raw Jones matrix, unchecked.
+        return (_hwp if self.kind == "HWP" else _qwp)(self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -185,45 +192,54 @@ class NoiseSpec:
             )
 
 
-def hwp(theta_deg: float) -> Unitary:
-    """Half waveplate with fast axis at ``theta_deg`` degrees."""
+def _hwp(theta_deg: float) -> np.ndarray:
     t = np.deg2rad(float(theta_deg))
     c, s = np.cos(2.0 * t), np.sin(2.0 * t)
-    return Unitary(np.array([[c, s], [s, -c]], dtype=complex))
+    return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def qwp(theta_deg: float) -> Unitary:
-    """Quarter waveplate with fast axis at ``theta_deg`` degrees."""
+def _qwp(theta_deg: float) -> np.ndarray:
     t = np.deg2rad(float(theta_deg))
     c, s = np.cos(t), np.sin(t)
-    m = np.array(
+    return np.array(
         [
             [c * c + 1j * s * s, (1.0 - 1j) * s * c],
             [(1.0 - 1j) * s * c, s * s + 1j * c * c],
         ],
         dtype=complex,
     )
-    return Unitary(m)
+
+
+def hwp(theta_deg: float) -> Unitary:
+    """Half waveplate with fast axis at ``theta_deg`` degrees."""
+    return Unitary(_hwp(theta_deg))
+
+
+def qwp(theta_deg: float) -> Unitary:
+    """Quarter waveplate with fast axis at ``theta_deg`` degrees."""
+    return Unitary(_qwp(theta_deg))
 
 
 def compose_waveplates(plates) -> Unitary:
-    """Product of a waveplate train; the first listed plate acts first."""
+    """Product of a waveplate train; the first listed plate acts first.
+
+    Specs enter as raw Jones matrices, so only the product is checked."""
     plates = list(plates)
     if not plates:
         raise ContractError("waveplate train must contain at least one plate")
     matrix = np.eye(2, dtype=complex)
     for plate in plates:
         if isinstance(plate, WaveplateSpec):
-            u = plate.jones()
+            jones = plate._matrix()
         elif isinstance(plate, Unitary):
             if plate.dim != 2:
                 raise ContractError("waveplate matrices must be 2x2")
-            u = plate
+            jones = plate.matrix
         else:
             raise ContractError(
                 f"expected WaveplateSpec or Unitary, got {type(plate).__name__}"
             )
-        matrix = u.matrix @ matrix
+        matrix = jones @ matrix
     return Unitary(matrix)
 
 
@@ -409,12 +425,16 @@ def parity_cases(n: int, label: str | None = None) -> tuple[ParityBranch, ...]:
         raise ContractError(f"need at least one target, got {n}")
     if label not in (None, "P", "Q"):
         raise ContractError(f"label must be 'P', 'Q', or None, got {label!r}")
-    branches = []
-    for pattern in product((0, 1), repeat=n):
-        tag = "P" if sum(pattern) % 2 == 0 else "Q"
-        if label is None or tag == label:
-            branches.append(ParityBranch(tag, pattern))
-    return tuple(branches)
+    branches = _parity_cases(n)
+    return branches if label is None else tuple(b for b in branches if b.label == label)
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 fails as it did uncached
+def _parity_cases(n: int) -> tuple[ParityBranch, ...]:
+    return tuple(
+        ParityBranch("P" if sum(pattern) % 2 == 0 else "Q", pattern)
+        for pattern in product((0, 1), repeat=n)
+    )
 
 
 def postselect(

@@ -252,8 +252,23 @@ def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe with a 4-word pool).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 _POOL = 4
+
+
+def _chain(const: int, mult: int, steps: int) -> np.ndarray:
+    # The constants of ``steps`` successive word hashes and the one after, as
+    # (steps + 1, 1) uint32 rows: hash i xors with row i and multiplies by row i + 1.
+    chain = [const]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+# Every key walks the same constants; chain A covers up to 10 shared words.
+_CHAIN_A = _chain(_INIT_A, _MULT_A, 64)
+_CHAIN_B = _chain(_INIT_B, _MULT_B, _POOL)
 
 
 def _words32(value: int) -> list[int]:
@@ -267,29 +282,17 @@ def _words32(value: int) -> list[int]:
     return words
 
 
-def _hash(value: int, const: int, mult: int) -> tuple[int, int]:
-    # One step of SeedSequence's word hash: the hashed word and the next constant.
-    value ^= const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+def _hash_rows(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    # SeedSequence's word hash on uint32 arrays: hash i of ``chain`` rows
+    # i..i+POOL on row i of ``values``, or on every row's copy of a 1-D one.
+    values = (values ^ chain[:-1]) * chain[1:]
+    return values ^ values >> _SHIFT
 
 
-def _hash_rows(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    # ``_hash`` of row i of a uint32 array at the i-th of successive steps.
-    xor, times = [], []
-    for _ in range(len(values)):
-        xor.append(const)
-        const = const * mult & _MASK32
-        times.append(const)
-    values = (values ^ np.array(xor, np.uint32)[:, None]) * np.array(times, np.uint32)[:, None]
-    return values ^ values >> np.uint32(16), const
-
-
-def _mix(x, y):
-    # SeedSequence's pool mix, on ints or on uint32 arrays.
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # SeedSequence's pool mix on uint32 arrays, which wrap as its 32-bit words do.
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> _SHIFT
 
 
 def _spawn_keys(master_seed: int, stream: tuple, trials) -> np.ndarray:
@@ -297,44 +300,42 @@ def _spawn_keys(master_seed: int, stream: tuple, trials) -> np.ndarray:
 
     The arithmetic of ``SeedSequence.mix_entropy`` and
     ``generate_state(2, np.uint64)``.  Every trial shares the run entropy
-    and the stream prefix, so the pool absorbs those once; each pool word
-    then absorbs a trial's index words on its own, so the rest is a few
-    array steps over every trial and pool word at once.
+    and the stream prefix, so one ``SeedSequence(master_seed,
+    spawn_key=stream)`` absorbs those into its pool; each pool word then
+    absorbs a trial's index words on its own, continuing the hash chain,
+    so the rest is a few array steps over every trial and pool word at
+    once, with constants read from chains computed once at import.
     """
     try:
         trials = np.asarray(trials, dtype=np.uint64).reshape(-1)
     except OverflowError as exc:
         raise ContractError(f"trial indices must lie in 0..2^64-1: {exc}") from exc
-    run = _words32(int(master_seed))
-    # with a spawn key, the run entropy is padded to the pool size
-    run += [0] * (_POOL - len(run))
-    const, pool = _INIT_A, []
-    for word in run[:_POOL]:
-        word, const = _hash(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                word, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for word in run[_POOL:] + [w for s in stream for w in _words32(int(s))]:
-        for dst in range(_POOL):
-            hashed, const = _hash(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
-    keys = np.empty((len(trials), 2), dtype=np.uint64)
+    # the run entropy's words past the pool size, then the stream's, precede a trial's
+    shared = max(0, len(_words32(int(master_seed))) - _POOL)
+    shared += sum(len(_words32(int(s))) for s in stream)
+    pool = np.random.SeedSequence(int(master_seed), spawn_key=tuple(map(int, stream))).pool
+    # the pool's fill and cross-mix take POOL * POOL hashes, each shared word POOL more
+    start = _POOL * _POOL + _POOL * shared
+    chain = _CHAIN_A
+    if start + 2 * _POOL >= len(chain):
+        chain = _chain(_INIT_A, _MULT_A, start + 2 * _POOL)
+
+    def keys(words) -> np.ndarray:
+        mixed = pool[:, None]
+        for j, word in enumerate(words):
+            at = start + _POOL * j
+            mixed = _mix(mixed, _hash_rows(word, chain[at : at + _POOL + 1]))
+        state = _hash_rows(mixed, _CHAIN_B)
+        # generate_state reads the uint32 words as little-endian uint64 pairs
+        return np.ascontiguousarray(state.T).astype("<u4").view("<u8")
+
+    out = keys((trials.astype(np.uint32),))  # the low words
     # An index below 2^32 is one spawn-key word, a larger one two.
-    for rows, words in ((high == 0, (low,)), (high != 0, (low, high))):
-        if rows.any():
-            mixed, step = np.array(pool, dtype=np.uint32)[:, None], const
-            for word in words:
-                hashed, step = _hash_rows(np.tile(word[rows], (_POOL, 1)), step, _MULT_A)
-                mixed = _mix(mixed, hashed)
-            state, _ = _hash_rows(mixed, _INIT_B, _MULT_B)
-            # generate_state reads the uint32 words as little-endian uint64 pairs
-            keys[rows] = np.ascontiguousarray(state.T).astype("<u4").view("<u8")
-    return keys
+    wide = trials > _MASK32
+    if wide.any():
+        high = (trials[wide] >> np.uint64(32)).astype(np.uint32)
+        out[wide] = keys((trials[wide].astype(np.uint32), high))
+    return out
 
 
 @functools.cache
@@ -347,7 +348,8 @@ class TrialStreams:
     """The streams ``derive_rng(master_seed, *stream, t)`` of a run of trials.
 
     Every trial's Philox key comes from one vectorised pass of
-    SeedSequence's uint32 hash, since ``Philox(seq)`` is
+    SeedSequence's uint32 hash, whose constant chains are precomputed at
+    import, since ``Philox(seq)`` is
     ``Philox(key=seq.generate_state(2, np.uint64))`` with counter 0.  Words
     are then drawn with one shared ``Philox`` set to each trial's key, so
     trial t reads exactly the 64-bit words its own ``derive_rng`` generator

@@ -32,11 +32,14 @@ rung's weights (non-negative, with a positive finite sum), and a sampled
 chunk (``ipea_batch``) draws each trial's uniforms for all m rounds in
 one request, picks every repetition's branch in the cdf of its rung's
 normalized weights, as ``Generator.choice`` does, and tallies the picks.
-Per round, ``_ipea_rounds``, the one round loop, rotates rung k by each
-trial's feedback angle, swaps every Q branch's bit pair and turns that
-table into one bit per trial: the majority vote of the repetitions'
-outcomes on their picked branches (sampled) or the argmax of the
-posterior (``ipea_run_exact``).  A trial reads the uniforms its own
+Per round, ``_ipea_rounds``, the one round loop, copies rung k alone,
+rotates its |1> half by each trial's feedback angle and takes every
+branch's (P(+), P(-)) pair, as measured, from one batched product.
+``decide`` turns those pairs into one bit per trial, relabeling a Q
+branch where it reads one: the majority vote of the repetitions'
+outcomes on their picked branches, each flipped on a Q pick (sampled),
+or the argmax of the posterior, each Q pair swapped in its sum
+(``ipea_run_exact``).  A trial reads the uniforms its own
 stream's ``rng.random`` calls would give, so its estimate depends only
 on its own unitary and stream, never on the batch or chunk it ran in.
 """
@@ -64,7 +67,6 @@ __all__ = [
     "PhaseEstimate",
     "CollapseResult",
     "ExactIpeaResult",
-    "RoundTable",
     "BatchEstimate",
     "MatrixProvider",
     "resolve_provider",
@@ -92,6 +94,8 @@ DEFAULT_REPS = 11
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
 _MINUS = np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)
+# <+| and <-| stacked to meet a (T, B, 2, d) rung as (2, T, B, 1, d) products.
+_PLUS_MINUS = np.stack([_PLUS, _MINUS]).reshape(2, 1, 1, 1, 2)
 
 
 def _validated_bits(bits) -> tuple[int, ...]:
@@ -121,9 +125,10 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
 
 def _feedback_angles(numerators, width: int) -> np.ndarray:
     # -2 pi times 0.0 b_{k+1} ... b_m, where each numerator holds the
-    # ``width`` = m - k measured bits with b_{k+1} most significant; the
-    # quotient by a power of two is exact.
-    return -2.0 * np.pi * (np.asarray(numerators) / float(1 << (width + 1)))
+    # ``width`` = m - k measured bits with b_{k+1} most significant.  Scaling
+    # by a power of two is exact, so this one product rounds once, exactly
+    # as -2 pi * (numerator / 2^(width + 1)) does.
+    return np.asarray(numerators) * (-2.0 * np.pi / float(1 << (width + 1)))
 
 
 def feedback_angle(k: int, measured_bits) -> float:
@@ -179,17 +184,6 @@ class EigenproblemSpec:
                 f"unitary dim {self.unitary.dim} does not match "
                 f"target dim {self.input_state.dim}"
             )
-
-
-class RoundTable(NamedTuple):
-    """One round's ``(T, B)`` branch weights and labels, as a provider gave
-    them, and each branch's probabilities ``p0`` and ``p1`` of bit 0 and
-    bit 1 after the feedback rotation, already swapped on a Q branch."""
-
-    weight: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    labels: tuple
 
 
 class BatchEstimate(NamedTuple):
@@ -337,8 +331,8 @@ def _majority_votes(rounds, reps: int, draws):
     outcome; any other takes two: the branch, then the outcome.  Each
     trial's m rounds come from one ``draws.uniforms(m * n)`` request, which
     reads what m requests of n would, round m first.  Returns ``vote(k,
-    table)``, every trial's majority bit in round k from its table, and a
-    label -> per-trial count dict of the picked branches.
+    pairs)``, every trial's majority bit in round k from its measured
+    pairs, and a label -> per-trial count dict of the picked branches.
     """
     _, weight, labels = rounds
     m, count, width = weight.shape
@@ -349,9 +343,9 @@ def _majority_votes(rounds, reps: int, draws):
     outcome = u[..., -1]
     if per == 1:
 
-        def vote(k: int, table: RoundTable) -> np.ndarray:
+        def vote(k: int, pairs: np.ndarray) -> np.ndarray:
             # "+" (bit 0) when the uniform falls below P(+).
-            return (outcome[k - 1] >= table.p0).sum(axis=1) > reps // 2
+            return (outcome[k - 1] >= pairs[0]).sum(axis=1) > reps // 2
 
         return vote, {}
     # searchsorted(cdf, u, side="right"): the number of cdf entries <= u,
@@ -364,10 +358,10 @@ def _majority_votes(rounds, reps: int, draws):
         drawn[label] = drawn.get(label, 0) + (picks == b).sum(axis=(0, 2))
     picks += width * np.arange(count)[:, None]  # flat indices into a (T, B) table
 
-    def vote(k: int, table: RoundTable) -> np.ndarray:
-        # "+" (bit 0 before relabeling) when the uniform falls below P(+) as
-        # measured, i.e. before a Q branch's relabeling swapped the pair.
-        plus = np.where(q, table.p1, table.p0).take(picks[k - 1])
+    def vote(k: int, pairs: np.ndarray) -> np.ndarray:
+        # "+" as measured when the uniform falls below the picked branch's
+        # P(+); a Q pick flips that outcome's bit.
+        plus = pairs[0].take(picks[k - 1])
         return ((outcome[k - 1] >= plus) ^ flip[k - 1]).sum(axis=1) > reps // 2
 
     return vote, drawn
@@ -407,22 +401,27 @@ def batch_trials(reps_per_bit: int) -> int:
     return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
 
 
-def _round_table(rounds, k: int, omegas) -> RoundTable:
-    """Round k's branch table: rung k's states after each trial's feedback
-    rotation, the bit pair of every Q branch swapped."""
-    states, weight, labels = rounds
-    plus, minus = control_pairs(states[k - 1], omegas[:, None])
-    if "Q" in labels:
-        flip = np.array([label == "Q" for label in labels])
-        plus, minus = np.where(flip, minus, plus), np.where(flip, plus, minus)
-    return RoundTable(weight[k - 1], plus, minus, labels)
+def _round_pairs(rounds, k: int, omegas) -> np.ndarray:
+    """Round k's ``(2, T, B)`` measured pairs: P(+) and P(-) of every branch
+    of rung k after each trial's feedback rotation diag(1, e^{i omega}).
+
+    Only rung k is copied, and its |1> half rotated in place.  Both
+    projections come from one stacked product, ``control_pairs``'s BLAS
+    products in a layout that reads the same bits (pinned by the tests);
+    no Q branch is relabeled here.
+    """
+    rung = rounds[0][k - 1].copy()
+    half = rung.shape[-1] // 2
+    rung[..., half:] *= np.exp(1j * omegas)[:, None, None]
+    pairs = rung.reshape(rung.shape[:-1] + (2, half))
+    return np.add.reduce(np.abs(_PLUS_MINUS @ pairs[None]) ** 2, axis=-1)[..., 0]
 
 
 def _chunk_rounds(provider, stack: np.ndarray, target: StateVector, m: int):
     """The provider's rounds for one chunk of trials, checked once: their
     shapes, every live state's norm and every rung's branch weights."""
     states, weight, labels = provider.rounds(stack, target, m)
-    states, weight, labels = np.asarray(states), np.asarray(weight), tuple(labels)
+    states, weight, labels = np.asarray(states, complex), np.asarray(weight), tuple(labels)
     shape = (m, len(stack), len(labels))
     if weight.shape != shape or states.shape != shape + (2 * target.dim,):
         raise ContractError(
@@ -437,15 +436,15 @@ def _chunk_rounds(provider, stack: np.ndarray, target: StateVector, m: int):
 def _ipea_rounds(rounds, decide) -> np.ndarray:
     """The IPEA round loop over one chunk's rounds; returns the trials' numerators.
 
-    Rounds run k = m down to 1, and ``decide(k, table)`` turns round k's
-    branch table into every trial's bit, which feeds that trial's next
-    feedback rotation.
+    Rounds run k = m down to 1, and ``decide(k, pairs)`` turns round k's
+    measured pairs (``_round_pairs``) into every trial's bit, which feeds
+    that trial's next feedback rotation.
     """
     m, count = rounds[1].shape[:2]
     numerators = np.zeros(count, dtype=np.int64)
     for k in range(m, 0, -1):
-        bits = decide(k, _round_table(rounds, k, _feedback_angles(numerators, m - k)))
-        numerators |= bits.astype(np.int64) << (m - k)
+        bits = decide(k, _round_pairs(rounds, k, _feedback_angles(numerators, m - k)))
+        numerators |= bits << (m - k)
     return numerators
 
 
@@ -532,21 +531,24 @@ def ipea_run(
 
 def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIpeaResult:
     """Deterministic variant: each bit is the argmax of its posterior, the
-    weighted sum of its branch table added in branch order (for the optical
-    provider, over all parity branches, odd ones already relabeled).  Ties
-    resolve to bit 0."""
+    weighted sum of its branches' bit probabilities added in branch order
+    (for the optical provider, over all parity branches, each odd one's
+    pair swapped, since its measured bit is flipped).  Ties resolve to bit 0."""
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
     posteriors: list[float] = []
+    stack = spec.unitary.matrix[None]
+    rounds = _chunk_rounds(resolve_provider(provider), stack, spec.input_state, m)
+    weights, flips = rounds[1][:, 0].tolist(), [label == "Q" for label in rounds[2]]
 
-    def argmax(k: int, table: RoundTable) -> np.ndarray:
-        weight, p0, p1 = (column[0].tolist() for column in table[:3])
+    def argmax(k: int, pairs: np.ndarray) -> np.ndarray:
+        weight, (plus, minus) = weights[k - 1], pairs[:, 0].tolist()
+        p0 = [mi if q else pl for pl, mi, q in zip(plus, minus, flips)]
+        p1 = [pl if q else mi for pl, mi, q in zip(plus, minus, flips)]
         post0, post1 = (sum(w * p for w, p in zip(weight, ps)) / sum(weight) for ps in (p0, p1))
         posteriors.append(post1 if post1 > post0 else post0)
         return np.array([post1 > post0])
 
-    stack = spec.unitary.matrix[None]
-    rounds = _chunk_rounds(resolve_provider(provider), stack, spec.input_state, m)
     numerators = _ipea_rounds(rounds, argmax)
     return ExactIpeaResult(PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors))
 

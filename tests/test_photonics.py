@@ -66,6 +66,63 @@ class TestJonesMatrices:
         with pytest.raises(ContractError):
             compose_waveplates([])
 
+    def test_compose_specs_equals_product_of_public_plates(self):
+        # a train of specs multiplies raw Jones matrices and checks only the
+        # product; it must equal, bit for bit, the product of the checked
+        # public plates, and a plate that is not 2x2 is still refused
+        rng = derive_rng(31)
+        for _ in range(20):
+            specs = [
+                WaveplateSpec(kind, 180.0 * rng.random())
+                for kind in rng.choice(["HWP", "QWP"], size=int(rng.integers(1, 5)))
+            ]
+            plates = [(hwp if spec.kind == "HWP" else qwp)(spec.angle_deg) for spec in specs]
+            want = np.eye(2, dtype=complex)
+            for plate in plates:
+                want = plate.matrix @ want
+            got = compose_waveplates(specs)
+            assert isinstance(got, Unitary)
+            assert np.array_equal(got.matrix, want)
+            assert np.array_equal(specs[0].jones().matrix, plates[0].matrix)
+        with pytest.raises(ContractError, match="2x2"):
+            compose_waveplates([WaveplateSpec("HWP", 10.0), Unitary(np.eye(4))])
+        with pytest.raises(ContractError, match="expected WaveplateSpec or Unitary"):
+            compose_waveplates([WaveplateSpec("HWP", 10.0), np.eye(2)])
+
+
+class TestCachedValues:
+    def test_polarization_state_refuses_what_it_refused(self):
+        # built once per label, and still a ContractError for an unknown
+        # label or an unhashable one that can never be a label
+        for label in ("X", "h", 1, None, ["H"], {"H": 1}):
+            with pytest.raises(ContractError, match="unknown polarization"):
+                polarization_state(label)
+
+    def test_cached_polarization_state_is_immutable(self):
+        state = polarization_state("R")
+        assert polarization_state("R") is state
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+        np.testing.assert_array_equal(state.amplitudes, photonics.POLARIZATION_STATES["R"])
+
+    def test_cached_parity_cases_are_immutable(self):
+        cases = parity_cases(2)
+        assert parity_cases(2) is cases
+        assert isinstance(cases, tuple) and [b.case_pattern for b in cases] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        with pytest.raises(AttributeError):
+            cases[0].label = "Q"
+        # a filter builds its own tuple and leaves the cached one whole
+        assert parity_cases(2, "Q") == (cases[1], cases[2])
+        assert len(parity_cases(2)) == 4
+        for bad in ((0, None), (2, "R"), (2, ["P"])):
+            with pytest.raises(ContractError):
+                parity_cases(*bad)
+        with pytest.raises(TypeError):
+            parity_cases(2.0)
+
 
 class TestEigenphaseOracle:
     def test_two_hwp_linear_law(self):
@@ -168,24 +225,29 @@ class TestPipeline:
 
 
 def _weighted_pair(table):
-    # (P(bit 0), P(bit 1)) of a one-trial table: its weighted sum
-    weight, p0, p1 = table.weight[0], table.p0[0], table.p1[0]
+    # (P(bit 0), P(bit 1)) of a one-trial table: its weighted sum, the
+    # measured pair of a Q branch swapped, since its bit is flipped
+    weight, labels, (plus, minus) = table
+    q = np.array([label == "Q" for label in labels])
+    p0, p1 = np.where(q, minus, plus), np.where(q, plus, minus)
     return weight @ p0 / weight.sum(), weight @ p1 / weight.sum()
 
 
 def _one_trial_table(provider, unitary, target, k, omega):
+    # round k's (B,) branch weights, labels and (2, B) measured pairs
     rounds = provider.rounds(unitary.matrix[None], target, k)
-    return qpe._round_table(rounds, k, np.array([omega]))
+    return rounds[1][k - 1, 0], rounds[2], qpe._round_pairs(rounds, k, np.array([omega]))[:, 0]
 
 
 class TestPhotonicProvider:
     def test_branch_tally_and_relabel_flag(self):
         prov = PhotonicProvider()
-        table = _one_trial_table(prov, hwp(30.0), polarization_state("H"), 1, -0.3)
-        assert table.labels == ("P", "Q")
-        # the Q branch arrives relabeled: its bit pair equals the P branch's
-        (p_p0, q_p0), (p_p1, q_p1) = table.p0[0], table.p1[0]
-        assert (q_p0, q_p1) == pytest.approx((p_p0, p_p1), abs=1e-12)
+        _, labels, pairs = _one_trial_table(prov, hwp(30.0), polarization_state("H"), 1, -0.3)
+        assert labels == ("P", "Q")
+        # the Q branch arrives as measured, its bit flipped: its P(+) is the
+        # P branch's P(-), so relabeled, its bit pair equals the P branch's
+        (p_plus, q_plus), (p_minus, q_minus) = pairs
+        assert (q_minus, q_plus) == pytest.approx((p_plus, p_minus), abs=1e-12)
         assert prov.branch_counts == {"P": 0, "Q": 0}  # building a table draws nothing
         spec = qpe.EigenproblemSpec(hwp(30.0), polarization_state("H"))
         qpe.ipea_run(spec, 2, 11, prov, derive_rng(23))
@@ -203,8 +265,9 @@ class TestPhotonicProvider:
 
     def test_bit_distribution_sums_to_one(self):
         table = _one_trial_table(PhotonicProvider(), hwp(30.0), polarization_state("H"), 1, -0.3)
-        assert table.weight.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(table.p0 + table.p1, 1.0, atol=1e-12)
+        weight, _, (plus, minus) = table
+        assert weight.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(plus + minus, 1.0, atol=1e-12)
         p0, p1 = _weighted_pair(table)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 

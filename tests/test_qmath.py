@@ -157,8 +157,12 @@ TRIAL_INDICES = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.integers(0, 2**64 - 1),
-    st.lists(st.integers(0, 2**40), max_size=2),
+    # seeds above 2^128 and long streams run past the precomputed hash constants
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(2**128, 2**200)),
+    st.one_of(
+        st.lists(st.integers(0, 2**40), max_size=2),
+        st.lists(st.integers(0, 2**40), min_size=9, max_size=12),
+    ),
     st.lists(TRIAL_INDICES, min_size=1, max_size=6),
     st.one_of(st.none(), st.integers(1, 16), st.integers(17, 63)),
     st.lists(st.integers(1, 9), min_size=1, max_size=4),

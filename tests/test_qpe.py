@@ -53,7 +53,7 @@ from ipea_sim.qpe import (
     qpe_full_distribution,
     resolve_provider,
 )
-from ipea_sim.qpe import _round_table
+from ipea_sim.qpe import _round_pairs
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -131,17 +131,16 @@ class TestProviders:
         states, weight, labels = MatrixProvider().rounds(np.stack([u, u]), basis_state(1, 1), 3)
         assert (states.shape, weight.shape, labels) == ((3, 2, 1, 4), (3, 2, 1), (None,))
         assert (weight == 1.0).all()
-        table = _round_table((states, weight, labels), 3, np.array([0.0, -np.pi]))
-        assert table.labels == (None,)
-        assert table.weight.tolist() == [[1.0], [1.0]]
-        np.testing.assert_allclose(table.p0, [[0.0], [1.0]], atol=1e-12)
-        np.testing.assert_allclose(table.p1, [[1.0], [0.0]], atol=1e-12)
+        pairs = _round_pairs((states, weight, labels), 3, np.array([0.0, -np.pi]))
+        assert pairs.shape == (2, 2, 1)
+        np.testing.assert_allclose(pairs[0], [[0.0], [1.0]], atol=1e-12)
+        np.testing.assert_allclose(pairs[1], [[1.0], [0.0]], atol=1e-12)
 
     def test_ancilla_distribution_frozen_value(self):
         rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
-        table = _round_table(rounds, 1, np.array([0.0]))
-        assert table.p0[0, 0] == pytest.approx(COS2_0625, abs=1e-12)
-        assert table.p1[0, 0] == pytest.approx(1.0 - COS2_0625, abs=1e-12)
+        plus, minus = _round_pairs(rounds, 1, np.array([0.0]))
+        assert plus[0, 0] == pytest.approx(COS2_0625, abs=1e-12)
+        assert minus[0, 0] == pytest.approx(1.0 - COS2_0625, abs=1e-12)
 
     def test_resolve_provider_names(self):
         assert resolve_provider("matrix").name == "matrix"
@@ -480,7 +479,7 @@ def test_ipea_batch_needs_one_stream_per_trial():
 @pytest.mark.parametrize("provider", ["matrix", "photonic"])
 def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
     # However many trials and repetitions a batch has, one round of one
-    # chunk draws at most MAX_ROUND_UNIFORMS uniforms and its table holds
+    # chunk draws at most MAX_ROUND_UNIFORMS uniforms and its pairs cover
     # no more trials than that chunk; each chunk builds its rounds once,
     # and the chunks change no trial's result.
     seen = []
@@ -497,7 +496,7 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
     def recorded(rounds, k, omegas):
         assert len(omegas) == seen[-1]
         tables.append((len(seen), k))
-        return _round_table(rounds, k, omegas)
+        return _round_pairs(rounds, k, omegas)
 
     phases = derive_rng(9).random(70)
     stack = np.array([phase_unitary(phi).matrix for phi in phases])
@@ -506,7 +505,7 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
         whole = ipea_batch(*args, provider, TrialStreams(9, (), range(trials)))
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
-            patch.setattr(qpe, "_round_table", recorded)
+            patch.setattr(qpe, "_round_pairs", recorded)
             seen.clear()
             tables.clear()
             chunked = ipea_batch(*args, Recording(), TrialStreams(9, (), range(trials)))
@@ -635,16 +634,15 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
         stopped = prov.rounds(stack, target, k)
         for built, alone in zip(rounds[:2], stopped[:2]):
             np.testing.assert_array_equal(built[k - 1], alone[k - 1])
-        got, want = _round_table(rounds, k, omegas), _round_table(stopped, k, omegas)
-        assert got.labels == want.labels
-        for field in ("weight", "p0", "p1"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert rounds[2] == stopped[2]
+        got = _round_pairs(rounds, k, omegas)
+        np.testing.assert_array_equal(got, _round_pairs(stopped, k, omegas))
         if provider == "matrix":
             for t in range(trials):
                 w = np.linalg.matrix_power(stack[t], 1 << (k - 1))
                 state = np.concatenate([target.amplitudes, (w @ target.amplitudes[:, None])[:, 0]])
                 plus, minus = qpe.control_pairs(state[None] * (1.0 / np.sqrt(2.0)), [omegas[t]])
-                assert (got.p0[t, 0], got.p1[t, 0]) == (plus[0], minus[0])
+                assert (got[0, t, 0], got[1, t, 0]) == (plus[0], minus[0])
             continue
         for t in range(trials):
             rails = apply_blue_unitary(prepare_entangled_input(target), Unitary(stack[t]), k)
@@ -656,12 +654,157 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
             ports = beamsplitter_mix(rails)
             for b, branch in enumerate(parity_cases(num_qubits)):
                 state, prob = postselect(ports, branch)
-                assert got.weight[t, b] == prob
+                assert rounds[1][k - 1, t, b] == prob
                 if state is None:
                     continue
+                # as measured: a Q branch is relabeled where its bit is read
                 plus, minus = qpe.control_pairs(state.amplitudes[None], [omegas[t]])
-                pair = (minus, plus) if branch.label == "Q" else (plus, minus)
-                assert (got.p0[t, b], got.p1[t, b]) == (pair[0][0], pair[1][0])
+                assert (got[0, t, b], got[1, t, b]) == (plus[0], minus[0])
+
+
+class Given:
+    """A provider that hands the engine the rounds it was given."""
+
+    def __init__(self, rounds):
+        self.given = rounds
+
+    def rounds(self, unitaries, target, m):
+        return self.given
+
+
+def _random_rounds(rng, m: int, trials: int, branches: int, dim: int):
+    # Normalized random branch states, some branches dead (weight 0, state
+    # 0), every rung with a live branch, and random labels.
+    weight = rng.random((m, trials, branches)) * (rng.random((m, trials, branches)) > 0.3)
+    weight[..., 0] = np.where(weight.sum(axis=-1) > 0, weight[..., 0], 1.0)
+    states = rng.standard_normal((m, trials, branches, 4 * dim)).view(complex)
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    states[weight == 0] = 0.0
+    if branches == 1:
+        labels = ((None,), ("P",), ("Q",))[int(rng.integers(3))]
+    else:
+        labels = tuple(rng.choice(["P", "Q"], size=branches).tolist())
+    return states, weight, labels
+
+
+def _reference_round_tables(rounds, k: int, numerators, m: int):
+    # The parent's per-round table: control_pairs on rung k, then every Q
+    # branch's pair swapped.  Returns the measured pair and the swapped one.
+    states, _, labels = rounds
+    omegas = np.array([feedback_angle(k, bits_of(int(n), m - k)) for n in numerators])
+    plus, minus = qpe.control_pairs(states[k - 1], omegas[:, None])
+    p0, p1 = plus, minus
+    if "Q" in labels:
+        q = np.array([label == "Q" for label in labels])
+        p0, p1 = np.where(q, minus, plus), np.where(q, plus, minus)
+    return (plus, minus), (p0, p1)
+
+
+def _reference_sampled(rounds, reps: int, rngs):
+    """The parent's sampled round loop, one trial and repetition at a time:
+    the branch from the cdf of the normalized weights, then "+" when the
+    outcome uniform falls below P(+) as measured (the swapped table's p1 on
+    a Q branch), that bit flipped on a Q pick."""
+    _, weight, labels = rounds
+    m, count, _ = weight.shape
+    per = 1 if labels == (None,) else 2
+    u = [rng.random(m * reps * per).reshape(m, reps, per) for rng in rngs]
+    numerators = [0] * count
+    tally = {} if per == 1 else {label: [0] * count for label in labels}
+    measured = []
+    for k in range(m, 0, -1):
+        pair, (p0, p1) = _reference_round_tables(rounds, k, numerators, m)
+        measured.append(pair)
+        for t in range(count):
+            ones = 0
+            for r in range(reps):
+                b = 0
+                if per == 2:
+                    w = weight[k - 1, t].tolist()
+                    cdf = np.cumsum(np.array(w) / sum(w))
+                    cdf /= cdf[-1]
+                    b = int(np.searchsorted(cdf, u[t][m - k, r, 0], side="right"))
+                    tally[labels[b]][t] += 1
+                q = labels[b] == "Q"
+                plus = p1[t, b] if q else p0[t, b]
+                ones += int(u[t][m - k, r, -1] >= plus) ^ q
+            numerators[t] |= int(ones > reps // 2) << (m - k)
+    return numerators, tally, measured
+
+
+def _reference_exact(rounds):
+    # The parent's exact loop on trial 0: the argmax of the swapped table's
+    # weighted sums, added in branch order as Python floats.
+    _, weight, _ = rounds
+    m = len(weight)
+    numerator, posteriors = 0, []
+    for k in range(m, 0, -1):
+        _, (p0, p1) = _reference_round_tables(rounds, k, [numerator], m)
+        w, p0, p1 = weight[k - 1, 0].tolist(), p0[0].tolist(), p1[0].tolist()
+        post0, post1 = (sum(a * b for a, b in zip(w, ps)) / sum(w) for ps in (p0, p1))
+        posteriors.append(post1 if post1 > post0 else post0)
+        numerator |= int(post1 > post0) << (m - k)
+    return numerator, posteriors
+
+
+@settings(max_examples=100, deadline=None)
+@example(seed=3, source="photonic", dim=4, branches=4, m=12, trials=3, reps=3)
+@example(seed=5, source="matrix", dim=4, branches=1, m=12, trials=4, reps=1)
+@example(seed=4, source="random", dim=4, branches=2, m=12, trials=4, reps=3)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(("matrix", "photonic", "random")),
+    dim=st.sampled_from((2, 4)),
+    branches=st.sampled_from((1, 2, 4)),
+    m=st.integers(1, 12),
+    trials=st.integers(1, 4),
+    reps=st.sampled_from((1, 3)),
+)
+def test_round_loop_matches_the_per_round_reference(seed, source, dim, branches, m, trials, reps):
+    # The round loop takes each round's measured (P(+), P(-)) from one
+    # stacked product and relabels a Q branch only where its bit is read.
+    # Against the parent's loop (control_pairs per round, Q pairs swapped
+    # in the table): every round's pairs, the exact posteriors and the
+    # sampled numerators and branch tally must be identical.  Providers
+    # give B = 1 (matrix) or B = d (photonic); random rounds cover every B.
+    rng = derive_rng(seed)
+    target = random_state(dim.bit_length() - 1, rng)
+    if source == "random":
+        rounds = _random_rounds(rng, m, trials, branches, dim)
+        stack, provider = np.stack([np.eye(dim)] * trials), Given(rounds)
+    else:
+        stack = np.stack([haar_unitary(dim, rng).matrix for _ in range(trials)])
+        provider = resolve_provider(source)
+        rounds = provider.rounds(stack, target, m)
+    seen = []
+
+    def recording(rounds, k, omegas):
+        seen.append(_round_pairs(rounds, k, omegas))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpe, "_round_pairs", recording)
+        streams = TrialStreams(seed, (1,), range(trials))
+        batch = ipea_batch(stack, target, m, reps, provider, streams)
+    numerators, tally, measured = _reference_sampled(
+        rounds, reps, [derive_rng(seed, 1, t) for t in range(trials)]
+    )
+    assert len(seen) == len(measured) == m
+    for got, want in zip(seen, measured):
+        assert got.shape == (2,) + rounds[1].shape[1:]
+        assert np.array_equal(got, np.stack(want))
+    assert batch.numerators.tolist() == numerators
+    assert {label: counts.tolist() for label, counts in batch.branch_tally.items()} == tally
+
+    # exact mode on trial 0 alone
+    first = provider
+    if source == "random":
+        first = Given((rounds[0][:, :1], rounds[1][:, :1], rounds[2]))
+    exact = ipea_run_exact(EigenproblemSpec(Unitary(stack[0]), target), m, first)
+    numerator, posteriors = _reference_exact(first.rounds(stack[:1], target, m))
+    assert exact.estimate == PhaseEstimate.from_numerator(numerator, m)
+    assert all(type(p) is float for p in exact.bit_posteriors)
+    assert exact.bit_posteriors == tuple(posteriors)
 
 
 @pytest.mark.parametrize("m", [1, 4, 7])
@@ -706,7 +849,7 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     built = m if provider == "matrix" else 1 << (m - 1)
     assert Counting.products == built
     for k in range(m, 0, -1):
-        _round_table(rounds, k, np.zeros(3))
+        _round_pairs(rounds, k, np.zeros(3))
         assert Counting.products == built
     if provider == "matrix":
         assert calls == {"_prepare": 0, "_blue_ladder": 0}
