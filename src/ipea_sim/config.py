@@ -8,7 +8,7 @@ are skipped, each directive may appear at most once)::
     unitary    matrix <re,im re,im re,im re,im>   2x2, row-major
     bits       <m>                                1..16
     reps       <odd count>                        majority votes per bit, 1..32767
-    trials     <count>                            0 selects exact-probability mode
+    trials     <count>                            0 = exact mode; ipea, collapse ≤ 100000
     seed       <u64>
     noise      <distinguishability> <sigma_deg>   p in [0, 1], sigma finite and ≥ 0
     provider   matrix | photonic
@@ -25,7 +25,11 @@ or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 (which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
 ``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
 Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
-``trials 0``.
+``trials 0``.  ``ipea`` and ``collapse`` print one row per trial, which
+costs up to about 2.7 kB of memory per row (a JSON ``ipea`` table; 1 kB
+in CSV), so they refuse more than ``MAX_TRIALS`` trials: a table stays
+under about 0.3 GB.  ``montecarlo`` prints two rows whatever its count
+and has no bound.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarizatio
 from .qmath import ContractError, StateVector, Unitary
 from .qpe import DEFAULT_REPS, MAX_ROUND_UNIFORMS
 
-__all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "ParseError",
+__all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", "ParseError",
            "ExperimentConfig", "parse_experiment", "check_flag"]
 
 MODES = ("ipea", "qpe_full", "collapse", "montecarlo")
@@ -51,6 +55,8 @@ MAX_SEED = (1 << 64) - 1
 MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
 # The trials of a Monte Carlo study that names none; any other mode runs one.
 MONTECARLO_TRIALS = 10000
+# The most trials of a table that prints one row per trial (ipea, collapse).
+MAX_TRIALS = 100000
 
 
 class ParseError(ValueError):
@@ -138,6 +144,8 @@ def _column(mode: str, trials: int | None) -> str:
 def _trials_refusal(mode: str, trials: int | None) -> str | None:
     if mode in ("montecarlo", "collapse") and trials == 0:
         return f"{mode} needs trials ≥ 1 (exact mode applies to ipea runs)"
+    if mode in ("ipea", "collapse") and trials is not None and trials > MAX_TRIALS:
+        return f"{mode} prints one row per trial and takes trials ≤ {MAX_TRIALS}, got {trials}"
     return None if trials is None else _unread(mode, "trials")
 
 

@@ -405,7 +405,7 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
         branch_fracs = [None]
     else:
         estimates, branch_fracs = _sampled_estimates(
-            np.broadcast_to(unitary.matrix, (trials,) + unitary.matrix.shape),
+            unitary,
             spec.input_state,
             config.bits,
             config.reps_per_bit,
@@ -436,26 +436,22 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
 
 def _qpe_full_rows(config: ExperimentConfig) -> list[dict]:
     spec = EigenproblemSpec(config.unitary(), config.input_state())
-    probs = qpe.qpe_full_distribution(spec, config.bits)
-    return [
-        {
-            "bits": "".join(str(b) for b in qpe.bits_of(x, config.bits)),
-            "probability": float(p),
-        }
-        for x, p in enumerate(probs)
-    ]
+    m = config.bits
+    probs = qpe.qpe_full_distribution(spec, m)
+    return [{"bits": f"{x:0{m}b}", "probability": p} for x, p in enumerate(probs.tolist())]
 
 
-def _collapse_rows(config: ExperimentConfig, seed: int) -> list[dict]:
-    coherence = None if config.noise is None else config.noise.distinguishability
-    rngs = [derive_rng(seed, trial) for trial in range(config.resolved_trials())]
-    results = qpe.collapse_runs(
-        config.unitary(), config.input_state(), config.bits, rngs, coherence
+def _collapse_rows(
+    unitary: Unitary, input_state: StateVector, m: int, trials: int, seed: int, coherence
+) -> list[dict]:
+    # One readout; trial t's outcome is derive_rng(seed, t).choice(2^m, p=probs).
+    xs, probs, _ = qpe._collapse_draws(
+        unitary, input_state, m, TrialStreams(seed, (), range(trials)), coherence
     )
+    scale = 1 << m
     return [
-        {"trial": trial, "bits": result.estimate.as_string(), "phi_est": result.estimate.value,
-         "outcome_probability": result.outcome_probability}
-        for trial, result in enumerate(results)
+        {"trial": t, "bits": f"{x:0{m}b}", "phi_est": x / scale, "outcome_probability": p}
+        for t, (x, p) in enumerate(zip(xs.tolist(), probs[xs].tolist()))
     ]
 
 
@@ -467,7 +463,10 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     if config.mode == "qpe_full":
         return _qpe_full_rows(config), QPE_FULL_FIELDS
     if config.mode == "collapse":
-        return _collapse_rows(config, effective_seed), COLLAPSE_FIELDS
+        coherence = None if config.noise is None else config.noise.distinguishability
+        rows = _collapse_rows(config.unitary(), config.input_state(), config.bits,
+                              config.resolved_trials(), effective_seed, coherence)
+        return rows, COLLAPSE_FIELDS
     if config.mode == "montecarlo":
         rows = run_montecarlo(
             m=config.bits,

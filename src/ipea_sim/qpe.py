@@ -79,7 +79,6 @@ __all__ = [
     "ipea_run_exact",
     "qpe_full_distribution",
     "collapse_run",
-    "collapse_runs",
     "collapse_project",
     "circular_distance",
     "bits_of",
@@ -90,6 +89,8 @@ __all__ = [
 MAX_ROUND_UNIFORMS = 1 << 16
 # Majority votes per bit when a run names none (the ``reps`` directive's default).
 DEFAULT_REPS = 11
+# How far from 1 Generator.choice lets a probability vector sum.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
@@ -474,8 +475,9 @@ def ipea_batch(
 ) -> BatchEstimate:
     """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
 
-    Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack)
-    on ``target``, which the caller asserts is an eigenstate, drawing its
+    Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack,
+    checked for unitarity once, or one checked ``Unitary`` shared by every
+    trial) on ``target``, which the caller asserts is an eigenstate, drawing its
     uniforms from row t of ``draws``, and gets exactly the estimate it
     would get alone.  ``draws`` is a ``qmath.TrialStreams`` over the T
     trials, read from its current offset (every chunk starts there), or,
@@ -493,14 +495,23 @@ def ipea_batch(
     elif not isinstance(draws, qmath.TrialStreams):
         raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
     trials = len(draws)
-    if trials != len(unitaries):
-        raise ContractError(f"{len(unitaries)} unitaries but {trials} trial stream(s)")
+    if isinstance(unitaries, Unitary):
+        if unitaries.dim != target.dim:
+            raise ContractError(
+                f"unitary dim {unitaries.dim} does not match target dim {target.dim}"
+            )
+        stack = np.broadcast_to(unitaries.matrix, (trials,) + unitaries.matrix.shape)
+    else:
+        stack = _checked_stack(unitaries, target.dim)
+        if trials != len(stack):
+            raise ContractError(f"{len(stack)} unitaries but {trials} trial stream(s)")
     numerators = np.zeros(trials, dtype=np.int64)
     tally: dict = {}
     step = batch_trials(reps_per_bit)
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
-        rounds = _chunk_rounds(provider, _checked_stack(unitaries[chunk], target.dim), target, m)
+        # C-ordered, as a stacked matmul's bits depend on its operands' layout
+        rounds = _chunk_rounds(provider, np.ascontiguousarray(stack[chunk]), target, m)
         vote, drawn = _majority_votes(rounds, reps_per_bit, draws.rows(start, start + step))
         for label, counts in drawn.items():
             tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts
@@ -523,9 +534,7 @@ def ipea_run(
     one-trial case of ``ipea_batch``."""
     if rng is None:
         raise ContractError("ipea_run samples and therefore needs an explicit rng")
-    batch = ipea_batch(
-        spec.unitary.matrix[None], spec.input_state, m, reps_per_bit, provider, rng
-    )
+    batch = ipea_batch(spec.unitary, spec.input_state, m, reps_per_bit, provider, rng)
     return PhaseEstimate.from_numerator(batch.numerators[0], m)
 
 
@@ -662,6 +671,34 @@ def collapse_project(
     return prob, target(outcome)
 
 
+def _collapse_draws(
+    unitary: Unitary, input_state: StateVector, m: int, draws, coherence: float | None
+):
+    """One register readout and every trial's outcome, drawn as
+    ``Generator.choice(2^m, p=probs)`` draws it from that trial's stream.
+
+    ``probs`` are the readout's weights over their sum, refused unless
+    they are non-negative, finite and sum to 1 (within ``choice``'s
+    tolerance).  Each trial takes one uniform from its row of ``draws``
+    and its outcome is the number of entries of ``cdf = cumsum(probs) /
+    cumsum(probs)[-1]`` at or below it, so a zero-width outcome is never
+    drawn.  Returns the outcomes, ``probs`` and the readout's
+    ``target(x)``.
+    """
+    weights, target = _register_readout(unitary, input_state, m, coherence)
+    total = float(weights.sum())
+    # A NaN total fails the comparison too, so a NaN or infinite weight is refused.
+    probs = weights / total if 0.0 < total < np.inf else np.array([np.nan])
+    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ContractError(
+            "register outcome probabilities must be non-negative, finite and sum to 1, "
+            f"got weights {weights.tolist()!r:.200}"
+        )
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, target
+
+
 def collapse_run(
     unitary: Unitary,
     input_state: StateVector,
@@ -674,22 +711,13 @@ def collapse_run(
     For a superposition of eigenstates the coherent circuit picks one
     eigenphase (with probability given by the input's weight on that
     eigenvector) and the target collapses onto the matching eigenstate.
-    ``coherence`` degrades the control as in ``collapse_project``.
+    ``coherence`` degrades the control as in ``collapse_project``.  The
+    outcome is ``rng.choice(2^m, p=probs)``, the one-trial case of a
+    collapse table's draw.
     """
-    return collapse_runs(unitary, input_state, m, [rng], coherence)[0]
-
-
-def collapse_runs(
-    unitary: Unitary, input_state: StateVector, m: int, rngs, coherence: float | None = None
-) -> list[CollapseResult]:
-    """``collapse_run`` once per generator, all from one register readout."""
-    weights, target = _register_readout(unitary, input_state, m, coherence)
-    probs = weights / weights.sum()
-    xs = [int(rng.choice(probs.size, p=probs)) for rng in rngs]
-    return [
-        CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
-        for x in xs
-    ]
+    xs, probs, target = _collapse_draws(unitary, input_state, m, _GeneratorDraws(rng), coherence)
+    x = int(xs[0])
+    return CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -196,6 +196,30 @@ class TestRejections:
             "mode collapse\nunitary hwp 0 hwp 30\ntrials 0\n", "collapse needs trials ≥ 1", 3
         )
 
+    @pytest.mark.parametrize("mode", ["ipea", "collapse"])
+    def test_per_trial_tables_bound_trials(self, mode, tmp_path, capsys):
+        # one row per trial: MAX_TRIALS parses, one more is refused at parse
+        # time (ParseError naming the line; ContractError when constructed),
+        # and the CLI exits 2 with nothing on stdout before anything runs
+        head = f"mode {mode}\nunitary hwp 0 hwp 30\nbits 2\n"
+        assert parse_experiment(f"{head}trials {config.MAX_TRIALS}\n").trials == config.MAX_TRIALS
+        expect_error(f"{head}trials {config.MAX_TRIALS + 1}\n", f"trials ≤ {config.MAX_TRIALS}", 4)
+        with pytest.raises(ContractError, match="one row per trial"):
+            ExperimentConfig(mode=mode, plates=(WaveplateSpec("HWP", 30.0),),
+                             trials=config.MAX_TRIALS + 1)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{head}trials 10000000000000\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.rstrip().endswith(", line 4")
+        assert "trials ≤ 100000, got 10000000000000" in err
+
+    def test_montecarlo_trials_have_no_bound(self):
+        # a Monte Carlo table has two rows whatever its count (not run here)
+        cfg = parse_experiment("mode montecarlo\ntrials 10000000000000\n")
+        assert cfg.resolved_trials() == 10**13
+
     def test_qpe_full_multi_trials(self, tmp_path, capsys):
         expect_error(
             "mode qpe_full\nunitary hwp 0 hwp 30\ntrials 7\n", "exact", 3

@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ipea_sim import experiments, qpe
+from helpers import haar_unitary, random_state
+from ipea_sim import cli, experiments, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
+    QPE_FULL_FIELDS,
     RunRecord,
     emit,
     run_config,
@@ -17,8 +21,9 @@ from ipea_sim.experiments import (
     run_montecarlo,
     wilson_interval,
 )
-from ipea_sim.photonics import NoiseSpec
+from ipea_sim.photonics import NoiseSpec, hwp
 from ipea_sim.qmath import ContractError, derive_rng
+from ipea_sim.qpe import EigenproblemSpec, PhaseEstimate
 
 # frozen from cos^2(pi * 0.625) / sin^2(pi * 0.625): the conditional
 # probabilities of the 67.5-degree panels
@@ -322,3 +327,109 @@ class TestGoldenFile:
         golden = pathlib.Path(__file__).parent / "data" / "fig4_golden.csv"
         text = emit(run_fig4(), "csv", fields=FIG4_FIELDS)
         assert text == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_qpe_full_rows_print_as_the_reference_rows(bits):
+    # Rows built from the bit string format and probs.tolist() must print,
+    # in CSV and JSON, exactly as rows of bits_of digits and float() cells.
+    cfg = parse_experiment(f"mode qpe_full\nunitary hwp 10 hwp 70\nbits {bits}\neigenstate H\n")
+    probs = qpe.qpe_full_distribution(EigenproblemSpec(cfg.unitary(), cfg.input_state()), bits)
+    reference = [
+        {"bits": "".join(str(b) for b in qpe.bits_of(x, bits)), "probability": float(p)}
+        for x, p in enumerate(probs)
+    ]
+    rows = experiments._qpe_full_rows(cfg)
+    for fmt in ("csv", "json"):
+        assert emit(rows, fmt, fields=QPE_FULL_FIELDS) == emit(reference, fmt, fields=QPE_FULL_FIELDS)
+
+
+def _edge_weights(u: float, size: int, kind: str) -> np.ndarray:
+    """Outcome weights whose cdf puts the draw ``u`` on an edge.
+
+    "tie" makes ``u`` an entry of the cdf exactly, so only a search on the
+    right side of equal entries reads it as choice does; "scaled" makes the
+    cdf's last entry miss 1 by enough that dividing by it moves ``u``
+    across an entry.
+    """
+    for scale in np.arange(1.0, 3.0, 0.01):
+        for nudge in (0, -1, 1, -2, 2, -3, 3):
+            w = np.zeros(size)
+            w[0], w[-1] = (u + nudge * np.spacing(u)) * scale, (1.0 - u) * scale
+            cdf = np.cumsum(w / w.sum())
+            if kind == "tie":
+                assert cdf[0] == u and cdf[-1] == 1.0
+                return w
+            if cdf.searchsorted(u, "right") != (cdf / cdf[-1]).searchsorted(u, "right"):
+                return w
+    raise AssertionError(f"no {kind} edge for u = {u!r}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 8),
+    num_qubits=st.integers(1, 2),
+    m=st.integers(1, 10),
+    coherence=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    edge=st.sampled_from((None, "tie", "scaled")),
+)
+@example(seed=2**32 + 17, trials=8, num_qubits=2, m=10, coherence=None, edge=None)
+@example(seed=2**40 + 3, trials=5, num_qubits=1, m=4, coherence=0.5, edge="tie")
+@example(seed=2**63 + 9, trials=6, num_qubits=2, m=7, coherence=None, edge="scaled")
+def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherence, edge):
+    # Each row of a collapse table, and collapse_run on that trial's own
+    # generator, read the outcome derive_rng(seed, t).choice(2^m, p=probs)
+    # draws.  With ``edge``, the readout's weights are replaced by ones
+    # that put one trial's uniform on a cdf edge.
+    rng = derive_rng(seed)
+    unitary = haar_unitary(1 << num_qubits, rng)
+    target = random_state(num_qubits, rng)
+    readout = qpe._register_readout
+
+    def edged_readout(*args):
+        weights, conditional = readout(*args)
+        if edge is not None:
+            u = derive_rng(seed, seed % trials).random()
+            weights = _edge_weights(u, weights.size, edge)
+        return weights, conditional
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpe, "_register_readout", edged_readout)
+        rows = experiments._collapse_rows(unitary, target, m, trials, seed, coherence)
+        runs = [
+            qpe.collapse_run(unitary, target, m, derive_rng(seed, t), coherence)
+            for t in range(trials)
+        ]
+    weights, _ = edged_readout(unitary, target, m, coherence)
+    probs = weights / weights.sum()
+    assert len(rows) == trials
+    for t, (row, run) in enumerate(zip(rows, runs)):
+        x = int(derive_rng(seed, t).choice(probs.size, p=probs))
+        want = PhaseEstimate.from_numerator(x, m)
+        assert row == {"trial": t, "bits": want.as_string(), "phi_est": want.value,
+                       "outcome_probability": float(probs[x])}
+        assert (run.estimate, run.outcome_probability) == (want, float(probs[x]))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[np.nan, 1.0], [np.inf, 1.0], [1.5, -0.5], [0.0, 0.0]],
+    ids=["nan", "infinite", "negative", "zero-sum"],
+)
+def test_collapse_refuses_weights_choice_refuses(weights, tmp_path, capsys, monkeypatch):
+    # Generator.choice refused such weights with a ValueError; the one-pass
+    # draw refuses them as a contract violation, in the table (exit 3) and
+    # in collapse_run.
+    readout = qpe._register_readout
+    monkeypatch.setattr(
+        qpe, "_register_readout", lambda *args: (np.array(weights), readout(*args)[1])
+    )
+    cfg = tmp_path / "collapse.cfg"
+    cfg.write_text("mode collapse\nunitary hwp 30\nbits 1\ntrials 3\n")
+    assert cli.main(["run", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be non-negative, finite and sum to 1" in err
+    with pytest.raises(ContractError, match="must be non-negative, finite and sum to 1"):
+        qpe.collapse_run(hwp(30.0), parse_experiment(cfg.read_text()).input_state(), 1, derive_rng(0))

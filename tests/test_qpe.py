@@ -898,3 +898,35 @@ def test_exact_run_recovers_long_dyadic_phases(provider, m):
     res = ipea_run_exact(EigenproblemSpec(u, polarization_state("R")), m, provider)
     assert res.estimate.value == ((-j) % (1 << m)) / (1 << m)
     assert min(res.bit_posteriors) > 1.0 - 1e-9
+
+
+def test_ipea_batch_refuses_a_non_unitary_array():
+    stack = np.array([phase_unitary(0.25).matrix, 1.01 * phase_unitary(0.5).matrix])
+    with pytest.raises(ContractError, match="matrix of trial 1 is not unitary"):
+        ipea_batch(stack, basis_state(1, 1), 2, 1, "matrix", TrialStreams(0, (), range(2)))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("provider", ["matrix", "photonic"])
+def test_a_checked_unitary_batch_makes_no_gram_product(monkeypatch, provider, num_qubits):
+    # A caller's array is checked once, however many chunks it runs in; a
+    # Unitary was checked when built, so its batch checks nothing, and its
+    # chunks read the bits of the same matrices passed as an array, at
+    # d = 4 too, where a stacked matmul's bits depend on operand layout.
+    rng = derive_rng(41, num_qubits)
+    u = haar_unitary(1 << num_qubits, rng)
+    target = random_state(num_qubits, rng)
+    trials, m, reps = 9, 5, 3
+    monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 4 * reps)  # two trials per chunk
+    checked = []
+    check = qpe._checked_stack
+    monkeypatch.setattr(qpe, "_checked_stack", lambda *args: checked.append(args) or check(*args))
+    array = np.broadcast_to(u.matrix, (trials,) + u.matrix.shape)
+    from_array = ipea_batch(array, target, m, reps, provider, TrialStreams(5, (), range(trials)))
+    assert len(checked) == 1
+    from_unitary = ipea_batch(u, target, m, reps, provider, TrialStreams(5, (), range(trials)))
+    assert len(checked) == 1
+    assert from_unitary.numerators.tolist() == from_array.numerators.tolist()
+    assert len(set(from_array.numerators.tolist())) > 1
+    for label, counts in from_array.branch_tally.items():
+        assert from_unitary.branch_tally[label].tolist() == counts.tolist()
