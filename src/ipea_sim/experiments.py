@@ -13,13 +13,16 @@ Three canned studies cover the simulator end to end:
   voting, over uniformly random phases realized as diagonal unitaries.
 
 ``emit`` renders any record table as CSV (LF newlines, floats at 12
-significant digits) or JSON with mirrored fields.
+significant digits) or JSON with mirrored fields, one column at a time:
+each field is read once into a column, and each column takes one
+formatter chosen from its value types.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -182,7 +185,7 @@ def run_fig4(
     target = polarization_state("R")
     if exact:
         estimates = [
-            qpe.ipea_run_exact(EigenproblemSpec(u, target), FIG4_BITS, provider).estimate
+            _estimate_cells(qpe.ipea_run_exact(EigenproblemSpec(u, target), FIG4_BITS, provider))
             for u in unitaries
         ]
         branch_fracs = [None] * len(unitaries)
@@ -196,18 +199,18 @@ def run_fig4(
             TrialStreams(seed, (), range(len(unitaries))),
         )
     records = []
-    for theta, unitary, estimate, branch_frac in zip(
+    for theta, unitary, (bits, phi_est), branch_frac in zip(
         FIG4_THETAS, unitaries, estimates, branch_fracs
     ):
         phi_oracle = oracle_eigenphase(unitary, "R")
-        error = circular_distance(estimate.value, phi_oracle)
+        error = circular_distance(phi_est, phi_oracle)
         records.append(
             RunRecord(
                 theta1_deg=0.0,
                 theta2_deg=theta,
                 phi_oracle=phi_oracle,
-                bits=estimate.as_string(),
-                phi_est=estimate.value,
+                bits=bits,
+                phi_est=phi_est,
                 circ_error=error,
                 p_branch_frac=branch_frac,
                 success=error < FIG4_SUCCESS_THRESHOLD,
@@ -216,14 +219,21 @@ def run_fig4(
     return records
 
 
-def _sampled_estimates(unitaries, target, m, reps, provider, draws):
-    """Each trial's estimate and its share of even-parity (P) branches.
+def _estimate_cells(result: qpe.ExactIpeaResult) -> tuple[str, float]:
+    """An exact run's bit string and value."""
+    return result.estimate.as_string(), result.estimate.value
 
-    The trials run as one batch; the share is None for every trial of an
-    unbranched provider.
+
+def _sampled_estimates(unitaries, target, m, reps, provider, draws):
+    """Each trial's (bit string, value) and its share of even-parity (P) branches.
+
+    The trials run as one batch, and trial t's cells come from its
+    numerator n: ``f"{n:0{m}b}"`` and n / 2^m.  The share is None for
+    every trial of an unbranched provider.
     """
     batch = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
-    estimates = [qpe.PhaseEstimate.from_numerator(n, m) for n in batch.numerators]
+    scale = 1 << m
+    estimates = [(f"{n:0{m}b}", n / scale) for n in batch.numerators.tolist()]
     if not batch.branch_tally:
         return estimates, [None] * len(estimates)
     none = np.zeros(len(estimates), dtype=np.int64)
@@ -401,7 +411,7 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
     phi_oracle = _oracle_or_none(unitary, config.eigenstate)
     trials = config.resolved_trials()
     if trials == 0:
-        estimates = [qpe.ipea_run_exact(spec, config.bits, config.provider).estimate]
+        estimates = [_estimate_cells(qpe.ipea_run_exact(spec, config.bits, config.provider))]
         branch_fracs = [None]
     else:
         estimates, branch_fracs = _sampled_estimates(
@@ -413,18 +423,18 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
             TrialStreams(seed, (), range(trials)),
         )
     rows = []
-    for trial, (estimate, branch_frac) in enumerate(zip(estimates, branch_fracs)):
+    for trial, ((bits, phi_est), branch_frac) in enumerate(zip(estimates, branch_fracs)):
         if phi_oracle is None:
             error = None
             success = None
         else:
-            error = circular_distance(estimate.value, phi_oracle)
+            error = circular_distance(phi_est, phi_oracle)
             success = error <= 2.0**-config.bits
         rows.append(
             {
                 "trial": trial,
-                "bits": estimate.as_string(),
-                "phi_est": estimate.value,
+                "bits": bits,
+                "phi_est": phi_est,
                 "phi_oracle": phi_oracle,
                 "circ_error": error,
                 "p_branch_frac": branch_frac,
@@ -479,13 +489,48 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     raise ContractError(f"unknown mode {config.mode!r}")
 
 
-def _record_dict(record, fields) -> dict:
+def _cell_reader(record, by_attribute: bool):
+    """A record's cell reader: ``record[f]`` of a dict; of a dataclass,
+    ``getattr(record, f)``, or its ``vars`` when no fields are given."""
     if isinstance(record, dict):
-        return dict(record)
+        return record.__getitem__
     if is_dataclass(record) and not isinstance(record, type):
-        return {name: getattr(record, name) for name in fields or vars(record)
-                if hasattr(record, name)}
+        return partial(getattr, record) if by_attribute else vars(record).__getitem__
     raise ContractError(f"cannot tabulate {type(record).__name__}")
+
+
+def _columns(records: list, fields) -> tuple[tuple, list[list]]:
+    """The table's fields and one column per field, each cell read once.
+
+    Without ``fields`` the first record names them (the waveplate-sweep
+    schema when there is none).
+    """
+    readers = [_cell_reader(r, fields is not None) for r in records]
+    if fields is not None:
+        fields = tuple(fields)
+    elif records:
+        # the keys of the mapping the first reader reads: a dict, or vars
+        fields = tuple(readers[0].__self__)
+    else:
+        fields = FIG4_FIELDS
+    try:
+        if len(readers) == 1:  # one map in place of a comprehension per field
+            return fields, [[v] for v in map(readers[0], fields)]
+        return fields, [[read(f) for read in readers] for f in fields]
+    except (KeyError, AttributeError):
+        for i, read in enumerate(readers):
+            missing = [f for f in fields if not _readable(read, f)]
+            if missing:
+                raise ContractError(f"record {i} is missing fields {missing}") from None
+        raise
+
+
+def _readable(read, field) -> bool:
+    try:
+        read(field)
+    except (KeyError, AttributeError):
+        return False
+    return True
 
 
 def _format_value(value) -> str:
@@ -508,34 +553,73 @@ def _json_value(value):
     return value
 
 
+def _column_kinds(columns: list[list]) -> list:
+    """Each column's one value type, or None where its cells' types differ."""
+    if len(columns[0]) == 1:  # a single cell is of one type
+        return [type(values[0]) for values in columns]
+    kinds = [set(map(type, values)) for values in columns]
+    return [k.pop() if len(k) == 1 else None for k in kinds]
+
+
+# printf conversion of a CSV column whose cells all have this exact type:
+# "%.12g" is format(x, ".12g"), "%d" prints a bool as 1 or 0 and "%.0s"
+# prints None as an empty cell
+_CSV_CONVERSIONS = {float: "%.12g", str: "%s", int: "%d", bool: "%d", type(None): "%.0s"}
+# exact types that JSON already prints as the row-at-a-time emit did
+_JSON_NATIVE = (str, int, bool, type(None))
+
+
+def _csv_rows(columns: list[list]) -> list[str]:
+    """Each row's CSV line, through one printf template for the table.
+
+    A column of one type listed in ``_CSV_CONVERSIONS`` gets its
+    conversion in the template; any other column (numpy scalars, mixed
+    types) is formatted by ``_format_value`` cell by cell.
+    """
+    conversions = list(map(_CSV_CONVERSIONS.get, _column_kinds(columns)))
+    if None in conversions:
+        for i, conversion in enumerate(conversions):
+            if conversion is None:
+                columns[i] = list(map(_format_value, columns[i]))
+                conversions[i] = "%s"
+    return list(map(",".join(conversions).__mod__, zip(*columns)))
+
+
+def _json_rows(columns: list[list]):
+    """Each row's JSON values: a column of plain floats rounded to 12
+    significant digits, a column of one ``_JSON_NATIVE`` type as it is,
+    any other column through ``_json_value`` cell by cell."""
+    for i, kind in enumerate(_column_kinds(columns)):
+        if kind is float:
+            columns[i] = [float(f"{v:.12g}") for v in columns[i]]
+        elif kind not in _JSON_NATIVE:
+            columns[i] = list(map(_json_value, columns[i]))
+    return zip(*columns)
+
+
 def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     """Render records as CSV or JSON; optionally write them to a file.
 
-    CSV uses LF newlines and prints floats with 12 significant digits;
-    booleans become 1/0 and missing values empty cells.  JSON mirrors
-    the same fields with native types.  An empty record list still
-    yields the header (the waveplate-sweep schema unless ``fields``
-    says otherwise).
+    Records are dicts or dataclasses.  CSV uses LF newlines and prints
+    floats with 12 significant digits; booleans become 1/0 and missing
+    values empty cells.  JSON mirrors the same fields with native types.
+    Each field is read into a column once and formatted by one rule
+    chosen from the column's value types, so a CSV row costs one printf
+    of a template built for the table (``_csv_rows``).  An empty record
+    list still yields the header (the waveplate-sweep schema unless
+    ``fields`` says otherwise); a record without one of the fields is
+    refused, naming both.
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
-    dicts = [_record_dict(r, fields) for r in records]
-    if fields is None:
-        fields = tuple(dicts[0].keys()) if dicts else FIG4_FIELDS
-    else:
-        fields = tuple(fields)
-    for i, d in enumerate(dicts):
-        missing = [f for f in fields if f not in d]
-        if missing:
-            raise ContractError(f"record {i} is missing fields {missing}")
+    records = list(records)
+    fields, columns = _columns(records, fields)
     if fmt == "csv":
-        lines = [",".join(fields)]
-        for d in dicts:
-            lines.append(",".join(_format_value(d[f]) for f in fields))
-        text = "\n".join(lines) + "\n"
+        lines = _csv_rows(columns) if fields else [""] * len(records)
+        text = "\n".join([",".join(fields), *lines]) + "\n"
     else:
-        payload = [{f: _json_value(d[f]) for f in fields} for d in dicts]
-        text = json.dumps(payload, indent=2) + "\n"
+        rows = _json_rows(columns) if fields else [()] * len(records)
+        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

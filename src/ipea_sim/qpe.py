@@ -584,11 +584,12 @@ def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.
     stage = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
     # squares[e] = U^(2^e); register qubit j controls U^(2^(m-1-j)).
     squares = _squaring_ladder(unitary.matrix, m)
-    x = np.arange(dim)
+    d = input_state.dim
     for j in range(m):
-        w = squares[m - 1 - j]
-        rows = (x >> (m - 1 - j)) & 1 == 1
-        stage[rows] = stage[rows] @ w.T
+        # the rows whose register qubit j reads 1, as a view; the product
+        # runs on a C-ordered copy, since matmul bits follow operand layout
+        ones = stage.reshape(1 << j, 2, -1, d)[:, 1]
+        ones[...] = (ones.copy().reshape(-1, d) @ squares[m - 1 - j].T).reshape(ones.shape)
     return stage
 
 

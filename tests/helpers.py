@@ -1,10 +1,13 @@
 """Shared sampling utilities and reference implementations for the test suite."""
 
 import argparse
+import json
+from dataclasses import is_dataclass
 
 import numpy as np
 
 from ipea_sim import cli, qmath
+from ipea_sim.experiments import FIG4_FIELDS
 from ipea_sim.photonics import (
     ParityBranch,
     apply_blue_unitary,
@@ -13,8 +16,8 @@ from ipea_sim.photonics import (
     postselect,
     prepare_entangled_input,
 )
-from ipea_sim.qmath import DensityMatrix, StateVector, Unitary
-from ipea_sim.qpe import feedback_angle
+from ipea_sim.qmath import ContractError, DensityMatrix, StateVector, Unitary
+from ipea_sim.qpe import _squaring_ladder, feedback_angle
 from ipea_sim.tomography import BASES, PauliCounts
 
 
@@ -158,6 +161,24 @@ def reference_register(unitary: Unitary, target: StateVector, m: int) -> tuple:
     return stage, inverse_qft(m) @ stage
 
 
+def reference_controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:
+    """``qpe._controlled_stage`` with each register qubit's rows picked by a mask.
+
+    Row x starts as 2^(-m/2) |target>; register qubit j (0 most
+    significant) multiplies the rows whose bit m-1-j is set by
+    U^(2^(m-1-j)), through a boolean mask, one 2-D product per qubit.
+    """
+    dim = 1 << m
+    stage = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
+    squares = _squaring_ladder(unitary.matrix, m)
+    x = np.arange(dim)
+    for j in range(m):
+        w = squares[m - 1 - j]
+        rows = (x >> (m - 1 - j)) & 1 == 1
+        stage[rows] = stage[rows] @ w.T
+    return stage
+
+
 def reference_collapse_blocks(unitary: Unitary, target: StateVector, m: int, coherence):
     """Unnormalized conditional target of every outcome, dense-matrix path.
 
@@ -207,6 +228,72 @@ def reference_bootstrap(counts: PauliCounts, ideal: StateVector, resamples: int,
         m = (np.eye(2, dtype=complex) + r[0] * sigma[0] + r[1] * sigma[1] + r[2] * sigma[2]) / 2.0
         fids[i] = qmath.fidelity(DensityMatrix(2, m), ideal)
     return float(np.mean(fids)), float(np.std(fids))
+
+
+def _record_dict(record, fields) -> dict:
+    if isinstance(record, dict):
+        return dict(record)
+    if is_dataclass(record) and not isinstance(record, type):
+        return {name: getattr(record, name) for name in fields or vars(record)
+                if hasattr(record, name)}
+    raise ContractError(f"cannot tabulate {type(record).__name__}")
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
+    return str(value)
+
+
+def _json_value(value):
+    if isinstance(value, (float, np.floating)):
+        return float(format(float(value), ".12g"))
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def reference_emit(records, fmt: str = "csv", path=None, fields=None) -> str:
+    """Render records as CSV or JSON; optionally write them to a file.
+
+    The row-at-a-time ``emit`` (a dict copy per record, a type ladder per
+    cell); ``experiments.emit`` must return the same text.
+
+    CSV uses LF newlines and prints floats with 12 significant digits;
+    booleans become 1/0 and missing values empty cells.  JSON mirrors
+    the same fields with native types.  An empty record list still
+    yields the header (the waveplate-sweep schema unless ``fields``
+    says otherwise).
+    """
+    if fmt not in ("csv", "json"):
+        raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
+    dicts = [_record_dict(r, fields) for r in records]
+    if fields is None:
+        fields = tuple(dicts[0].keys()) if dicts else FIG4_FIELDS
+    else:
+        fields = tuple(fields)
+    for i, d in enumerate(dicts):
+        missing = [f for f in fields if f not in d]
+        if missing:
+            raise ContractError(f"record {i} is missing fields {missing}")
+    if fmt == "csv":
+        lines = [",".join(fields)]
+        for d in dicts:
+            lines.append(",".join(_format_value(d[f]) for f in fields))
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = [{f: _json_value(d[f]) for f in fields} for d in dicts]
+        text = json.dumps(payload, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return text
 
 
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, random_state
+from helpers import haar_unitary, random_state, reference_emit
 from ipea_sim import cli, experiments, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
+    FIG5_FIELDS,
     QPE_FULL_FIELDS,
+    PanelResult,
     RunRecord,
     emit,
     run_config,
@@ -22,8 +24,9 @@ from ipea_sim.experiments import (
     wilson_interval,
 )
 from ipea_sim.photonics import NoiseSpec, hwp
-from ipea_sim.qmath import ContractError, derive_rng
+from ipea_sim.qmath import ContractError, DensityMatrix, derive_rng
 from ipea_sim.qpe import EigenproblemSpec, PhaseEstimate
+from ipea_sim.tomography import ReconstructionReport
 
 # frozen from cos^2(pi * 0.625) / sin^2(pi * 0.625): the conditional
 # probabilities of the 67.5-degree panels
@@ -341,7 +344,78 @@ def test_qpe_full_rows_print_as_the_reference_rows(bits):
     ]
     rows = experiments._qpe_full_rows(cfg)
     for fmt in ("csv", "json"):
-        assert emit(rows, fmt, fields=QPE_FULL_FIELDS) == emit(reference, fmt, fields=QPE_FULL_FIELDS)
+        assert emit(rows, fmt, fields=QPE_FULL_FIELDS) == reference_emit(
+            reference, fmt, fields=QPE_FULL_FIELDS
+        )
+
+
+# Every cell type a table can hold, a column of one type or of several.
+_CELLS = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float": st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    "np.float64": st.floats().map(np.float64),
+    "str": st.text(max_size=6),
+}
+_COLUMNS = st.sampled_from(sorted(_CELLS)).map(lambda k: _CELLS[k]) | st.just(
+    st.one_of(*_CELLS.values())
+)
+
+
+@st.composite
+def _tables(draw):
+    """(records, fields): dicts, RunRecords, both, PanelResults or no record.
+
+    Some tables lack a field in a record, or hold a record that is
+    neither a dict nor a dataclass, so refusals are compared too.
+    """
+    kind = draw(st.sampled_from(["dict", "run", "mixed", "panel", "empty"]))
+    n = draw(st.integers(1, 6))
+    if kind == "empty":
+        return [], draw(st.none() | st.just(FIG4_FIELDS) | st.just(("a", "b")))
+    if kind == "dict":
+        names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=4), unique=True, max_size=4))
+        columns = {name: draw(_COLUMNS) for name in names}
+        records = [{name: draw(cells) for name, cells in columns.items()} for _ in range(n)]
+        if names and draw(st.integers(0, 4)) == 0:
+            del records[draw(st.integers(0, n - 1))][draw(st.sampled_from(names))]
+        fields = draw(st.none() | st.permutations(names) | st.just((*names, "q")))
+    elif kind in ("run", "mixed"):
+        columns = {name: draw(_COLUMNS) for name in FIG4_FIELDS}
+        records = [RunRecord(**{f: draw(cells) for f, cells in columns.items()}) for _ in range(n)]
+        if kind == "mixed":
+            i = draw(st.integers(0, n - 1))
+            records[i] = draw(st.just(vars(records[i]).copy()) | st.just((1, 2)))
+        fields = draw(st.none() | st.just(FIG4_FIELDS) | st.just((*FIG4_FIELDS, "q")))
+    else:
+        report = ReconstructionReport(DensityMatrix(2, np.eye(2) / 2), 0.5, 0.0, 0)
+        own = ("panel", "hwp_deg", "input_state", "outcome", "outcome_prob")
+        columns = {name: draw(_COLUMNS) for name in own}
+        records = [
+            PanelResult(report=report, **{f: draw(cells) for f, cells in columns.items()})
+            for _ in range(n)
+        ]
+        fields = draw(st.none() | st.just(FIG5_FIELDS) | st.just(own))
+    return records, fields
+
+
+def _rendered(render, records, fmt, fields):
+    try:
+        return render(records, fmt, fields=fields)
+    except (ContractError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.sampled_from(["csv", "json"]))
+def test_emit_prints_as_the_row_at_a_time_reference(table, fmt):
+    # Column formatting must give the row-at-a-time reference's text: the
+    # same bytes, or the same refusal (numpy booleans, for one, are not JSON).
+    records, fields = table
+    assert _rendered(emit, records, fmt, fields) == _rendered(reference_emit, records, fmt, fields)
 
 
 def _edge_weights(u: float, size: int, kind: str) -> np.ndarray:

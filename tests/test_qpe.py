@@ -1,6 +1,7 @@
 """Engine checks: feedback arithmetic, iterative and full-register runs."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     phase_unitary,
     random_state,
     reference_collapse_blocks,
+    reference_controlled_stage,
     reference_ipea_run,
     reference_register,
 )
@@ -53,7 +55,7 @@ from ipea_sim.qpe import (
     qpe_full_distribution,
     resolve_provider,
 )
-from ipea_sim.qpe import _round_pairs
+from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -596,6 +598,33 @@ def test_register_engine_matches_dense_fourier_oracle(seed, num_qubits, m, coher
     np.testing.assert_allclose(
         unnormalized(res.collapsed_target, weights[x]), blocks[x], rtol=0, atol=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 10),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_controlled_stage_equals_the_masked_reference(seed, num_qubits, m, coherence):
+    # Each register qubit's rows are a view of the stage, multiplied as a
+    # C-ordered copy: the same bits as picking them with a boolean mask,
+    # in the stage and in the readout's weights and most likely outcome's
+    # conditional target.
+    rng = derive_rng(seed)
+    u = haar_unitary(1 << num_qubits, rng)
+    target = random_state(num_qubits, rng)
+    assert np.array_equal(_controlled_stage(u, target, m), reference_controlled_stage(u, target, m))
+    weights, conditional = _register_readout(u, target, m, coherence)
+    with mock.patch.object(qpe, "_controlled_stage", reference_controlled_stage):
+        ref_weights, ref_conditional = _register_readout(u, target, m, coherence)
+    assert np.array_equal(weights, ref_weights)
+    a, b = conditional(int(np.argmax(weights))), ref_conditional(int(np.argmax(weights)))
+    if coherence is None:
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    else:
+        assert np.array_equal(a.matrix, b.matrix)
 
 
 def _literal_blue(target: StateVector, unitary: np.ndarray, k: int) -> np.ndarray:
