@@ -26,7 +26,7 @@ or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 ``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
 Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
 ``trials 0``.  ``ipea`` and ``collapse`` print one row per trial, which
-costs up to about 2.3 kB of memory per row (a JSON ``ipea`` table; 0.8 kB
+costs up to about 2.2 kB of memory per row (a JSON ``ipea`` table; 0.6 kB
 in CSV), so they refuse more than ``MAX_TRIALS`` trials: a table stays
 under about 0.3 GB.  ``montecarlo`` prints two rows whatever its count
 and has no bound.

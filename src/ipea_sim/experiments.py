@@ -12,10 +12,16 @@ Three canned studies cover the simulator end to end:
 * ``run_montecarlo``: the precision bound, single shot versus majority
   voting, over uniformly random phases realized as diagonal unitaries.
 
-``emit`` renders any record table as CSV (LF newlines, floats at 12
-significant digits) or JSON with mirrored fields, one column at a time:
-each field is read once into a column, and each column takes one
-formatter chosen from its value types.
+A table reaches ``emit`` in one of two shapes.  The config studies
+(``run_config``'s ``ipea``, ``qpe_full`` and ``collapse`` modes) build
+``Columns``, one list of cells per field, straight from the arrays they
+compute, so no row is ever built; the studies whose rows are read
+elsewhere (fig4's ``RunRecord``, fig5's ``PanelResult``, the Monte Carlo
+dicts) return records, and ``emit`` reads each of their fields once into
+a column.  Either way ``emit`` renders the table as CSV (LF newlines,
+floats at 12 significant digits) or JSON with mirrored fields, one
+column at a time, each column taking one formatter chosen from its value
+types.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, is_dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -54,6 +61,7 @@ __all__ = [
     "FIG4_FIELDS",
     "RunRecord",
     "PanelResult",
+    "Columns",
     "run_fig4",
     "run_fig5",
     "run_montecarlo",
@@ -152,6 +160,14 @@ class PanelResult:
         return self.report.shots_per_basis
 
 
+@dataclass(frozen=True)
+class Columns:
+    """A table held as one list of cells per field, in the order of the
+    fields it is emitted with; every list has one cell per row."""
+
+    lists: list[list]
+
+
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     """Wilson score interval for a binomial proportion (95% by default)."""
     if trials < 1:
@@ -184,13 +200,11 @@ def run_fig4(
     unitaries = [compose_waveplates([first, WaveplateSpec("HWP", t)]) for t in FIG4_THETAS]
     target = polarization_state("R")
     if exact:
-        estimates = [
-            _estimate_cells(qpe.ipea_run_exact(EigenproblemSpec(u, target), FIG4_BITS, provider))
-            for u in unitaries
-        ]
-        branch_fracs = [None] * len(unitaries)
+        bit_strings, phis, branch_fracs = _exact_estimates(
+            [EigenproblemSpec(u, target) for u in unitaries], FIG4_BITS, provider
+        )
     else:
-        estimates, branch_fracs = _sampled_estimates(
+        bit_strings, phis, branch_fracs = _sampled_estimates(
             np.stack([u.matrix for u in unitaries]),
             target,
             FIG4_BITS,
@@ -199,8 +213,8 @@ def run_fig4(
             TrialStreams(seed, (), range(len(unitaries))),
         )
     records = []
-    for theta, unitary, (bits, phi_est), branch_frac in zip(
-        FIG4_THETAS, unitaries, estimates, branch_fracs
+    for theta, unitary, bits, phi_est, branch_frac in zip(
+        FIG4_THETAS, unitaries, bit_strings, phis, branch_fracs
     ):
         phi_oracle = oracle_eigenphase(unitary, "R")
         error = circular_distance(phi_est, phi_oracle)
@@ -219,13 +233,15 @@ def run_fig4(
     return records
 
 
-def _estimate_cells(result: qpe.ExactIpeaResult) -> tuple[str, float]:
-    """An exact run's bit string and value."""
-    return result.estimate.as_string(), result.estimate.value
+def _exact_estimates(specs, m, provider):
+    """Each exact run's bit string and value, and no branch share: three columns."""
+    estimates = [qpe.ipea_run_exact(spec, m, provider).estimate for spec in specs]
+    return [e.as_string() for e in estimates], [e.value for e in estimates], [None] * len(specs)
 
 
 def _sampled_estimates(unitaries, target, m, reps, provider, draws):
-    """Each trial's (bit string, value) and its share of even-parity (P) branches.
+    """Each trial's bit string, value and share of even-parity (P) branches:
+    three columns.
 
     The trials run as one batch, and trial t's cells come from its
     numerator n: ``f"{n:0{m}b}"`` and n / 2^m.  The share is None for
@@ -233,13 +249,14 @@ def _sampled_estimates(unitaries, target, m, reps, provider, draws):
     """
     batch = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
     scale = 1 << m
-    estimates = [(f"{n:0{m}b}", n / scale) for n in batch.numerators.tolist()]
+    numerators = batch.numerators.tolist()
+    bits, phis = [f"{n:0{m}b}" for n in numerators], [n / scale for n in numerators]
     if not batch.branch_tally:
-        return estimates, [None] * len(estimates)
-    none = np.zeros(len(estimates), dtype=np.int64)
+        return bits, phis, [None] * len(numerators)
+    none = np.zeros(len(numerators), dtype=np.int64)
     p = batch.branch_tally.get("P", none).tolist()
     q = batch.branch_tally.get("Q", none).tolist()
-    return estimates, [a / (a + b) if a + b else None for a, b in zip(p, q)]
+    return bits, phis, [a / (a + b) if a + b else None for a, b in zip(p, q)]
 
 
 _FIG5_ANGLES = (30.0, 45.0, 67.5)
@@ -405,16 +422,15 @@ def _oracle_or_none(unitary: Unitary, eigenstate: str):
         return None
 
 
-def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
+def _ipea_rows(config: ExperimentConfig, seed: int) -> Columns:
     unitary = config.unitary()
     spec = EigenproblemSpec(unitary, config.input_state())
     phi_oracle = _oracle_or_none(unitary, config.eigenstate)
     trials = config.resolved_trials()
     if trials == 0:
-        estimates = [_estimate_cells(qpe.ipea_run_exact(spec, config.bits, config.provider))]
-        branch_fracs = [None]
+        bits, phis, branch_fracs = _exact_estimates([spec], config.bits, config.provider)
     else:
-        estimates, branch_fracs = _sampled_estimates(
+        bits, phis, branch_fracs = _sampled_estimates(
             unitary,
             spec.input_state,
             config.bits,
@@ -422,51 +438,49 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> list[dict]:
             config.provider,
             TrialStreams(seed, (), range(trials)),
         )
-    rows = []
-    for trial, ((bits, phi_est), branch_frac) in enumerate(zip(estimates, branch_fracs)):
-        if phi_oracle is None:
-            error = None
-            success = None
-        else:
-            error = circular_distance(phi_est, phi_oracle)
-            success = error <= 2.0**-config.bits
-        rows.append(
-            {
-                "trial": trial,
-                "bits": bits,
-                "phi_est": phi_est,
-                "phi_oracle": phi_oracle,
-                "circ_error": error,
-                "p_branch_frac": branch_frac,
-                "success": success,
-            }
-        )
-    return rows
+    count = len(bits)
+    if phi_oracle is None:
+        errors, successes = [None] * count, [None] * count
+    else:
+        errors = [circular_distance(phi_est, phi_oracle) for phi_est in phis]
+        bound = 2.0**-config.bits
+        successes = [error <= bound for error in errors]
+    return Columns(
+        [list(range(count)), bits, phis, [phi_oracle] * count, errors, branch_fracs, successes]
+    )
 
 
-def _qpe_full_rows(config: ExperimentConfig) -> list[dict]:
+def _qpe_full_rows(config: ExperimentConfig) -> Columns:
     spec = EigenproblemSpec(config.unitary(), config.input_state())
     m = config.bits
     probs = qpe.qpe_full_distribution(spec, m)
-    return [{"bits": f"{x:0{m}b}", "probability": p} for x, p in enumerate(probs.tolist())]
+    # outcome x's bit string is f"{x:0{m}b}"; product yields them in order of x
+    return Columns([list(map("".join, product("01", repeat=m))), probs.tolist()])
 
 
 def _collapse_rows(
     unitary: Unitary, input_state: StateVector, m: int, trials: int, seed: int, coherence
-) -> list[dict]:
+) -> Columns:
     # One readout; trial t's outcome is derive_rng(seed, t).choice(2^m, p=probs).
     xs, probs, _ = qpe._collapse_draws(
         unitary, input_state, m, TrialStreams(seed, (), range(trials)), coherence
     )
     scale = 1 << m
-    return [
-        {"trial": t, "bits": f"{x:0{m}b}", "phi_est": x / scale, "outcome_probability": p}
-        for t, (x, p) in enumerate(zip(xs.tolist(), probs[xs].tolist()))
-    ]
+    outcomes = xs.tolist()
+    return Columns([
+        list(range(len(outcomes))),
+        [f"{x:0{m}b}" for x in outcomes],
+        [x / scale for x in outcomes],
+        probs[xs].tolist(),
+    ])
 
 
 def run_config(config: ExperimentConfig, seed: int | None = None):
-    """Dispatch a parsed configuration; returns (rows, field order)."""
+    """Dispatch a parsed configuration; returns (table, field order).
+
+    The table is ``Columns`` for ``ipea``, ``qpe_full`` and ``collapse``
+    and a list of row dicts for ``montecarlo``.
+    """
     effective_seed = config.seed if seed is None else seed
     if config.mode == "ipea":
         return _ipea_rows(config, effective_seed), IPEA_FIELDS
@@ -474,9 +488,9 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
         return _qpe_full_rows(config), QPE_FULL_FIELDS
     if config.mode == "collapse":
         coherence = None if config.noise is None else config.noise.distinguishability
-        rows = _collapse_rows(config.unitary(), config.input_state(), config.bits,
-                              config.resolved_trials(), effective_seed, coherence)
-        return rows, COLLAPSE_FIELDS
+        table = _collapse_rows(config.unitary(), config.input_state(), config.bits,
+                               config.resolved_trials(), effective_seed, coherence)
+        return table, COLLAPSE_FIELDS
     if config.mode == "montecarlo":
         rows = run_montecarlo(
             m=config.bits,
@@ -523,6 +537,17 @@ def _columns(records: list, fields) -> tuple[tuple, list[list]]:
             if missing:
                 raise ContractError(f"record {i} is missing fields {missing}") from None
         raise
+
+
+def _given_columns(table: Columns, fields) -> tuple[tuple, list[list]]:
+    """A ``Columns`` table's fields and a copy of its outer list, which
+    the formatters may replace columns in."""
+    if fields is None or len(fields) != len(table.lists):
+        raise ContractError(f"a table of {len(table.lists)} columns needs as many fields, "
+                            f"got {fields!r}")
+    if len(set(map(len, table.lists))) > 1:
+        raise ContractError(f"columns of unequal lengths {[len(c) for c in table.lists]}")
+    return tuple(fields), list(table.lists)
 
 
 def _readable(read, field) -> bool:
@@ -598,27 +623,34 @@ def _json_rows(columns: list[list]):
 
 
 def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
-    """Render records as CSV or JSON; optionally write them to a file.
+    """Render a table as CSV or JSON; optionally write it to a file.
 
-    Records are dicts or dataclasses.  CSV uses LF newlines and prints
-    floats with 12 significant digits; booleans become 1/0 and missing
-    values empty cells.  JSON mirrors the same fields with native types.
-    Each field is read into a column once and formatted by one rule
-    chosen from the column's value types, so a CSV row costs one printf
-    of a template built for the table (``_csv_rows``).  An empty record
-    list still yields the header (the waveplate-sweep schema unless
-    ``fields`` says otherwise); a record without one of the fields is
-    refused, naming both.
+    The table is records or ``Columns``.  Records are dicts or
+    dataclasses, and each of their fields is read into a column once; an
+    empty record list still yields the header (the waveplate-sweep
+    schema unless ``fields`` says otherwise), and a record without one of
+    the fields is refused, naming both.  ``Columns`` are used as they
+    are, one list per entry of ``fields``, which they require.  CSV uses
+    LF newlines and prints floats with 12 significant digits; booleans
+    become 1/0 and missing values empty cells.  JSON mirrors the same
+    fields with native types.  Each column is formatted by one rule
+    chosen from its value types, so a CSV row costs one printf of a
+    template built for the table (``_csv_rows``).
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
-    records = list(records)
-    fields, columns = _columns(records, fields)
+    if isinstance(records, Columns):
+        fields, columns = _given_columns(records, fields)
+        count = len(columns[0]) if columns else 0
+    else:
+        records = list(records)
+        fields, columns = _columns(records, fields)
+        count = len(records)
     if fmt == "csv":
-        lines = _csv_rows(columns) if fields else [""] * len(records)
+        lines = _csv_rows(columns) if fields else [""] * count
         text = "\n".join([",".join(fields), *lines]) + "\n"
     else:
-        rows = _json_rows(columns) if fields else [()] * len(records)
+        rows = _json_rows(columns) if fields else [()] * count
         text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

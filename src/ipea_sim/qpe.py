@@ -271,7 +271,12 @@ class MatrixProvider:
             )
         count, dim = len(unitaries), target.dim
         # Round k's rung is every trial's U^(2^(k-1)) applied to the target.
-        powered = np.stack(_squaring_ladder(unitaries, m)) @ target.amplitudes[:, None]
+        # A matrix that every trial shares (ipea_batch's broadcast Unitary)
+        # is squared once and its rungs broadcast: one stacked product
+        # computes each matrix alone, so the bits are the per-trial ones.
+        shared = count > 1 and (unitaries[1:] == unitaries[0]).all()
+        ladder = _squaring_ladder(unitaries[:1] if shared else unitaries, m)
+        powered = np.stack(ladder) @ target.amplitudes[:, None]
         states = np.empty((m, count, 1, 2 * dim), dtype=complex)
         states[..., 0, :dim] = target.amplitudes
         states[..., 0, dim:] = powered[..., 0]

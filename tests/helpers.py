@@ -296,6 +296,11 @@ def reference_emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     return text
 
 
+def table_rows(table, fields) -> list[dict]:
+    """A ``Columns`` table's rows, each a dict of ``fields`` in order."""
+    return [dict(zip(fields, row)) for row in zip(*table.lists)]
+
+
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     """``cli.build_parser()``'s subcommand parsers, by name."""
     return next(

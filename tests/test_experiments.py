@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, random_state, reference_emit
+from helpers import haar_unitary, random_state, reference_emit, table_rows
 from ipea_sim import cli, experiments, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
+    Columns,
     FIG5_FIELDS,
     QPE_FULL_FIELDS,
     PanelResult,
@@ -154,7 +155,8 @@ class TestMontecarlo:
 class TestRunConfig:
     def test_ipea_exact_row(self):
         cfg = parse_experiment("mode ipea\nunitary hwp 0 hwp 45\ntrials 0\n")
-        rows, fields = run_config(cfg)
+        columns, fields = run_config(cfg)
+        rows = table_rows(columns, fields)
         assert fields == experiments.IPEA_FIELDS
         assert len(rows) == 1
         assert rows[0]["bits"] == "110"
@@ -165,7 +167,7 @@ class TestRunConfig:
         cfg = parse_experiment(
             "mode ipea\nunitary hwp 0 hwp 45\ntrials 3\nreps 3\nprovider matrix\n"
         )
-        rows, _ = run_config(cfg)
+        rows = table_rows(*run_config(cfg))
         assert [r["trial"] for r in rows] == [0, 1, 2]
 
     def test_ipea_degenerate_oracle_leaves_rows_unscored(self):
@@ -173,14 +175,15 @@ class TestRunConfig:
         cfg = parse_experiment(
             "mode ipea\nunitary hwp 45\neigenstate H\ntrials 0\nprovider matrix\n"
         )
-        rows, _ = run_config(cfg)
+        rows = table_rows(*run_config(cfg))
         assert rows[0]["phi_oracle"] is None
         assert rows[0]["circ_error"] is None
         assert rows[0]["success"] is None
 
     def test_qpe_full_table(self):
         cfg = parse_experiment("mode qpe_full\nunitary hwp 0 hwp 45\nbits 2\n")
-        rows, fields = run_config(cfg)
+        columns, fields = run_config(cfg)
+        rows = table_rows(columns, fields)
         assert fields == experiments.QPE_FULL_FIELDS
         assert len(rows) == 4
         table = {r["bits"]: r["probability"] for r in rows}
@@ -191,7 +194,8 @@ class TestRunConfig:
         cfg = parse_experiment(
             "mode collapse\nunitary hwp 30\neigenstate H\ntrials 4\nbits 1\nseed 6\n"
         )
-        rows, fields = run_config(cfg)
+        columns, fields = run_config(cfg)
+        rows = table_rows(columns, fields)
         assert fields == experiments.COLLAPSE_FIELDS
         assert len(rows) == 4
         for row in rows:
@@ -218,7 +222,7 @@ class TestRunConfig:
             return readout(*args)
 
         monkeypatch.setattr(qpe, "_register_readout", counting_readout)
-        rows, _ = run_config(cfg)
+        rows = table_rows(*run_config(cfg))
         assert len(readouts) == 1
         assert len({row["bits"] for row in rows}) > 1
         assert rows == [
@@ -235,7 +239,7 @@ class TestRunConfig:
         cfg = parse_experiment(
             "mode collapse\nunitary hwp 30\nnoise 0.9 0\ntrials 2\nbits 1\n"
         )
-        rows, _ = run_config(cfg)
+        rows = table_rows(*run_config(cfg))
         assert len(rows) == 2
 
     def test_montecarlo_dispatch(self):
@@ -321,6 +325,16 @@ class TestEmit:
     def test_dict_records_keep_key_order(self):
         text = emit([{"x": 1, "y": 2.5}], "csv")
         assert text == "x,y\n1,2.5\n"
+
+    @pytest.mark.parametrize(
+        "lists, fields",
+        [([[1], [2]], None), ([[1], [2]], ("a",)), ([[1], [2]], ("a", "b", "c")),
+         ([[1, 2], [3]], ("a", "b"))],
+        ids=["no-fields", "too-few-fields", "too-many-fields", "ragged"],
+    )
+    def test_columns_need_one_field_per_column_of_one_length(self, lists, fields):
+        with pytest.raises(ContractError):
+            emit(Columns(lists), "csv", fields=fields)
 
 
 class TestGoldenFile:
@@ -418,6 +432,30 @@ def test_emit_prints_as_the_row_at_a_time_reference(table, fmt):
     assert _rendered(emit, records, fmt, fields) == _rendered(reference_emit, records, fmt, fields)
 
 
+@st.composite
+def _column_tables(draw):
+    """(Columns, fields): 0-4 fields, 0-6 rows, each column's cells of one
+    ``_CELLS`` type or of several."""
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=4), unique=True, max_size=4))
+    lists = [draw(st.lists(draw(_COLUMNS), min_size=n, max_size=n)) for _ in names]
+    return Columns(lists), tuple(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_tables(), st.sampled_from(["csv", "json"]))
+@example((Columns([[], []]), ("a", "b")), "csv")
+@example((Columns([[], []]), ("a", "b")), "json")
+def test_columns_print_as_the_reference_rows(table, fmt):
+    # A Columns table prints as reference_emit prints its rows as dicts,
+    # and emitting it leaves each of its columns in place.
+    columns, fields = table
+    kept = list(columns.lists)
+    rows = table_rows(columns, fields)
+    assert _rendered(emit, columns, fmt, fields) == _rendered(reference_emit, rows, fmt, fields)
+    assert all(a is b for a, b in zip(columns.lists, kept, strict=True))
+
+
 def _edge_weights(u: float, size: int, kind: str) -> np.ndarray:
     """Outcome weights whose cdf puts the draw ``u`` on an edge.
 
@@ -470,7 +508,10 @@ def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherenc
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpe, "_register_readout", edged_readout)
-        rows = experiments._collapse_rows(unitary, target, m, trials, seed, coherence)
+        rows = table_rows(
+            experiments._collapse_rows(unitary, target, m, trials, seed, coherence),
+            experiments.COLLAPSE_FIELDS,
+        )
         runs = [
             qpe.collapse_run(unitary, target, m, derive_rng(seed, t), coherence)
             for t in range(trials)

@@ -55,7 +55,7 @@ from ipea_sim.qpe import (
     qpe_full_distribution,
     resolve_provider,
 )
-from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs
+from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs, _squaring_ladder
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -137,6 +137,27 @@ class TestProviders:
         assert pairs.shape == (2, 2, 1)
         np.testing.assert_allclose(pairs[0], [[0.0], [1.0]], atol=1e-12)
         np.testing.assert_allclose(pairs[1], [[1.0], [0.0]], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2), m=st.integers(1, 8))
+    def test_shared_unitary_is_squared_once(self, seed, num_qubits, m):
+        # Every trial's copy of one matrix gets the rungs that squaring each
+        # copy on its own gives, bit for bit, from one squaring ladder.
+        rng = derive_rng(seed)
+        d = 1 << num_qubits
+        u, target = haar_unitary(d, rng), random_state(num_qubits, rng)
+        stack = np.ascontiguousarray(np.broadcast_to(u.matrix, (5, d, d)))
+        per_trial = np.stack(_squaring_ladder(stack, m)) @ target.amplitudes[:, None]
+        ladders = []
+
+        def counting_ladder(unitaries, m):
+            ladders.append(unitaries.shape)
+            return _squaring_ladder(unitaries, m)
+
+        with mock.patch.object(qpe, "_squaring_ladder", counting_ladder):
+            states, _, _ = MatrixProvider().rounds(stack, target, m)
+        assert ladders == [(1, d, d)]
+        assert np.array_equal(states[..., 0, d:], per_trial[..., 0] * qpe._SQRT1_2)
 
     def test_ancilla_distribution_frozen_value(self):
         rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
