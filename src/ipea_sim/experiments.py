@@ -641,7 +641,7 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
     if isinstance(records, Columns):
         fields, columns = _given_columns(records, fields)
-        count = len(columns[0]) if columns else 0
+        count = 0  # read only without fields, which means no columns
     else:
         records = list(records)
         fields, columns = _columns(records, fields)

@@ -271,12 +271,7 @@ class MatrixProvider:
             )
         count, dim = len(unitaries), target.dim
         # Round k's rung is every trial's U^(2^(k-1)) applied to the target.
-        # A matrix that every trial shares (ipea_batch's broadcast Unitary)
-        # is squared once and its rungs broadcast: one stacked product
-        # computes each matrix alone, so the bits are the per-trial ones.
-        shared = count > 1 and (unitaries[1:] == unitaries[0]).all()
-        ladder = _squaring_ladder(unitaries[:1] if shared else unitaries, m)
-        powered = np.stack(ladder) @ target.amplitudes[:, None]
+        powered = np.stack(_squaring_ladder(unitaries, m)) @ target.amplitudes[:, None]
         states = np.empty((m, count, 1, 2 * dim), dtype=complex)
         states[..., 0, :dim] = target.amplitudes
         states[..., 0, dim:] = powered[..., 0]
@@ -500,12 +495,18 @@ def ipea_batch(
     elif not isinstance(draws, qmath.TrialStreams):
         raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
     trials = len(draws)
+    shared = None
     if isinstance(unitaries, Unitary):
         if unitaries.dim != target.dim:
             raise ContractError(
                 f"unitary dim {unitaries.dim} does not match target dim {target.dim}"
             )
         stack = np.broadcast_to(unitaries.matrix, (trials,) + unitaries.matrix.shape)
+        if trials > 1 and isinstance(provider, MatrixProvider):
+            # Every trial's rounds are the one matrix's, squared once: a
+            # stacked product computes each matrix alone, so the bits are
+            # those of the per-trial stack.
+            shared = _chunk_rounds(provider, np.ascontiguousarray(stack[:1]), target, m)
     else:
         stack = _checked_stack(unitaries, target.dim)
         if trials != len(stack):
@@ -515,8 +516,14 @@ def ipea_batch(
     step = batch_trials(reps_per_bit)
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
-        # C-ordered, as a stacked matmul's bits depend on its operands' layout
-        rounds = _chunk_rounds(provider, np.ascontiguousarray(stack[chunk]), target, m)
+        if shared is None:
+            # C-ordered, as a stacked matmul's bits depend on its operands' layout
+            rounds = _chunk_rounds(provider, np.ascontiguousarray(stack[chunk]), target, m)
+        else:  # the one trial's rounds, as read-only views over the chunk
+            states, weight, labels = shared
+            lead = (m, len(stack[chunk]), 1)
+            states = np.broadcast_to(states, lead + states.shape[3:])
+            rounds = states, np.broadcast_to(weight, lead), labels
         vote, drawn = _majority_votes(rounds, reps_per_bit, draws.rows(start, start + step))
         for label, counts in drawn.items():
             tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts

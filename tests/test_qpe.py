@@ -55,7 +55,7 @@ from ipea_sim.qpe import (
     qpe_full_distribution,
     resolve_provider,
 )
-from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs, _squaring_ladder
+from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -141,23 +141,33 @@ class TestProviders:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2), m=st.integers(1, 8))
     def test_shared_unitary_is_squared_once(self, seed, num_qubits, m):
-        # Every trial's copy of one matrix gets the rungs that squaring each
-        # copy on its own gives, bit for bit, from one squaring ladder.
+        # A batch of one Unitary on the matrix provider squares it once,
+        # and every chunk's rungs are, bit for bit, those of squaring each
+        # trial's copy on its own.
         rng = derive_rng(seed)
         d = 1 << num_qubits
         u, target = haar_unitary(d, rng), random_state(num_qubits, rng)
         stack = np.ascontiguousarray(np.broadcast_to(u.matrix, (5, d, d)))
-        per_trial = np.stack(_squaring_ladder(stack, m)) @ target.amplitudes[:, None]
-        ladders = []
+        ladders, rungs = [], []
+        ladder, ipea_rounds = qpe._squaring_ladder, qpe._ipea_rounds
 
         def counting_ladder(unitaries, m):
             ladders.append(unitaries.shape)
-            return _squaring_ladder(unitaries, m)
+            return ladder(unitaries, m)
 
-        with mock.patch.object(qpe, "_squaring_ladder", counting_ladder):
-            states, _, _ = MatrixProvider().rounds(stack, target, m)
+        def kept_rounds(rounds, decide):
+            rungs.append(rounds[0][..., 0, d:])
+            return ipea_rounds(rounds, decide)
+
+        with (
+            mock.patch.object(qpe, "MAX_ROUND_UNIFORMS", 6),  # three trials per chunk
+            mock.patch.object(qpe, "_squaring_ladder", counting_ladder),
+            mock.patch.object(qpe, "_ipea_rounds", kept_rounds),
+        ):
+            ipea_batch(u, target, m, 1, "matrix", TrialStreams(seed, (), range(5)))
         assert ladders == [(1, d, d)]
-        assert np.array_equal(states[..., 0, d:], per_trial[..., 0] * qpe._SQRT1_2)
+        per_trial = np.stack(ladder(stack, m)) @ target.amplitudes[:, None]
+        assert np.array_equal(np.concatenate(rungs, axis=1), per_trial[..., 0] * qpe._SQRT1_2)
 
     def test_ancilla_distribution_frozen_value(self):
         rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
