@@ -503,34 +503,23 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     raise ContractError(f"unknown mode {config.mode!r}")
 
 
-def _cell_reader(record, by_attribute: bool):
-    """A record's cell reader: ``record[f]`` of a dict; of a dataclass,
-    ``getattr(record, f)``, or its ``vars`` when no fields are given."""
+def _cell_reader(record):
+    """A record's cell reader: ``record[f]`` of a dict, ``getattr(record, f)``
+    of a dataclass."""
     if isinstance(record, dict):
         return record.__getitem__
     if is_dataclass(record) and not isinstance(record, type):
-        return partial(getattr, record) if by_attribute else vars(record).__getitem__
+        return partial(getattr, record)
     raise ContractError(f"cannot tabulate {type(record).__name__}")
 
 
-def _columns(records: list, fields) -> tuple[tuple, list[list]]:
-    """The table's fields and one column per field, each cell read once.
-
-    Without ``fields`` the first record names them (the waveplate-sweep
-    schema when there is none).
-    """
-    readers = [_cell_reader(r, fields is not None) for r in records]
-    if fields is not None:
-        fields = tuple(fields)
-    elif records:
-        # the keys of the mapping the first reader reads: a dict, or vars
-        fields = tuple(readers[0].__self__)
-    else:
-        fields = FIG4_FIELDS
+def _columns(records: list, fields: tuple) -> list[list]:
+    """One column per field, each cell read once."""
+    readers = [_cell_reader(r) for r in records]
     try:
         if len(readers) == 1:  # one map in place of a comprehension per field
-            return fields, [[v] for v in map(readers[0], fields)]
-        return fields, [[read(f) for read in readers] for f in fields]
+            return [[v] for v in map(readers[0], fields)]
+        return [[read(f) for read in readers] for f in fields]
     except (KeyError, AttributeError):
         for i, read in enumerate(readers):
             missing = [f for f in fields if not _readable(read, f)]
@@ -539,15 +528,15 @@ def _columns(records: list, fields) -> tuple[tuple, list[list]]:
         raise
 
 
-def _given_columns(table: Columns, fields) -> tuple[tuple, list[list]]:
-    """A ``Columns`` table's fields and a copy of its outer list, which
-    the formatters may replace columns in."""
-    if fields is None or len(fields) != len(table.lists):
+def _given_columns(table: Columns, fields: tuple) -> list[list]:
+    """A copy of a ``Columns`` table's outer list, which the formatters may
+    replace columns in."""
+    if len(fields) != len(table.lists):
         raise ContractError(f"a table of {len(table.lists)} columns needs as many fields, "
                             f"got {fields!r}")
     if len(set(map(len, table.lists))) > 1:
         raise ContractError(f"columns of unequal lengths {[len(c) for c in table.lists]}")
-    return tuple(fields), list(table.lists)
+    return list(table.lists)
 
 
 def _readable(read, field) -> bool:
@@ -625,32 +614,30 @@ def _json_rows(columns: list[list]):
 def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     """Render a table as CSV or JSON; optionally write it to a file.
 
-    The table is records or ``Columns``.  Records are dicts or
-    dataclasses, and each of their fields is read into a column once; an
-    empty record list still yields the header (the waveplate-sweep
-    schema unless ``fields`` says otherwise), and a record without one of
-    the fields is refused, naming both.  ``Columns`` are used as they
-    are, one list per entry of ``fields``, which they require.  CSV uses
-    LF newlines and prints floats with 12 significant digits; booleans
-    become 1/0 and missing values empty cells.  JSON mirrors the same
-    fields with native types.  Each column is formatted by one rule
-    chosen from its value types, so a CSV row costs one printf of a
-    template built for the table (``_csv_rows``).
+    ``fields`` names the table's columns, in order, and is required.  The
+    table is records or ``Columns``.  Records are dicts or dataclasses,
+    and each of their fields is read into a column once; an empty record
+    list still yields the header, and a record without one of the fields
+    is refused, naming both.  ``Columns`` are used as they are, one list
+    per field.  CSV uses LF newlines and prints floats with 12
+    significant digits; booleans become 1/0 and missing values empty
+    cells.  JSON mirrors the same fields with native types.  Each column
+    is formatted by one rule chosen from its value types, so a CSV row
+    costs one printf of a template built for the table (``_csv_rows``).
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if not fields:
+        raise ContractError(f"a table needs its fields named, got {fields!r}")
+    fields = tuple(fields)
     if isinstance(records, Columns):
-        fields, columns = _given_columns(records, fields)
-        count = 0  # read only without fields, which means no columns
+        columns = _given_columns(records, fields)
     else:
-        records = list(records)
-        fields, columns = _columns(records, fields)
-        count = len(records)
+        columns = _columns(list(records), fields)
     if fmt == "csv":
-        lines = _csv_rows(columns) if fields else [""] * count
-        text = "\n".join([",".join(fields), *lines]) + "\n"
+        text = "\n".join([",".join(fields), *_csv_rows(columns)]) + "\n"
     else:
-        rows = _json_rows(columns) if fields else [()] * count
+        rows = _json_rows(columns)
         text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -330,13 +330,7 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
         raise ContractError(
             f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
         )
-    red = arr[_rails(n, 0)].reshape(count, -1)
     blue = arr[_rails(n, 1)].reshape(count, -1, 1)
-    correlated = (np.abs(red) ** 2).sum(axis=1) + (np.abs(blue) ** 2).sum(axis=(1, 2))
-    if (np.abs(correlated - 1.0) > 1e-12).any():
-        raise ContractError(
-            "state is not rail-correlated; build it with prepare_entangled_input"
-        )
     step, blue = (unitaries[0].dot, blue[0, :, 0]) if count == 1 else (unitaries.__matmul__, blue)
     ladder = []
     for k in range(m):  # rung k + 1 sits 2^k passes in
@@ -399,10 +393,16 @@ def prepare_entangled_input(psi: StateVector) -> PhotonicState:
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
     """Pass the blue rails through the unitary 2^(k-1) times, one literal
-    copy (one 2-D ``dot``, bit for bit the stacked product) at a time; k ≤ 16."""
+    copy (one 2-D ``dot``, bit for bit the stacked product) at a time; k ≤ 16.
+    A state that is not rail-correlated (as ``prepare_entangled_input``
+    builds it) is refused."""
     if state.stage != STAGE_RAILS:
         raise ContractError("blue rails no longer exist after the beamsplitters")
     arr = state._tensor()[None]
+    # All of a caller's state must sit where H rides in red and V in blue.
+    correlated = sum((np.abs(arr[_rails(state.num_targets, r)]) ** 2).sum() for r in (0, 1))
+    if abs(correlated - 1.0) > 1e-12:
+        raise ContractError("state is not rail-correlated; build it with prepare_entangled_input")
     arr = _with_blue(arr, _blue_ladder(arr, unitary.matrix[None], k)[-1])
     return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_RAILS)
 

@@ -1,9 +1,10 @@
 """Complex linear algebra substrate for small qubit-register simulations.
 
-Validated states, operators and density matrices, the batch norm check
-the engines apply to whole arrays of states, the fidelity measure, and
-the per-trial random streams shared by the estimation, photonics, and
-tomography layers.  Everything here is a pure function over immutable
+Validated states, operators and density matrices; the batch checks that
+the containers and the engines apply to whole arrays (``check_normalized``
+for states, ``check_unitary`` for operators, ``check_density`` for
+density matrices); the fidelity measure; and the per-trial random
+streams shared by the estimation, photonics, and tomography layers.  Everything here is a pure function over immutable
 values; randomness enters only through explicitly passed generators
 and trial streams.
 
@@ -37,6 +38,7 @@ __all__ = [
     "state_from_amplitudes",
     "check_normalized",
     "check_density",
+    "check_unitary",
     "derive_rng",
     "TrialStreams",
     "fidelity",
@@ -115,12 +117,8 @@ class Unitary:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ContractError(f"unitary must be square, got shape {m.shape}")
         _check_capacity(m.size, "operator")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > CONSTRUCTION_TOL:
-            raise ContractError(f"matrix is not unitary: max |U†U - I| = {dev:.3e}")
+        check_unitary(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -215,6 +213,21 @@ def check_density(matrices: np.ndarray) -> None:
     lo = float(np.min(np.linalg.eigvalsh((matrices + adjoint) / 2.0)))
     if lo < EIGENVALUE_FLOOR:
         raise ContractError(f"density matrix has eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
+
+
+def check_unitary(matrices: np.ndarray) -> None:
+    """Every matrix along the last two axes is square with max |U†U - I|
+    within 1e-10; a failing matrix of a stack is named by its flat index
+    over the leading axes.  Callers refuse non-finite entries first."""
+    shape = matrices.shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or not shape[-1]:
+        raise ContractError(f"unitary must be square and at least 1x1, got shape {shape}")
+    dev = np.abs(matrices.swapaxes(-1, -2).conj() @ matrices - np.eye(shape[-1]))
+    dev = dev.max(axis=(-2, -1))
+    if not (dev <= CONSTRUCTION_TOL).all():
+        t = int(np.argmax(~(dev <= CONSTRUCTION_TOL)))
+        of = "" if len(shape) == 2 else f" of trial {t}"
+        raise ContractError(f"matrix{of} is not unitary: max |U†U - I| = {dev.flat[t]:.3e}")
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:

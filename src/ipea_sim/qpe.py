@@ -1,47 +1,26 @@
 """Phase estimation engines over a black-box controlled unitary.
 
-Two complementary engines live here:
+* The iterative engine (``ipea_batch``, ``ipea_run``, ``ipea_run_exact``)
+  reads an m-bit phase one bit per round with a single control qubit,
+  least significant bit first, each measured bit feeding the next
+  round's feedback rotation.
+* The full-register engine prepares m control qubits, applies the
+  controlled powers and reads the register through an orthonormal FFT;
+  one readout serves the register table, a collapse study and a fig5
+  panel, coherent (``coherence`` None) or with that fraction of the
+  control's coherence kept.
 
-* the iterative engine extracts an m-bit phase one bit per round with a
-  single control qubit, least significant bit first, threading every
-  measured bit into the feedback rotation of the next round;
-* the full-register engine prepares m control qubits at once, applies
-  the controlled powers, inverts the Fourier transform on the register
-  with an FFT, and reads the whole register, which is also what drives
-  eigenstate generation from non-eigenstate inputs.  One readout serves
-  the register table, every trial of a collapse study and a fig5 panel;
-  its ``coherence`` parameter selects the coherent circuit (None) or one
-  whose control keeps only that fraction of its coherence.
+Bit convention: "+" reads bit 0 and "-" bit 1; ``bits = (b1, ..., bm)``
+is the binary fraction 0.b1...bm.
 
-Bit convention: measuring the control in the +/- basis maps "+" to bit
-0 and "-" to bit 1.  An estimate ``bits = (b1, ..., bm)`` denotes the
-binary fraction 0.b1...bm.
-
-Controlled-power providers
---------------------------
-Only the feedback rotation depends on the bits already read, so a
-provider's ``rounds(stack, target, m)`` builds every round of a chunk at
-once, for a ``(T, d, d)`` stack and the shared target.  It returns
-``(states, weight, labels)``: round k's ``(T, B, 2d)`` branch states
-(control qubit first) at ``states[k - 1]``, their ``(T, B)`` weights at
-``weight[k - 1]`` (0 for a branch that never occurs), and the B labels:
-``(None,)`` unbranched, else "P", or "Q" where the measured bit is
-flipped.  Work that no measured bit affects runs once per chunk: the
-engine checks the arrays' shapes, every live state's norm and every
-rung's weights (non-negative, with a positive finite sum), and a sampled
-chunk (``ipea_batch``) draws each trial's uniforms for all m rounds in
-one request, picks every repetition's branch in the cdf of its rung's
-normalized weights, as ``Generator.choice`` does, and tallies the picks.
-Per round, ``_ipea_rounds``, the one round loop, copies rung k alone,
-rotates its |1> half by each trial's feedback angle and takes every
-branch's (P(+), P(-)) pair, as measured, from one batched product.
-``decide`` turns those pairs into one bit per trial, relabeling a Q
-branch where it reads one: the majority vote of the repetitions'
-outcomes on their picked branches, each flipped on a Q pick (sampled),
-or the argmax of the posterior, each Q pair swapped in its sum
-(``ipea_run_exact``).  A trial reads the uniforms its own
-stream's ``rng.random`` calls would give, so its estimate depends only
-on its own unitary and stream, never on the batch or chunk it ran in.
+A controlled-power provider answers ``rounds(stack, target, m)`` for a
+``(T, d, d)`` chunk with ``(states, weight, labels)``: round k's
+``(T, B, 2d)`` branch states (control first) at ``states[k - 1]``, their
+``(T, B)`` weights (0 for a branch that never occurs) and the B labels,
+``(None,)`` or "P"/"Q" (a Q branch's measured bit is flipped).  The
+engine checks them once per chunk and runs every round on them; README's
+provider paragraph gives the long form.  A trial's estimate depends only
+on its own unitary and stream, never on its batch or chunk.
 """
 
 from __future__ import annotations
@@ -53,7 +32,6 @@ import numpy as np
 
 from . import qmath
 from .qmath import (
-    CONSTRUCTION_TOL,
     CapacityError,
     ContractError,
     StateVector,
@@ -70,8 +48,6 @@ __all__ = [
     "BatchEstimate",
     "MatrixProvider",
     "resolve_provider",
-    "feedback_angle",
-    "control_pairs",
     "ancilla_bit_distribution",
     "batch_trials",
     "ipea_batch",
@@ -93,10 +69,8 @@ DEFAULT_REPS = 11
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
-_PLUS = np.array([_SQRT1_2, _SQRT1_2], dtype=complex)
-_MINUS = np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)
 # <+| and <-| stacked to meet a (T, B, 2, d) rung as (2, T, B, 1, d) products.
-_PLUS_MINUS = np.stack([_PLUS, _MINUS]).reshape(2, 1, 1, 1, 2)
+_PLUS_MINUS = (_SQRT1_2 * np.array([[1, 1], [1, -1]], dtype=complex)).reshape(2, 1, 1, 1, 2)
 
 
 def _validated_bits(bits) -> tuple[int, ...]:
@@ -130,20 +104,6 @@ def _feedback_angles(numerators, width: int) -> np.ndarray:
     # by a power of two is exact, so this one product rounds once, exactly
     # as -2 pi * (numerator / 2^(width + 1)) does.
     return np.asarray(numerators) * (-2.0 * np.pi / float(1 << (width + 1)))
-
-
-def feedback_angle(k: int, measured_bits) -> float:
-    """Feedback rotation angle for round k, in radians.
-
-    ``measured_bits`` are the already-extracted lower bits, ordered
-    from position k+1 up to m.  The angle is -2*pi times the binary
-    fraction 0.0 b_{k+1} ... b_m, evaluated in exact dyadic arithmetic;
-    the final round (no measured bits yet) gets angle 0.
-    """
-    if k < 1:
-        raise ContractError(f"iteration index k must be >= 1, got {k}")
-    bits = _validated_bits(measured_bits)
-    return float(_feedback_angles(_numerator(bits), len(bits)))
 
 
 @dataclass(frozen=True)
@@ -224,29 +184,11 @@ class ExactIpeaResult:
     bit_posteriors: tuple[float, ...]
 
 
-def control_pairs(amplitudes: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """(P(+), P(-)) on the control qubit after each feedback rotation.
-
-    ``amplitudes`` holds control+target states along its last axis
-    (control first, so the second half carries |1>); ``omegas`` holds
-    one angle per state (its shape is the leading shape of
-    ``amplitudes``, or broadcasts to it).  The rotation is
-    diag(1, e^{i omega}) on the control; only the relative phase
-    matters.
-    """
-    half = amplitudes.shape[-1] // 2
-    rotated = np.array(amplitudes, dtype=complex)
-    rotated[..., half:] *= np.exp(1j * np.asarray(omegas))[..., None]
-    pairs = rotated.reshape(rotated.shape[:-1] + (2, half))
-    plus = (np.abs(_PLUS @ pairs) ** 2).sum(axis=-1)
-    minus = (np.abs(_MINUS @ pairs) ** 2).sum(axis=-1)
-    return plus, minus
-
-
 def ancilla_bit_distribution(state: StateVector, omega: float) -> tuple[float, float]:
-    """(P(+), P(-)) on the control qubit after the feedback rotation."""
-    plus, minus = control_pairs(state.amplitudes[None], [omega])
-    return float(plus[0]), float(minus[0])
+    """(P(+), P(-)) on the control qubit after the feedback rotation
+    diag(1, e^{i omega}): one trial's one-branch round of ``_round_pairs``."""
+    plus, minus = _round_pairs((state.amplitudes[None, None, None],), 1, np.array([omega]))
+    return float(plus[0, 0]), float(minus[0, 0])
 
 
 def _squaring_ladder(unitaries: np.ndarray, m: int) -> list[np.ndarray]:
@@ -376,26 +318,6 @@ def _check_reps(reps_per_bit: int) -> None:
         )
 
 
-def _checked_stack(unitaries, dim: int) -> np.ndarray:
-    """A contiguous complex (T, dim, dim) stack whose every matrix is unitary."""
-    stack = np.ascontiguousarray(unitaries, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
-        raise ContractError(
-            f"expected a stack of {dim}x{dim} unitaries, got shape {stack.shape}"
-        )
-    gram = np.conj(np.swapaxes(stack, 1, 2)) @ stack
-    gram -= np.eye(dim)
-    dev = np.abs(gram).max(axis=(1, 2))
-    # A non-finite entry makes its deviation NaN or inf, which fails too.
-    bad = ~(dev <= CONSTRUCTION_TOL)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise ContractError(
-            f"matrix of trial {t} is not unitary: max |U†U - I| = {dev[t]:.3e}"
-        )
-    return stack
-
-
 def batch_trials(reps_per_bit: int) -> int:
     """Trials per chunk, so that one round reads at most MAX_ROUND_UNIFORMS uniforms."""
     _check_reps(reps_per_bit)
@@ -407,8 +329,8 @@ def _round_pairs(rounds, k: int, omegas) -> np.ndarray:
     of rung k after each trial's feedback rotation diag(1, e^{i omega}).
 
     Only rung k is copied, and its |1> half rotated in place.  Both
-    projections come from one stacked product, ``control_pairs``'s BLAS
-    products in a layout that reads the same bits (pinned by the tests);
+    projections come from one stacked product, in a layout that reads the
+    bits of one <+| and one <-| product per state (pinned by the tests);
     no Q branch is relabeled here.
     """
     rung = rounds[0][k - 1].copy()
@@ -476,8 +398,9 @@ def ipea_batch(
     """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
 
     Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack,
-    checked for unitarity once, or one checked ``Unitary`` shared by every
-    trial) on ``target``, which the caller asserts is an eigenstate, drawing its
+    checked for unitarity once and built chunk by chunk, or one checked
+    ``Unitary`` shared by every trial, whose rounds are built once) on
+    ``target``, which the caller asserts is an eigenstate, drawing its
     uniforms from row t of ``draws``, and gets exactly the estimate it
     would get alone.  ``draws`` is a ``qmath.TrialStreams`` over the T
     trials, read from its current offset (every chunk starts there), or,
@@ -501,14 +424,19 @@ def ipea_batch(
             raise ContractError(
                 f"unitary dim {unitaries.dim} does not match target dim {target.dim}"
             )
-        stack = np.broadcast_to(unitaries.matrix, (trials,) + unitaries.matrix.shape)
-        if trials > 1 and isinstance(provider, MatrixProvider):
-            # Every trial's rounds are the one matrix's, squared once: a
-            # stacked product computes each matrix alone, so the bits are
-            # those of the per-trial stack.
-            shared = _chunk_rounds(provider, np.ascontiguousarray(stack[:1]), target, m)
+        # Built once, for one trial: a stacked product computes each matrix
+        # alone, so these are the bits of every trial's rounds in a stack.
+        shared = _chunk_rounds(provider, unitaries.matrix[None], target, m)
     else:
-        stack = _checked_stack(unitaries, target.dim)
+        # C-ordered, as a stacked matmul's bits depend on its operands' layout
+        stack = np.ascontiguousarray(unitaries, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ContractError("matrix entries must be finite")
+        qmath.check_unitary(stack)
+        if stack.ndim != 3 or stack.shape[-1] != target.dim:
+            raise ContractError(
+                f"expected a stack of {target.dim}x{target.dim} unitaries, got shape {stack.shape}"
+            )
         if trials != len(stack):
             raise ContractError(f"{len(stack)} unitaries but {trials} trial stream(s)")
     numerators = np.zeros(trials, dtype=np.int64)
@@ -517,13 +445,10 @@ def ipea_batch(
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
         if shared is None:
-            # C-ordered, as a stacked matmul's bits depend on its operands' layout
-            rounds = _chunk_rounds(provider, np.ascontiguousarray(stack[chunk]), target, m)
-        else:  # the one trial's rounds, as read-only views over the chunk
-            states, weight, labels = shared
-            lead = (m, len(stack[chunk]), 1)
-            states = np.broadcast_to(states, lead + states.shape[3:])
-            rounds = states, np.broadcast_to(weight, lead), labels
+            rounds = _chunk_rounds(provider, stack[chunk], target, m)
+        else:  # the one matrix's rounds, as read-only views over the chunk
+            lead = (m, len(numerators[chunk]))
+            rounds = *(np.broadcast_to(a, lead + a.shape[2:]) for a in shared[:2]), shared[2]
         vote, drawn = _majority_votes(rounds, reps_per_bit, draws.rows(start, start + step))
         for label, counts in drawn.items():
             tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts

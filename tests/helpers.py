@@ -7,7 +7,6 @@ from dataclasses import is_dataclass
 import numpy as np
 
 from ipea_sim import cli, qmath
-from ipea_sim.experiments import FIG4_FIELDS
 from ipea_sim.photonics import (
     ParityBranch,
     apply_blue_unitary,
@@ -17,7 +16,7 @@ from ipea_sim.photonics import (
     prepare_entangled_input,
 )
 from ipea_sim.qmath import ContractError, DensityMatrix, StateVector, Unitary
-from ipea_sim.qpe import _squaring_ladder, feedback_angle
+from ipea_sim.qpe import _squaring_ladder
 from ipea_sim.tomography import BASES, PauliCounts
 
 
@@ -49,6 +48,35 @@ def phase_unitary(phi: float) -> Unitary:
     return Unitary(np.diag([1.0, np.exp(2j * np.pi * phi)]))
 
 
+def reference_feedback_angle(numerator: int, width: int) -> float:
+    """-2 pi times the binary fraction 0.0 b_{k+1} ... b_m, whose ``width``
+    measured bits make the integer ``numerator`` (b_{k+1} most significant)."""
+    return -2.0 * np.pi * (numerator / (1 << (width + 1)))
+
+
+_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def control_pairs(amplitudes: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """(P(+), P(-)) on the control qubit after each feedback rotation.
+
+    The per-round reference for ``qpe._round_pairs``: ``amplitudes``
+    holds control+target states along its last axis (control first, so
+    the second half carries |1>), ``omegas`` one angle per state (the
+    leading shape of ``amplitudes``, or one that broadcasts to it).  The
+    rotation diag(1, e^{i omega}) is applied to a copy, then <+| and <-|
+    each take one product.
+    """
+    half = amplitudes.shape[-1] // 2
+    rotated = np.array(amplitudes, dtype=complex)
+    rotated[..., half:] *= np.exp(1j * np.asarray(omegas))[..., None]
+    pairs = rotated.reshape(rotated.shape[:-1] + (2, half))
+    plus = (np.abs(_PLUS @ pairs) ** 2).sum(axis=-1)
+    minus = (np.abs(_MINUS @ pairs) ** 2).sum(axis=-1)
+    return plus, minus
+
+
 def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Generator):
     """Per-repetition IPEA loop built from public pieces only.
 
@@ -64,7 +92,7 @@ def reference_ipea_run(spec, m: int, reps: int, provider: str, rng: np.random.Ge
     target = spec.input_state
     tail: list[int] = []
     for k in range(m, 0, -1):
-        omega = feedback_angle(k, tail)
+        omega = reference_feedback_angle(int("".join(map(str, tail)) or "0", 2), len(tail))
         ones = 0
         for _ in range(reps):
             label = None
@@ -234,8 +262,7 @@ def _record_dict(record, fields) -> dict:
     if isinstance(record, dict):
         return dict(record)
     if is_dataclass(record) and not isinstance(record, type):
-        return {name: getattr(record, name) for name in fields or vars(record)
-                if hasattr(record, name)}
+        return {name: getattr(record, name) for name in fields if hasattr(record, name)}
     raise ContractError(f"cannot tabulate {type(record).__name__}")
 
 
@@ -265,19 +292,17 @@ def reference_emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     The row-at-a-time ``emit`` (a dict copy per record, a type ladder per
     cell); ``experiments.emit`` must return the same text.
 
-    CSV uses LF newlines and prints floats with 12 significant digits;
-    booleans become 1/0 and missing values empty cells.  JSON mirrors
-    the same fields with native types.  An empty record list still
-    yields the header (the waveplate-sweep schema unless ``fields``
-    says otherwise).
+    ``fields`` is required.  CSV uses LF newlines and prints floats with
+    12 significant digits; booleans become 1/0 and missing values empty
+    cells.  JSON mirrors the same fields with native types.  An empty
+    record list still yields the header.
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if not fields:
+        raise ContractError(f"a table needs its fields named, got {fields!r}")
+    fields = tuple(fields)
     dicts = [_record_dict(r, fields) for r in records]
-    if fields is None:
-        fields = tuple(dicts[0].keys()) if dicts else FIG4_FIELDS
-    else:
-        fields = tuple(fields)
     for i, d in enumerate(dicts):
         missing = [f for f in fields if f not in d]
         if missing:

@@ -259,8 +259,21 @@ class TestRunConfig:
 
 class TestEmit:
     def test_csv_header_only_for_empty(self):
-        text = emit([], "csv")
+        text = emit([], "csv", fields=FIG4_FIELDS)
         assert text == ",".join(FIG4_FIELDS) + "\n"
+
+    @pytest.mark.parametrize("fields", [None, ()])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_table_needs_its_fields(self, fmt, fields):
+        # Fields read from a record's vars would print a fig5 table with a
+        # report column of multi-line reprs and no fidelity columns.
+        panels = run_fig5(shots=0, noise=None)
+        with pytest.raises(ContractError, match="needs its fields named"):
+            emit(panels, fmt, fields=fields)
+        with pytest.raises(ContractError, match="needs its fields named"):
+            emit([], fmt, fields=fields)
+        lines = emit(panels, "csv", fields=FIG5_FIELDS).splitlines()
+        assert len(lines) == 10 and lines[0] == ",".join(FIG5_FIELDS)
 
     def test_fig4_line_count(self):
         text = emit(run_fig4(exact=True), "csv", fields=FIG4_FIELDS)
@@ -321,10 +334,6 @@ class TestEmit:
     def test_rejects_missing_fields(self):
         with pytest.raises(ContractError):
             emit([{"a": 1}], "csv", fields=("a", "b"))
-
-    def test_dict_records_keep_key_order(self):
-        text = emit([{"x": 1, "y": 2.5}], "csv")
-        assert text == "x,y\n1,2.5\n"
 
     @pytest.mark.parametrize(
         "lists, fields",

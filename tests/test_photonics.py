@@ -312,8 +312,18 @@ class TestPhotonicStateValidation:
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[3] = amps[5] = 1.0 / np.sqrt(3)
         state = PhotonicState(1, amps)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="not rail-correlated"):
             apply_blue_unitary(state, hwp(0.0), 1)
+        # so is H riding with target 1 in red but target 2 in blue, whole
+        # or split with the correlated rails
+        rails = prepare_entangled_input(random_state(2, derive_rng(8))).amplitudes
+        crossed = rails.reshape((2,) * 5).copy()  # control, (pol, rail) per target
+        crossed[0, :, 0, :, 1], crossed[0, :, 0, :, 0] = crossed[0, :, 0, :, 0], 0.0
+        split = (rails + crossed.reshape(-1)) / np.linalg.norm(rails + crossed.reshape(-1))
+        for amps in (crossed, split):
+            with pytest.raises(ContractError, match="not rail-correlated"):
+                apply_blue_unitary(PhotonicState(2, amps.reshape(-1)), Unitary(np.eye(4)), 1)
+        apply_blue_unitary(PhotonicState(2, rails), Unitary(np.eye(4)), 1)
 
     def test_cascade_drift_is_refused(self):
         # a stack within the unitarity tolerance whose norm drifts over the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state
+from helpers import haar_unitary, random_state
 from ipea_sim import qmath
 from ipea_sim.qmath import (
     CapacityError,
@@ -23,6 +23,7 @@ from ipea_sim.qmath import (
     overlap_magnitude,
     state_from_amplitudes,
 )
+from ipea_sim.qpe import ipea_batch
 
 RNG = derive_rng(1234)
 
@@ -53,6 +54,68 @@ class TestUnitary:
         # a 1e-11 defect sits inside the 1e-10 construction tolerance
         m = np.eye(2) * (1.0 + 1e-11)
         Unitary(m)
+
+
+class TestCheckUnitary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_unitary_and_ipea_batch_refuse_non_finite_entries(self, bad):
+        # Both entries to check_unitary refuse a non-finite entry before the
+        # Gram product, which would warn on an infinite one.
+        stack = np.stack([np.eye(2, dtype=complex)] * 3)
+        stack[1, 0, 1] = bad
+        with pytest.raises(ContractError, match="matrix entries must be finite"):
+            Unitary(stack[1])
+        streams = TrialStreams(0, (), range(3))
+        with pytest.raises(ContractError, match="matrix entries must be finite"):
+            ipea_batch(stack, basis_state(1, 0), 1, 1, "matrix", streams)
+        # a NaN entry makes its deviation NaN, which the check itself refuses
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ContractError, match="matrix of trial 1 is not unitary"):
+            qmath.check_unitary(stack)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 3), (4, 2, 3), (0, 0), (3, 0, 0)])
+    def test_refuses_wrong_shapes(self, shape):
+        with pytest.raises(ContractError, match="must be square and at least 1x1"):
+            qmath.check_unitary(np.zeros(shape, dtype=complex))
+
+    def test_names_the_failing_trial(self):
+        stack = np.stack([np.eye(2, dtype=complex)] * 5)
+        stack[3] *= 1.01
+        stack[4, 1, 0] = 1e-9
+        with pytest.raises(ContractError, match=r"^matrix of trial 3 is not unitary: max \|U†U - I\| = 2.010e-02$"):
+            qmath.check_unitary(stack)
+        # a leading shape of several axes counts trials over them, row by row
+        with pytest.raises(ContractError, match="matrix of trial 2 is not unitary"):
+            qmath.check_unitary(stack[1:].reshape(2, 2, 2, 2))
+        with pytest.raises(ContractError, match=r"^matrix is not unitary: max"):
+            qmath.check_unitary(stack[3])
+        qmath.check_unitary(stack[:3])
+        qmath.check_unitary(stack[:0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(1, 2),
+        defect=st.floats(-14.0, -8.0) | st.just(float("nan")),
+    )
+    def test_unitary_and_ipea_batch_refuse_the_same_matrices(self, seed, num_qubits, defect):
+        # One rule decides both boundaries: a Unitary and a batch's array
+        # accept or refuse each matrix alike, around the 1e-10 tolerance
+        # and on a non-finite entry.
+        matrix = haar_unitary(1 << num_qubits, derive_rng(seed)).matrix * (1.0 + 10.0**defect)
+
+        def refused(build) -> bool:
+            try:
+                build()
+            except ContractError:
+                return True
+            return False
+
+        target = basis_state(num_qubits, 0)
+        streams = TrialStreams(seed, (), range(1))
+        assert refused(lambda: Unitary(matrix)) == refused(
+            lambda: ipea_batch(matrix[None], target, 1, 1, "matrix", streams)
+        )
 
 
 class TestStateVector:

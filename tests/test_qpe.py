@@ -9,16 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    control_pairs,
     haar_unitary,
     inverse_qft,
     phase_unitary,
     random_state,
     reference_collapse_blocks,
     reference_controlled_stage,
+    reference_feedback_angle,
     reference_ipea_run,
     reference_register,
 )
-from ipea_sim import photonics, qpe
+from ipea_sim import photonics, qmath, qpe
 from ipea_sim.photonics import (
     apply_blue_unitary,
     beamsplitter_mix,
@@ -48,14 +50,13 @@ from ipea_sim.qpe import (
     circular_distance,
     collapse_project,
     collapse_run,
-    feedback_angle,
     ipea_batch,
     ipea_run,
     ipea_run_exact,
     qpe_full_distribution,
     resolve_provider,
 )
-from ipea_sim.qpe import _controlled_stage, _register_readout, _round_pairs
+from ipea_sim.qpe import _controlled_stage, _feedback_angles, _register_readout, _round_pairs
 
 # Born probability for a control phase of 0.625 turns, frozen from
 # cos^2(pi * 0.625) evaluated independently.
@@ -63,24 +64,18 @@ COS2_0625 = 0.1464466094067262
 
 
 class TestFeedbackArithmetic:
+    # _feedback_angles(numerator, width): the measured bits b_{k+1}..b_m as
+    # one integer, b_{k+1} most significant, and their count m - k.
     def test_final_round_angle_is_zero(self):
-        assert feedback_angle(3, ()) == 0.0
+        assert _feedback_angles(0, 0) == 0.0
 
     def test_single_bit(self):
         # one known bit contributes 1/4 of a turn
-        assert feedback_angle(2, (1,)) == pytest.approx(-2 * np.pi * 0.25, abs=0)
+        assert _feedback_angles(1, 1) == pytest.approx(-2 * np.pi * 0.25, abs=0)
 
     def test_three_bits(self):
         # bits (1,0,1) -> fraction 0.0101 in binary = 0.3125, exactly
-        assert feedback_angle(1, (1, 0, 1)) == -2 * np.pi * 0.3125
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ContractError):
-            feedback_angle(1, (2,))
-
-    def test_rejects_bad_round(self):
-        with pytest.raises(ContractError):
-            feedback_angle(0, ())
+        assert _feedback_angles(0b101, 3) == -2 * np.pi * 0.3125
 
     def test_bits_of_round_trip(self):
         assert bits_of(5, 3) == (1, 0, 1)
@@ -139,35 +134,46 @@ class TestProviders:
         np.testing.assert_allclose(pairs[1], [[1.0], [0.0]], atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2), m=st.integers(1, 8))
-    def test_shared_unitary_is_squared_once(self, seed, num_qubits, m):
-        # A batch of one Unitary on the matrix provider squares it once,
-        # and every chunk's rungs are, bit for bit, those of squaring each
-        # trial's copy on its own.
+    @example(seed=7, num_qubits=2, m=12, provider="photonic")
+    @example(seed=7, num_qubits=2, m=12, provider="matrix")
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(1, 2),
+        m=st.integers(1, 12),
+        provider=st.sampled_from(("matrix", "photonic")),
+    )
+    def test_shared_unitary_is_squared_once(self, seed, num_qubits, m, provider):
+        # A batch of one Unitary builds its rounds once, for one trial, on
+        # either provider, and hands every chunk read-only views of them:
+        # bit for bit the rounds of a stack of every trial's copy.
         rng = derive_rng(seed)
         d = 1 << num_qubits
         u, target = haar_unitary(d, rng), random_state(num_qubits, rng)
-        stack = np.ascontiguousarray(np.broadcast_to(u.matrix, (5, d, d)))
-        ladders, rungs = [], []
-        ladder, ipea_rounds = qpe._squaring_ladder, qpe._ipea_rounds
+        built, seen = [], []
+        chunk_rounds, ipea_rounds = qpe._chunk_rounds, qpe._ipea_rounds
 
-        def counting_ladder(unitaries, m):
-            ladders.append(unitaries.shape)
-            return ladder(unitaries, m)
+        def counting_rounds(prov, stack, target, m):
+            built.append(stack.shape)
+            return chunk_rounds(prov, stack, target, m)
 
         def kept_rounds(rounds, decide):
-            rungs.append(rounds[0][..., 0, d:])
+            seen.append(rounds)
             return ipea_rounds(rounds, decide)
 
         with (
-            mock.patch.object(qpe, "MAX_ROUND_UNIFORMS", 6),  # three trials per chunk
-            mock.patch.object(qpe, "_squaring_ladder", counting_ladder),
+            mock.patch.object(qpe, "MAX_ROUND_UNIFORMS", 6),  # chunks of 3, 3 and 1 trials
+            mock.patch.object(qpe, "_chunk_rounds", counting_rounds),
             mock.patch.object(qpe, "_ipea_rounds", kept_rounds),
         ):
-            ipea_batch(u, target, m, 1, "matrix", TrialStreams(seed, (), range(5)))
-        assert ladders == [(1, d, d)]
-        per_trial = np.stack(ladder(stack, m)) @ target.amplitudes[:, None]
-        assert np.array_equal(np.concatenate(rungs, axis=1), per_trial[..., 0] * qpe._SQRT1_2)
+            ipea_batch(u, target, m, 1, provider, TrialStreams(seed, (), range(7)))
+        assert built == [(1, d, d)]
+        assert [rounds[1].shape[1] for rounds in seen] == [3, 3, 1]
+        stack = np.ascontiguousarray(np.broadcast_to(u.matrix, (7, d, d)))
+        states, weight, labels = chunk_rounds(resolve_provider(provider), stack, target, m)
+        assert all(rounds[2] == labels for rounds in seen)
+        for i, want in enumerate((states, weight)):
+            assert not any(rounds[i].flags.writeable for rounds in seen)
+            assert np.array_equal(np.concatenate([rounds[i] for rounds in seen], axis=1), want)
 
     def test_ancilla_distribution_frozen_value(self):
         rounds = MatrixProvider().rounds(phase_unitary(0.625).matrix[None], basis_state(1, 1), 1)
@@ -701,7 +707,7 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
             for t in range(trials):
                 w = np.linalg.matrix_power(stack[t], 1 << (k - 1))
                 state = np.concatenate([target.amplitudes, (w @ target.amplitudes[:, None])[:, 0]])
-                plus, minus = qpe.control_pairs(state[None] * (1.0 / np.sqrt(2.0)), [omegas[t]])
+                plus, minus = control_pairs(state[None] * (1.0 / np.sqrt(2.0)), [omegas[t]])
                 assert (got[0, t, 0], got[1, t, 0]) == (plus[0], minus[0])
             continue
         for t in range(trials):
@@ -718,7 +724,7 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
                 if state is None:
                     continue
                 # as measured: a Q branch is relabeled where its bit is read
-                plus, minus = qpe.control_pairs(state.amplitudes[None], [omegas[t]])
+                plus, minus = control_pairs(state.amplitudes[None], [omegas[t]])
                 assert (got[0, t, b], got[1, t, b]) == (plus[0], minus[0])
 
 
@@ -751,8 +757,8 @@ def _reference_round_tables(rounds, k: int, numerators, m: int):
     # The parent's per-round table: control_pairs on rung k, then every Q
     # branch's pair swapped.  Returns the measured pair and the swapped one.
     states, _, labels = rounds
-    omegas = np.array([feedback_angle(k, bits_of(int(n), m - k)) for n in numerators])
-    plus, minus = qpe.control_pairs(states[k - 1], omegas[:, None])
+    omegas = np.array([reference_feedback_angle(int(n), m - k) for n in numerators])
+    plus, minus = control_pairs(states[k - 1], omegas[:, None])
     p0, p1 = plus, minus
     if "Q" in labels:
         q = np.array([label == "Q" for label in labels])
@@ -871,8 +877,8 @@ def test_round_loop_matches_the_per_round_reference(seed, source, dim, branches,
 @pytest.mark.parametrize("provider", ["matrix", "photonic"])
 def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     # Per chunk: the matrix provider squares m - 1 times and applies the
-    # stacked powers to the target once; the photonic provider prepares and
-    # rail-checks its input once and runs one cascade of 2^(m-1) passes.
+    # stacked powers to the target once; the photonic provider prepares its
+    # input once and runs one cascade of 2^(m-1) passes.
     # A round then makes no matrix product: it only applies its rotation.
     class Counting(np.ndarray):
         products = 0  # matrix products with a counted stack as left factor
@@ -960,10 +966,42 @@ def test_exact_run_recovers_long_dyadic_phases(provider, m):
     assert min(res.bit_posteriors) > 1.0 - 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 2),
+    omega=st.floats(-2 * np.pi, 2 * np.pi),
+)
+def test_ancilla_bit_distribution_is_the_reference_pair(seed, num_qubits, omega):
+    # The public one-state pair reads through the round engine's
+    # _round_pairs: bit for bit the per-round reference, at d = 2 and 4.
+    state = random_state(num_qubits + 1, derive_rng(seed))
+    plus, minus = control_pairs(state.amplitudes[None], [omega])
+    assert qpe.ancilla_bit_distribution(state, omega) == (plus[0], minus[0])
+
+
 def test_ipea_batch_refuses_a_non_unitary_array():
     stack = np.array([phase_unitary(0.25).matrix, 1.01 * phase_unitary(0.5).matrix])
     with pytest.raises(ContractError, match="matrix of trial 1 is not unitary"):
         ipea_batch(stack, basis_state(1, 1), 2, 1, "matrix", TrialStreams(0, (), range(2)))
+
+
+@pytest.mark.parametrize(
+    ("shape", "message"),
+    [
+        ((2, 2, 3), "must be square and at least 1x1"),
+        ((2,), "must be square and at least 1x1"),
+        ((2, 4, 4), "expected a stack of 2x2 unitaries"),
+        ((2, 2), "expected a stack of 2x2 unitaries"),
+        ((1, 2, 2, 2), "expected a stack of 2x2 unitaries"),
+    ],
+)
+def test_ipea_batch_refuses_an_array_of_the_wrong_shape(shape, message):
+    # check_unitary owns the square rule; the batch adds only its own axes
+    eye = np.eye(shape[-1], dtype=complex)
+    array = np.broadcast_to(eye[: shape[-2]] if len(shape) > 1 else eye[0], shape)
+    with pytest.raises(ContractError, match=message):
+        ipea_batch(array, basis_state(1, 1), 2, 1, "matrix", TrialStreams(0, (), range(2)))
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2])
@@ -979,8 +1017,8 @@ def test_a_checked_unitary_batch_makes_no_gram_product(monkeypatch, provider, nu
     trials, m, reps = 9, 5, 3
     monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 4 * reps)  # two trials per chunk
     checked = []
-    check = qpe._checked_stack
-    monkeypatch.setattr(qpe, "_checked_stack", lambda *args: checked.append(args) or check(*args))
+    check = qmath.check_unitary
+    monkeypatch.setattr(qmath, "check_unitary", lambda *args: checked.append(args) or check(*args))
     array = np.broadcast_to(u.matrix, (trials,) + u.matrix.shape)
     from_array = ipea_batch(array, target, m, reps, provider, TrialStreams(5, (), range(trials)))
     assert len(checked) == 1
