@@ -10,7 +10,7 @@ are skipped, each directive may appear at most once)::
     reps       <odd count>                        majority votes per bit, 1..32767
     trials     <count>                            0 = exact mode; ipea, collapse ≤ 100000
     seed       <u64>
-    noise      <distinguishability> <sigma_deg>   p in [0, 1], sigma finite and ≥ 0
+    noise      <distinguishability> <sigma_deg>   collapse only; p in [0, 1], sigma finite, ≥ 0
     provider   matrix | photonic
     eigenstate R | L | H | V | D | A
     output     csv | json
@@ -23,7 +23,8 @@ misspelled keyword or a directive its column never reads is a ParseError
 naming its line: ``qpe_full`` reads no ``reps``, ``trials``, ``seed``, ``noise``
 or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 (which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
-``eigenstate``, and exact ``ipea`` no ``seed``, ``reps`` or ``noise``.
+``eigenstate``, ``ipea`` (which has no noise model yet) no ``noise``, and
+exact ``ipea`` no ``seed`` or ``reps`` either.
 Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
 ``trials 0``.  ``ipea`` and ``collapse`` print one row per trial, which
 costs up to about 2.2 kB of memory per row (a JSON ``ipea`` table; 0.6 kB
@@ -118,7 +119,7 @@ DIRECTIVES = {
              lambda v: None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"),
          Arg("sigma", float, "[0, ∞)",
              lambda v: _FINITE.check(v) or ("must be ≥ 0" if v < 0.0 else None))),
-        None, frozenset({"ipea", "collapse"}), NoiseSpec),
+        None, frozenset({"collapse"}), NoiseSpec),
     "provider": Directive((_choice("matrix", "photonic"),), "photonic",
                           frozenset({"ipea", "exact", "montecarlo"})),
     "eigenstate": Directive((_choice("R", "L", "H", "V", "D", "A"),), "R", _TARGETED),

@@ -19,9 +19,8 @@ compute, so no row is ever built; the studies whose rows are read
 elsewhere (fig4's ``RunRecord``, fig5's ``PanelResult``, the Monte Carlo
 dicts) return records, and ``emit`` reads each of their fields once into
 a column.  Either way ``emit`` renders the table as CSV (LF newlines,
-floats at 12 significant digits) or JSON with mirrored fields, one
-column at a time, each column taking one formatter chosen from its value
-types.
+floats at 12 significant digits) or JSON with mirrored fields, each
+column by one rule chosen from the one type its cells share.
 """
 
 from __future__ import annotations
@@ -212,25 +211,23 @@ def run_fig4(
             provider,
             TrialStreams(seed, (), range(len(unitaries))),
         )
-    records = []
-    for theta, unitary, bits, phi_est, branch_frac in zip(
-        FIG4_THETAS, unitaries, bit_strings, phis, branch_fracs
-    ):
-        phi_oracle = oracle_eigenphase(unitary, "R")
-        error = circular_distance(phi_est, phi_oracle)
-        records.append(
-            RunRecord(
-                theta1_deg=0.0,
-                theta2_deg=theta,
-                phi_oracle=phi_oracle,
-                bits=bits,
-                phi_est=phi_est,
-                circ_error=error,
-                p_branch_frac=branch_frac,
-                success=error < FIG4_SUCCESS_THRESHOLD,
-            )
+    oracles = [oracle_eigenphase(unitary, "R") for unitary in unitaries]
+    errors = circular_distance(phis, oracles)
+    return [
+        RunRecord(
+            theta1_deg=0.0,
+            theta2_deg=theta,
+            phi_oracle=phi_oracle,
+            bits=bits,
+            phi_est=phi_est,
+            circ_error=error,
+            p_branch_frac=branch_frac,
+            success=error < FIG4_SUCCESS_THRESHOLD,
         )
-    return records
+        for theta, phi_oracle, bits, phi_est, error, branch_frac in zip(
+            FIG4_THETAS, oracles, bit_strings, phis, errors, branch_fracs
+        )
+    ]
 
 
 def _exact_estimates(specs, m, provider):
@@ -244,8 +241,8 @@ def _sampled_estimates(unitaries, target, m, reps, provider, draws):
     three columns.
 
     The trials run as one batch, and trial t's cells come from its
-    numerator n: ``f"{n:0{m}b}"`` and n / 2^m.  The share is None for
-    every trial of an unbranched provider.
+    numerator n: ``f"{n:0{m}b}"`` and n / 2^m.  The share is the P picks
+    over the m × reps branches a trial picks, None for an unbranched provider.
     """
     batch = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
     scale = 1 << m
@@ -253,10 +250,9 @@ def _sampled_estimates(unitaries, target, m, reps, provider, draws):
     bits, phis = [f"{n:0{m}b}" for n in numerators], [n / scale for n in numerators]
     if not batch.branch_tally:
         return bits, phis, [None] * len(numerators)
-    none = np.zeros(len(numerators), dtype=np.int64)
-    p = batch.branch_tally.get("P", none).tolist()
-    q = batch.branch_tally.get("Q", none).tolist()
-    return bits, phis, [a / (a + b) if a + b else None for a, b in zip(p, q)]
+    picks = m * reps
+    p = batch.branch_tally.get("P", np.zeros(len(numerators), dtype=np.int64))
+    return bits, phis, [a / picks for a in p.tolist()]
 
 
 _FIG5_ANGLES = (30.0, 45.0, 67.5)
@@ -359,6 +355,7 @@ def _montecarlo_pass(
     prov = qpe.resolve_provider(provider)
     target = basis_state(1, 1)
     successes = 0
+    bound = 2.0**-m
     step = qpe.batch_trials(reps_per_bit)
     for start in range(0, trials, step):
         draws = TrialStreams(seed, (stream,), range(start, min(trials, start + step)))
@@ -370,9 +367,8 @@ def _montecarlo_pass(
         stack[:, 0, 0] = 1.0
         stack[:, 1, 1] = np.exp(2j * np.pi * phis)
         batch = qpe.ipea_batch(stack, target, m, reps_per_bit, prov, draws)
-        # circular_distance, elementwise
-        d = np.abs(batch.numerators / (1 << m) - phis) % 1.0
-        successes += int((np.minimum(d, 1.0 - d) <= 2.0**-m).sum())
+        errors = circular_distance(batch.numerators / (1 << m), phis)
+        successes += sum(error <= bound for error in errors)
     return successes
 
 
@@ -442,7 +438,7 @@ def _ipea_rows(config: ExperimentConfig, seed: int) -> Columns:
     if phi_oracle is None:
         errors, successes = [None] * count, [None] * count
     else:
-        errors = [circular_distance(phi_est, phi_oracle) for phi_est in phis]
+        errors = circular_distance(phis, phi_oracle)
         bound = 2.0**-config.bits
         successes = [error <= bound for error in errors]
     return Columns(
@@ -529,14 +525,14 @@ def _columns(records: list, fields: tuple) -> list[list]:
 
 
 def _given_columns(table: Columns, fields: tuple) -> list[list]:
-    """A copy of a ``Columns`` table's outer list, which the formatters may
-    replace columns in."""
+    """A ``Columns`` table's lists, refused unless there is one per field
+    and all have one length."""
     if len(fields) != len(table.lists):
         raise ContractError(f"a table of {len(table.lists)} columns needs as many fields, "
                             f"got {fields!r}")
     if len(set(map(len, table.lists))) > 1:
         raise ContractError(f"columns of unequal lengths {[len(c) for c in table.lists]}")
-    return list(table.lists)
+    return table.lists
 
 
 def _readable(read, field) -> bool:
@@ -547,68 +543,26 @@ def _readable(read, field) -> bool:
     return True
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (float, np.floating)):
-        return float(format(float(value), ".12g"))
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-def _column_kinds(columns: list[list]) -> list:
-    """Each column's one value type, or None where its cells' types differ."""
-    if len(columns[0]) == 1:  # a single cell is of one type
-        return [type(values[0]) for values in columns]
-    kinds = [set(map(type, values)) for values in columns]
-    return [k.pop() if len(k) == 1 else None for k in kinds]
-
-
-# printf conversion of a CSV column whose cells all have this exact type:
+# The printf conversion of a CSV column by the one type its cells share:
 # "%.12g" is format(x, ".12g"), "%d" prints a bool as 1 or 0 and "%.0s"
-# prints None as an empty cell
+# None as an empty cell.
 _CSV_CONVERSIONS = {float: "%.12g", str: "%s", int: "%d", bool: "%d", type(None): "%.0s"}
-# exact types that JSON already prints as the row-at-a-time emit did
-_JSON_NATIVE = (str, int, bool, type(None))
 
 
-def _csv_rows(columns: list[list]) -> list[str]:
-    """Each row's CSV line, through one printf template for the table.
-
-    A column of one type listed in ``_CSV_CONVERSIONS`` gets its
-    conversion in the template; any other column (numpy scalars, mixed
-    types) is formatted by ``_format_value`` cell by cell.
-    """
-    conversions = list(map(_CSV_CONVERSIONS.get, _column_kinds(columns)))
-    if None in conversions:
-        for i, conversion in enumerate(conversions):
-            if conversion is None:
-                columns[i] = list(map(_format_value, columns[i]))
-                conversions[i] = "%s"
-    return list(map(",".join(conversions).__mod__, zip(*columns)))
-
-
-def _json_rows(columns: list[list]):
-    """Each row's JSON values: a column of plain floats rounded to 12
-    significant digits, a column of one ``_JSON_NATIVE`` type as it is,
-    any other column through ``_json_value`` cell by cell."""
-    for i, kind in enumerate(_column_kinds(columns)):
-        if kind is float:
-            columns[i] = [float(f"{v:.12g}") for v in columns[i]]
-        elif kind not in _JSON_NATIVE:
-            columns[i] = list(map(_json_value, columns[i]))
-    return zip(*columns)
+def _column_kinds(columns: list[list], fields: tuple) -> list[type]:
+    """Each column's one cell type, a key of ``_CSV_CONVERSIONS`` (None's
+    type for a table of no rows), or a ContractError naming the field."""
+    if len(columns[0]) == 1:  # a single cell is of one type
+        kinds = [type(values[0]) for values in columns]
+    else:
+        kinds = [set(map(type, values)) or {type(None)} for values in columns]
+        kinds = [k.pop() if len(k) == 1 else None for k in kinds]
+    for field, kind, values in zip(fields, kinds, columns):
+        if kind not in _CSV_CONVERSIONS:
+            found = sorted({f"{type(v).__module__}.{type(v).__qualname__}" for v in values})
+            raise ContractError(f"column {field!r} holds cells of types {found}, not of one "
+                                "type of float, int, bool, str or None")
+    return kinds
 
 
 def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
@@ -619,11 +573,12 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     and each of their fields is read into a column once; an empty record
     list still yields the header, and a record without one of the fields
     is refused, naming both.  ``Columns`` are used as they are, one list
-    per field.  CSV uses LF newlines and prints floats with 12
-    significant digits; booleans become 1/0 and missing values empty
-    cells.  JSON mirrors the same fields with native types.  Each column
-    is formatted by one rule chosen from its value types, so a CSV row
-    costs one printf of a template built for the table (``_csv_rows``).
+    per field.  A column's cells share one type, float, int, bool, str or
+    None, which picks the column's rule once; any other column (numpy
+    scalars, two types) is refused, naming its field.  CSV uses LF
+    newlines and prints floats with 12 significant digits, booleans as
+    1/0 and None as empty cells, each row through one printf template.
+    JSON mirrors the same fields with native types, floats rounded alike.
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -634,11 +589,14 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
         columns = _given_columns(records, fields)
     else:
         columns = _columns(list(records), fields)
+    kinds = _column_kinds(columns, fields)
     if fmt == "csv":
-        text = "\n".join([",".join(fields), *_csv_rows(columns)]) + "\n"
+        template = ",".join(map(_CSV_CONVERSIONS.__getitem__, kinds))
+        text = "\n".join([",".join(fields), *map(template.__mod__, zip(*columns))]) + "\n"
     else:
-        rows = _json_rows(columns)
-        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+        columns = [[float(f"{v:.12g}") for v in values] if kind is float else values
+                   for values, kind in zip(columns, kinds)]
+        text = json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

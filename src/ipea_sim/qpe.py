@@ -26,6 +26,8 @@ on its own unitary and stream, never on its batch or chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -238,7 +240,7 @@ def resolve_provider(provider):
 
 def _branch_totals(weight: np.ndarray) -> np.ndarray:
     total = np.zeros(weight.shape[:-1])
-    for b in range(weight.shape[-1]):  # in branch order, as the builtin sum adds them
+    for b in range(weight.shape[-1]):  # in branch order, as ipea_run_exact adds a row
         total += weight[..., b]
     return total
 
@@ -491,7 +493,9 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
         weight, (plus, minus) = weights[k - 1], pairs[:, 0].tolist()
         p0 = [mi if q else pl for pl, mi, q in zip(plus, minus, flips)]
         p1 = [pl if q else mi for pl, mi, q in zip(plus, minus, flips)]
-        post0, post1 = (sum(w * p for w, p in zip(weight, ps)) / sum(weight) for ps in (p0, p1))
+        # added left to right, since from Python 3.12 the builtin sum compensates
+        total = reduce(add, weight, 0.0)
+        post0, post1 = (reduce(add, map(mul, weight, ps), 0.0) / total for ps in (p0, p1))
         posteriors.append(post1 if post1 > post0 else post0)
         return np.array([post1 > post0])
 
@@ -658,7 +662,8 @@ def collapse_run(
     return CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two phases on the unit circle, in [0, 0.5]."""
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def circular_distance(a, b):
+    """Distance between two phases on the unit circle, in [0, 0.5]: a float
+    for two floats, a list for arrays or lists (elementwise, broadcast)."""
+    d = np.abs(np.subtract(a, b)) % 1.0
+    return np.minimum(d, 1.0 - d).tolist()

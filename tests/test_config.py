@@ -24,7 +24,6 @@ bits 3
 reps 11
 trials 5
 seed 99
-noise 0.95 0.25
 provider photonic
 eigenstate R
 output json
@@ -41,10 +40,13 @@ class TestHappyPath:
         assert cfg.reps_per_bit == 11
         assert cfg.trials == 5
         assert cfg.seed == 99
-        assert cfg.noise == NoiseSpec(0.95, 0.25)
         assert cfg.provider == "photonic"
         assert cfg.eigenstate == "R"
         assert cfg.output == "json"
+
+    def test_collapse_noise(self):
+        cfg = parse_experiment("mode collapse\nunitary hwp 0 hwp 45\nnoise 0.95 0.25\n")
+        assert cfg.noise == NoiseSpec(0.95, 0.25)
 
     def test_defaults(self):
         cfg = parse_experiment("mode ipea\nunitary hwp 10\n")
@@ -358,7 +360,6 @@ IPEA_EIGENSTATES = st.sampled_from(("R", "L", "H"))
 # Cells still accepted but unread, by the arguments the run ignores
 # (ROADMAP item 4): two values that differ only there print the same table.
 UNREAD_ARGS = {
-    ("ipea", "noise"): {0, 1},  # sampled ipea has no noise model yet
     ("collapse", "noise"): {1},  # collapse reads p, not the jitter sigma
     ("exact", "provider"): {0},  # both providers give the same exact bits
 }

@@ -1,6 +1,7 @@
 """Study-level checks: sweeps, panels, precision bound, table output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ipea_sim.experiments import (
     wilson_interval,
 )
 from ipea_sim.photonics import NoiseSpec, hwp
-from ipea_sim.qmath import ContractError, DensityMatrix, derive_rng
+from ipea_sim.qmath import ContractError, DensityMatrix, TrialStreams, derive_rng
 from ipea_sim.qpe import EigenproblemSpec, PhaseEstimate
 from ipea_sim.tomography import ReconstructionReport
 
@@ -91,6 +92,41 @@ class TestFig4:
         a = emit(run_fig4(seed=3), "csv", fields=FIG4_FIELDS)
         b = emit(run_fig4(seed=3), "csv", fields=FIG4_FIELDS)
         assert a == b
+
+
+class Unlabeled:
+    """The photonic provider with its branches labeled neither P nor Q."""
+
+    def rounds(self, unitaries, target, m):
+        states, weight, labels = qpe.resolve_provider("photonic").rounds(unitaries, target, m)
+        return states, weight, ("X",) * len(labels)
+
+
+@pytest.mark.parametrize("provider", ["matrix", "photonic", Unlabeled()],
+                         ids=["matrix", "photonic", "unlabeled"])
+def test_branch_share_is_p_picks_over_every_repetition(provider):
+    # A branched provider picks a branch for each of a trial's m x reps
+    # repetitions; the share is the P picks over those (0.0 with no P
+    # branch), and None for every trial of the unbranched matrix provider.
+    m, reps, trials = 3, 5, 6
+    rng = derive_rng(4)
+    stack = np.stack([haar_unitary(2, rng).matrix for _ in range(trials)])
+    target = random_state(1, rng)
+    _, _, shares = experiments._sampled_estimates(
+        stack, target, m, reps, provider, TrialStreams(5, (), range(trials))
+    )
+    tally = qpe.ipea_batch(
+        stack, target, m, reps, provider, TrialStreams(5, (), range(trials))
+    ).branch_tally
+    if provider == "matrix":
+        assert tally == {} and shares == [None] * trials
+        return
+    assert sum(tally.values()).tolist() == [m * reps] * trials
+    p = tally.get("P", np.zeros(trials, dtype=int)).tolist()
+    assert shares == [a / (m * reps) for a in p]
+    assert all(type(share) is float for share in shares)
+    if provider == "photonic":  # every pick is P or Q
+        assert shares == [a / (a + b) for a, b in zip(p, tally["Q"].tolist())]
 
 
 class TestFig5:
@@ -372,19 +408,20 @@ def test_qpe_full_rows_print_as_the_reference_rows(bits):
         )
 
 
-# Every cell type a table can hold, a column of one type or of several.
+# Every cell type a table can hold; a column's cells share one of them.
 _CELLS = {
     "none": st.none(),
     "bool": st.booleans(),
-    "np.bool_": st.booleans().map(np.bool_),
     "int": st.integers(),
-    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
     "float": st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
-    "np.float64": st.floats().map(np.float64),
     "str": st.text(max_size=6),
 }
-_COLUMNS = st.sampled_from(sorted(_CELLS)).map(lambda k: _CELLS[k]) | st.just(
-    st.one_of(*_CELLS.values())
+_COLUMNS = st.sampled_from(sorted(_CELLS)).map(lambda k: _CELLS[k])
+# Cells that no column may hold
+_NUMPY_CELLS = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
 )
 
 
@@ -436,7 +473,7 @@ def _rendered(render, records, fmt, fields):
 @given(_tables(), st.sampled_from(["csv", "json"]))
 def test_emit_prints_as_the_row_at_a_time_reference(table, fmt):
     # Column formatting must give the row-at-a-time reference's text: the
-    # same bytes, or the same refusal (numpy booleans, for one, are not JSON).
+    # same bytes, or the same refusal (a missing field, say).
     records, fields = table
     assert _rendered(emit, records, fmt, fields) == _rendered(reference_emit, records, fmt, fields)
 
@@ -444,7 +481,7 @@ def test_emit_prints_as_the_row_at_a_time_reference(table, fmt):
 @st.composite
 def _column_tables(draw):
     """(Columns, fields): 0-4 fields, 0-6 rows, each column's cells of one
-    ``_CELLS`` type or of several."""
+    ``_CELLS`` type."""
     n = draw(st.integers(0, 6))
     names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=4), unique=True, max_size=4))
     lists = [draw(st.lists(draw(_COLUMNS), min_size=n, max_size=n)) for _ in names]
@@ -463,6 +500,44 @@ def test_columns_print_as_the_reference_rows(table, fmt):
     rows = table_rows(columns, fields)
     assert _rendered(emit, columns, fmt, fields) == _rendered(reference_emit, rows, fmt, fields)
     assert all(a is b for a, b in zip(columns.lists, kept, strict=True))
+
+
+@st.composite
+def _refused_tables(draw):
+    """(table, fields, field): Columns, dicts or RunRecords of 1-6 rows
+    whose columns share one ``_CELLS`` type each, except the column of
+    ``field``, which holds a numpy scalar or cells of two types."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["columns", "dicts", "runs"]))
+    if shape == "runs":
+        names = list(FIG4_FIELDS)
+    else:
+        names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=4), unique=True,
+                              min_size=1, max_size=4))
+    lists = [draw(st.lists(draw(_COLUMNS), min_size=n, max_size=n)) for _ in names]
+    bad = draw(st.integers(0, len(names) - 1))
+    cell = draw(st.integers(0, n - 1))
+    if n == 1 or draw(st.booleans()):
+        lists[bad][cell] = draw(_NUMPY_CELLS)
+    else:
+        kind = type(lists[bad][1 - min(cell, 1)])  # another cell's type
+        lists[bad][cell] = draw(st.one_of(*_CELLS.values()).filter(lambda v: type(v) is not kind))
+    rows = [dict(zip(names, row)) for row in zip(*lists)]
+    if shape == "columns":
+        table = Columns(lists)
+    else:
+        table = rows if shape == "dicts" else [RunRecord(**row) for row in rows]
+    return table, tuple(names), names[bad]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refused_tables(), st.sampled_from(["csv", "json"]))
+def test_a_column_of_numpy_scalars_or_of_two_types_is_refused(table, fmt):
+    # A column's cells share one of the types emit has a rule for, so a
+    # numpy scalar or a second type is refused, naming the column's field.
+    table, fields, field = table
+    with pytest.raises(ContractError, match=f"column {re.escape(repr(field))} holds cells"):
+        emit(table, fmt, fields=fields)
 
 
 def _edge_weights(u: float, size: int, kind: str) -> np.ndarray:

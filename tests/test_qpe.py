@@ -1,6 +1,9 @@
 """Engine checks: feedback arithmetic, iterative and full-register runs."""
 
+import math
+import operator
 import re
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -787,7 +790,7 @@ def _reference_sampled(rounds, reps: int, rngs):
                 b = 0
                 if per == 2:
                     w = weight[k - 1, t].tolist()
-                    cdf = np.cumsum(np.array(w) / sum(w))
+                    cdf = np.cumsum(np.array(w) / _left_to_right(w))
                     cdf /= cdf[-1]
                     b = int(np.searchsorted(cdf, u[t][m - k, r, 0], side="right"))
                     tally[labels[b]][t] += 1
@@ -798,7 +801,12 @@ def _reference_sampled(rounds, reps: int, rngs):
     return numerators, tally, measured
 
 
-def _reference_exact(rounds):
+def _left_to_right(terms) -> float:
+    # Python floats added in order, as the builtin sum did before 3.12
+    return reduce(operator.add, terms, 0.0)
+
+
+def _reference_exact(rounds, add=_left_to_right):
     # The parent's exact loop on trial 0: the argmax of the swapped table's
     # weighted sums, added in branch order as Python floats.
     _, weight, _ = rounds
@@ -807,7 +815,7 @@ def _reference_exact(rounds):
     for k in range(m, 0, -1):
         _, (p0, p1) = _reference_round_tables(rounds, k, [numerator], m)
         w, p0, p1 = weight[k - 1, 0].tolist(), p0[0].tolist(), p1[0].tolist()
-        post0, post1 = (sum(a * b for a, b in zip(w, ps)) / sum(w) for ps in (p0, p1))
+        post0, post1 = (add([a * b for a, b in zip(w, ps)]) / add(w) for ps in (p0, p1))
         posteriors.append(post1 if post1 > post0 else post0)
         numerator |= int(post1 > post0) << (m - k)
     return numerator, posteriors
@@ -871,6 +879,24 @@ def test_round_loop_matches_the_per_round_reference(seed, source, dim, branches,
     assert exact.estimate == PhaseEstimate.from_numerator(numerator, m)
     assert all(type(p) is float for p in exact.bit_posteriors)
     assert exact.bit_posteriors == tuple(posteriors)
+
+
+def test_exact_posteriors_add_in_branch_order():
+    # Branch weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 left to right and to
+    # 1.0000000000000002 compensated, as Python 3.12's builtin sum adds
+    # floats (math.fsum stands in for it here): the posteriors must be the
+    # left-to-right ones on every Python version.
+    rng = derive_rng(11)
+    m, target = 2, random_state(1, rng)
+    weight = np.tile([1.0, 1e-16, 1e-16, 1e-16], (m, 1, 1))
+    states = rng.standard_normal((m, 1, 4, 8)).view(complex)
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    rounds = (states, weight, ("P", "Q", "P", "Q"))
+    exact = ipea_run_exact(EigenproblemSpec(Unitary(np.eye(2)), target), m, Given(rounds))
+    numerator, posteriors = _reference_exact(rounds)
+    assert exact.estimate == PhaseEstimate.from_numerator(numerator, m)
+    assert exact.bit_posteriors == tuple(posteriors)
+    assert exact.bit_posteriors != tuple(_reference_exact(rounds, add=math.fsum)[1])
 
 
 @pytest.mark.parametrize("m", [1, 4, 7])
