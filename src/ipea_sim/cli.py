@@ -14,9 +14,11 @@ directive's value takes its type, choices and range from that row: an
 out-of-range value, ``run --seed`` on a config that reads no seed (exact
 ``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed`` or ``--reps``,
 exits 2 naming the flag; so does ``fig5 --shots`` below 0,
-``--resamples`` below 1, or ``--noise-p`` or ``--noise-sigma`` with
-``--no-noise``.  A config that cannot be read or is not UTF-8,
-or an ``--out`` path that cannot be written, exits 2 naming the path.
+``--resamples`` below 1 or with ``--shots 0`` (which reconstructs from
+exact expectations and draws no bootstrap), or ``--noise-p`` or
+``--noise-sigma`` with ``--no-noise``.  A config that cannot be read or
+is not UTF-8, or an ``--out`` path that cannot be written, exits 2
+naming the path.
 
 ``main`` may be called any number of times in one process; the parser
 is built on the first call only.
@@ -154,6 +156,8 @@ def _dispatch(args: argparse.Namespace):
         for flag, value in (("--noise-p", args.noise_p), ("--noise-sigma", args.noise_sigma)):
             if args.no_noise and value is not None:
                 raise ParseError(f"{flag} {value}: --no-noise runs no noise model")
+        if args.shots == 0 and args.resamples is not None:
+            raise ParseError(f"--resamples {args.resamples}: --shots 0 draws no bootstrap")
         noise = None if args.no_noise else NoiseSpec(**_given(
             args, distinguishability="noise_p", angle_jitter_sigma_deg="noise_sigma"))
         panels = experiments.run_fig5(noise=noise, **_given(args, "seed", "shots", "resamples"))

@@ -26,18 +26,20 @@ column by one rule chosen from the one type its cells share.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, is_dataclass
 from functools import partial
 from itertools import product
 
 import numpy as np
 
-from . import qpe, tomography
+from . import qmath, qpe, tomography
 from .config import DIRECTIVES, MONTECARLO_TRIALS, ExperimentConfig
 from .photonics import (
     DegeneracyError,
     NoiseSpec,
     WaveplateSpec,
+    _train_matrix,
     compose_waveplates,
     jitter_waveplates,
     oracle_eigenphase,
@@ -45,12 +47,12 @@ from .photonics import (
 )
 from .qmath import (
     ContractError,
+    DensityMatrix,
     StateVector,
     TrialStreams,
     Unitary,
     basis_state,
     derive_rng,
-    fidelity,
 )
 from .qpe import EigenproblemSpec, circular_distance
 
@@ -259,13 +261,14 @@ _FIG5_ANGLES = (30.0, 45.0, 67.5)
 _FIG5_CASES = (("H", 0), ("H", 1), ("V", 0))
 
 
-def _hwp_eigenvector(theta_deg: float, outcome: int) -> StateVector:
+def _hwp_eigenvector(theta_deg: float, outcome: int) -> np.ndarray:
     # Eigenvalue +1 sits on linear polarization along the fast axis,
-    # eigenvalue -1 (phase one half) perpendicular to it.
+    # eigenvalue -1 (phase one half) perpendicular to it: unit vectors by
+    # construction, so their amplitudes need no check.
     t = np.deg2rad(theta_deg)
     if outcome == 0:
-        return StateVector(1, np.array([np.cos(t), np.sin(t)], dtype=complex))
-    return StateVector(1, np.array([-np.sin(t), np.cos(t)], dtype=complex))
+        return np.array([np.cos(t), np.sin(t)], dtype=complex)
+    return np.array([-np.sin(t), np.cos(t)], dtype=complex)
 
 
 def run_fig5(
@@ -284,60 +287,68 @@ def run_fig5(
     otherwise counts are binomially sampled and a parametric bootstrap
     supplies the fidelity spread.  Panels are scored against the
     eigenstate of the nominal, unjittered plate.
+
+    The panels run as stacked arrays: one unitarity check of the Jones
+    matrices, one register readout per input state, one density check of
+    the collapsed targets and one per bootstrap block.  Only the random
+    draws are per panel: panel i's jitter, counts and bootstrap come from
+    the streams ``derive_rng(seed, i, 0)``, ``(seed, i, 1)`` and
+    ``(seed, i, 2)``.
     """
     if shots < 0:
         raise ContractError(f"shots must be >= 0, got {shots}")
     coherence = 1.0 if noise is None else float(noise.distinguishability)
-    results = []
-    labels = iter("abcdefghi")
-    for case_index, (input_label, outcome) in enumerate(_FIG5_CASES):
-        for angle_index, theta in enumerate(_FIG5_ANGLES):
-            panel_index = case_index * len(_FIG5_ANGLES) + angle_index
-            plates = (WaveplateSpec("HWP", theta),)
-            if noise is not None and noise.angle_jitter_sigma_deg > 0.0:
-                plates = jitter_waveplates(
-                    plates, noise, derive_rng(seed, panel_index, 0)
-                )
-            unitary = compose_waveplates(plates)
-            prob, rho = qpe.collapse_project(
-                unitary, polarization_state(input_label), 1, outcome, coherence
-            )
-            if rho is None:
-                raise ContractError(
-                    f"panel input {input_label!r} never yields outcome {outcome}"
-                )
-            ideal = _hwp_eigenvector(theta, outcome)
-            if shots == 0:
-                exp = tomography.expectations(rho)
-                rho_hat = tomography.reconstruct_from_expectations(
-                    exp["X"], exp["Y"], exp["Z"]
-                )
-                std = 0.0
-            else:
-                counts = tomography.simulate_counts(
-                    rho, shots, derive_rng(seed, panel_index, 1)
-                )
-                rho_hat = tomography.reconstruct(counts)
-                _, std = tomography.bootstrap_fidelity(
-                    counts, ideal, resamples, derive_rng(seed, panel_index, 2)
-                )
-            report = tomography.ReconstructionReport(
-                rho=rho_hat,
-                fidelity_vs_ideal=fidelity(rho_hat, ideal),
+    panels = [(case, theta) for case in _FIG5_CASES for theta in _FIG5_ANGLES]
+    trains = [(WaveplateSpec("HWP", theta),) for _, theta in panels]
+    if noise is not None and noise.angle_jitter_sigma_deg > 0.0:
+        trains = [jitter_waveplates(train, noise, derive_rng(seed, i, 0))
+                  for i, train in enumerate(trains)]
+    stack = np.stack([_train_matrix(train) for train in trains])
+    qmath.check_unitary(stack)
+    inputs, outcomes = (np.array(column) for column in zip(*(case for case, _ in panels)))
+    probs, rhos = np.empty(len(panels)), np.empty((len(panels), 2, 2), dtype=complex)
+    for label in dict.fromkeys(inputs.tolist()):
+        rows = np.flatnonzero(inputs == label)
+        xs = outcomes[rows]
+        weights, targets = qpe._register_readout(
+            stack[rows], polarization_state(label), 1, coherence
+        )
+        probs[rows] = weights[np.arange(len(rows)), xs]
+        never = xs[probs[rows] <= 1e-24]
+        if never.size:
+            raise ContractError(f"panel input {label!r} never yields outcome {never[0]}")
+        rhos[rows] = targets(xs)
+    qmath.check_density(rhos)
+    ideals = np.stack([_hwp_eigenvector(theta, outcome) for (_, outcome), theta in panels])
+    if shots == 0:
+        estimates = tomography._bloch_matrices(tomography._expectations(rhos))
+        stds = np.zeros(len(panels))
+    else:
+        streams = range(len(panels))
+        plus = tomography._draw_plus(rhos, shots, [derive_rng(seed, i, 1) for i in streams])
+        estimates = tomography._reconstruct_plus(plus, shots)
+        _, stds = tomography._bootstrap(
+            plus, shots, ideals, resamples, [derive_rng(seed, i, 2) for i in streams]
+        )
+    fids = qmath.fidelities(estimates, ideals)
+    return [
+        PanelResult(
+            panel=label,
+            hwp_deg=theta,
+            input_state=input_label,
+            outcome=outcome,
+            outcome_prob=prob,
+            report=tomography.ReconstructionReport(
+                rho=DensityMatrix(2, estimate),
+                fidelity_vs_ideal=fid,
                 fidelity_std=std,
                 shots_per_basis=shots,
-            )
-            results.append(
-                PanelResult(
-                    panel=next(labels),
-                    hwp_deg=theta,
-                    input_state=input_label,
-                    outcome=outcome,
-                    outcome_prob=prob,
-                    report=report,
-                )
-            )
-    return results
+            ),
+        )
+        for label, ((input_label, outcome), theta), prob, estimate, fid, std in zip(
+            "abcdefghi", panels, probs.tolist(), estimates, fids.tolist(), stds.tolist()
+        )
+    ]
 
 
 def _montecarlo_pass(
@@ -372,6 +383,13 @@ def _montecarlo_pass(
     return successes
 
 
+def _count(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_montecarlo(
     m: int = DIRECTIVES["bits"].default,
     trials: int = MONTECARLO_TRIALS,
@@ -387,7 +405,11 @@ def run_montecarlo(
     excited basis state as eigenstate, and scores the estimate as a
     success when its circular error is at most 2^-m.  Two summary rows
     come back: single shot per bit, then majority voting at ``reps``.
+    ``m``, ``trials`` and ``reps`` are taken as Python ints, which the
+    rows echo; any integer type passes, a non-integer is refused.
     """
+    m, trials, reps = (_count(name, value)
+                       for name, value in (("m", m), ("trials", trials), ("reps", reps)))
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
     rows = []

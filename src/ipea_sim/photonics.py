@@ -224,6 +224,11 @@ def compose_waveplates(plates) -> Unitary:
     """Product of a waveplate train; the first listed plate acts first.
 
     Specs enter as raw Jones matrices, so only the product is checked."""
+    return Unitary(_train_matrix(plates))
+
+
+def _train_matrix(plates) -> np.ndarray:
+    """The unchecked Jones product of ``compose_waveplates``."""
     plates = list(plates)
     if not plates:
         raise ContractError("waveplate train must contain at least one plate")
@@ -240,7 +245,7 @@ def compose_waveplates(plates) -> Unitary:
                 f"expected WaveplateSpec or Unitary, got {type(plate).__name__}"
             )
         matrix = jones @ matrix
-    return Unitary(matrix)
+    return matrix
 
 
 _SPECTRAL_GAP_TOL = 1e-8

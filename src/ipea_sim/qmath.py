@@ -437,17 +437,20 @@ class TrialStreams:
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     """<target| rho |target>, clamped to [0, 1]."""
-    return float(fidelities(rho.matrix, target))
+    return float(fidelities(rho.matrix, target.amplitudes))
 
 
-def fidelities(matrices: np.ndarray, target: StateVector) -> np.ndarray:
-    """``fidelity`` of each matrix along the last two axes, one dot product each."""
-    if matrices.shape[-1] != target.dim:
+def fidelities(matrices: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``fidelity`` of each matrix along the last two axes, one dot product
+    each, against the target amplitudes along the last axis of
+    ``targets``: one target for every matrix, or one per matrix
+    (broadcast over the leading axes)."""
+    if matrices.shape[-1] != targets.shape[-1]:
         raise ContractError(
-            f"dimension mismatch: rho is {matrices.shape[-1]}, target is {target.dim}"
+            f"dimension mismatch: rho is {matrices.shape[-1]}, target is {targets.shape[-1]}"
         )
-    t = target.amplitudes
-    val = ((t.conj() @ matrices)[..., None, :] @ t[:, None])[..., 0, 0]
+    bra, ket = targets.conj()[..., None, :], targets[..., :, None]
+    val = ((bra @ matrices) @ ket)[..., 0, 0]
     off = val[np.abs(val.imag) > CONSTRUCTION_TOL]
     if off.size:
         raise ContractError(f"fidelity came out non-real: {complex(off[0])!r}")

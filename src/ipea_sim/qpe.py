@@ -5,10 +5,12 @@
   least significant bit first, each measured bit feeding the next
   round's feedback rotation.
 * The full-register engine prepares m control qubits, applies the
-  controlled powers and reads the register through an orthonormal FFT;
-  one readout serves the register table, a collapse study and a fig5
-  panel, coherent (``coherence`` None) or with that fraction of the
-  control's coherence kept.
+  controlled powers and reads the register through an orthonormal FFT,
+  coherent (``coherence`` None) or with that fraction of the control's
+  coherence kept.  One readout takes a ``(T, d, d)`` stack of unitaries
+  on one input state, each row with the bits of its matrix read alone:
+  the register table and a collapse study read a one-matrix stack, and
+  fig5 reads its panels of one input state as one stack.
 
 Bit convention: "+" reads bit 0 and "-" bit 1; ``bits = (b1, ..., bm)``
 is the binary fraction 0.b1...bm.
@@ -503,8 +505,9 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     return ExactIpeaResult(PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors))
 
 
-def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.ndarray:
-    """Register x target amplitudes after H^m and all controlled powers.
+def _controlled_stage(unitaries: np.ndarray, input_state: StateVector, m: int) -> np.ndarray:
+    """Register x target amplitudes after H^m and all controlled powers,
+    one ``(2^m, d)`` stage per unitary of a ``(T, d, d)`` stack.
 
     Rows are register values (qubit 0 of the register is the most
     significant bit), columns are target basis labels.
@@ -512,32 +515,34 @@ def _controlled_stage(unitary: Unitary, input_state: StateVector, m: int) -> np.
     if m < 1:
         raise ContractError(f"register size m must be >= 1, got {m}")
     t = input_state.num_qubits
-    if unitary.dim != input_state.dim:
+    if unitaries.shape[-1] != input_state.dim:
         raise ContractError(
-            f"unitary dim {unitary.dim} does not match target dim {input_state.dim}"
+            f"unitary dim {unitaries.shape[-1]} does not match target dim {input_state.dim}"
         )
     if m + t > max_qubits():
         raise CapacityError(
             f"{m}-qubit register plus {t}-qubit target exceeds the "
             f"{max_qubits()}-qubit cap"
         )
-    dim = 1 << m
-    stage = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
+    count, dim, d = len(unitaries), 1 << m, input_state.dim
+    stage = np.empty((count, dim, d), dtype=complex)
+    stage[:] = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
     # squares[e] = U^(2^e); register qubit j controls U^(2^(m-1-j)).
-    squares = _squaring_ladder(unitary.matrix, m)
-    d = input_state.dim
+    squares = _squaring_ladder(unitaries, m)
     for j in range(m):
         # the rows whose register qubit j reads 1, as a view; the product
         # runs on a C-ordered copy, since matmul bits follow operand layout
-        ones = stage.reshape(1 << j, 2, -1, d)[:, 1]
-        ones[...] = (ones.copy().reshape(-1, d) @ squares[m - 1 - j].T).reshape(ones.shape)
+        ones = stage.reshape(count, 1 << j, 2, -1, d)[:, :, 1]
+        power = squares[m - 1 - j].swapaxes(-1, -2)
+        ones[...] = (ones.copy().reshape(count, -1, d) @ power).reshape(ones.shape)
     return stage
 
 
 def _register_readout(
-    unitary: Unitary, input_state: StateVector, m: int, coherence: float | None
+    unitaries: np.ndarray, input_state: StateVector, m: int, coherence: float | None
 ):
-    """Outcome weights of the register and the conditional target of one outcome.
+    """Outcome weights of the register and its conditional targets, for
+    each unitary of a ``(T, d, d)`` stack on one input state.
 
     The inverse Fourier transform on the register, entries
     2^(-m/2) e^{-2i pi jk / 2^m}, is exactly the orthonormal FFT along
@@ -549,31 +554,43 @@ def _register_readout(
     Fourier entry has modulus 2^(-m/2), so that mixture is the same for
     every outcome: 2^-m sum_y |s_y><s_y| over the stage rows s_y.
 
-    Returns the unnormalized weights and ``target(x)``, the target
-    conditioned on outcome x (a StateVector, or a DensityMatrix when
-    ``coherence`` is a number).
+    Returns the ``(T, 2^m)`` unnormalized weights and ``targets(xs)``:
+    row t's target conditioned on outcome ``xs[t]``, normalized and not
+    yet checked, as ``(T, d)`` amplitudes, or ``(T, d, d)`` density
+    matrices when ``coherence`` is a number.  Each row has the bits of a
+    one-matrix stack's.
     """
     if coherence is not None and not 0.0 <= coherence <= 1.0:
         raise ContractError(f"coherence must lie in [0, 1], got {coherence!r}")
-    stage = _controlled_stage(unitary, input_state, m)
-    rotated = np.fft.fft(stage, axis=0, norm="ortho")
-    weights = np.sum(np.abs(rotated) ** 2, axis=1)
+    stage = _controlled_stage(unitaries, input_state, m)
+    rotated = np.fft.fft(stage, axis=1, norm="ortho")
+    weights = np.sum(np.abs(rotated) ** 2, axis=-1)
+    rows = np.arange(len(stage))
     if coherence is None:
 
-        def target(x: int) -> StateVector:
-            return StateVector(input_state.num_qubits, rotated[x] / np.sqrt(weights[x]))
+        def targets(xs) -> np.ndarray:
+            return rotated[rows, xs] / np.sqrt(weights[rows, xs])[:, None]
 
-        return weights, target
+        return weights, targets
 
     c = coherence
-    dephased = stage.T @ stage.conj() / stage.shape[0]
-    weights = c * weights + (1.0 - c) * np.trace(dephased).real
+    dephased = stage.swapaxes(-1, -2) @ stage.conj() / stage.shape[1]
+    weights = c * weights + (1.0 - c) * np.trace(dephased, axis1=-2, axis2=-1).real[:, None]
 
-    def target(x: int) -> qmath.DensityMatrix:
-        block = c * np.outer(rotated[x], rotated[x].conj()) + (1.0 - c) * dephased
-        return qmath.DensityMatrix.from_matrix(block / weights[x])
+    def targets(xs) -> np.ndarray:
+        amps = rotated[rows, xs]
+        block = c * (amps[:, :, None] * amps.conj()[:, None, :]) + (1.0 - c) * dephased
+        return block / weights[rows, xs][:, None, None]
 
-    return weights, target
+    return weights, targets
+
+
+def _checked_target(input_state: StateVector, target: np.ndarray):
+    """One conditional target of ``_register_readout``, validated: a
+    StateVector for amplitudes, a DensityMatrix for a matrix."""
+    if target.ndim == 1:
+        return StateVector(input_state.num_qubits, target)
+    return qmath.DensityMatrix.from_matrix(target)
 
 
 def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
@@ -583,7 +600,7 @@ def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     binary digits (most significant first) are the phase bits.  The
     target is traced out, so the table is exact for any input.
     """
-    probs, _ = _register_readout(spec.unitary, spec.input_state, m, None)
+    probs = _register_readout(spec.unitary.matrix[None], spec.input_state, m, None)[0][0]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"distribution does not sum to 1: {total!r}")
@@ -604,13 +621,13 @@ def collapse_project(
     control's coherence survives; it is None for an outcome that never
     occurs.
     """
-    weights, target = _register_readout(unitary, input_state, m, coherence)
-    if not 0 <= outcome < weights.size:
+    weights, targets = _register_readout(unitary.matrix[None], input_state, m, coherence)
+    if not 0 <= outcome < weights.shape[1]:
         raise ContractError(f"outcome {outcome} out of range for m={m}")
-    prob = float(weights[outcome])
+    prob = float(weights[0, outcome])
     if prob <= 1e-24:
         return 0.0, None
-    return prob, target(outcome)
+    return prob, _checked_target(input_state, targets([outcome])[0])
 
 
 def _collapse_draws(
@@ -625,9 +642,10 @@ def _collapse_draws(
     and its outcome is the number of entries of ``cdf = cumsum(probs) /
     cumsum(probs)[-1]`` at or below it, so a zero-width outcome is never
     drawn.  Returns the outcomes, ``probs`` and the readout's
-    ``target(x)``.
+    ``targets``, whose one row is ``unitary``'s.
     """
-    weights, target = _register_readout(unitary, input_state, m, coherence)
+    weights, targets = _register_readout(unitary.matrix[None], input_state, m, coherence)
+    weights = weights[0]
     total = float(weights.sum())
     # A NaN total fails the comparison too, so a NaN or infinite weight is refused.
     probs = weights / total if 0.0 < total < np.inf else np.array([np.nan])
@@ -638,7 +656,7 @@ def _collapse_draws(
         )
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, target
+    return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, targets
 
 
 def collapse_run(
@@ -657,9 +675,10 @@ def collapse_run(
     outcome is ``rng.choice(2^m, p=probs)``, the one-trial case of a
     collapse table's draw.
     """
-    xs, probs, target = _collapse_draws(unitary, input_state, m, _GeneratorDraws(rng), coherence)
+    xs, probs, targets = _collapse_draws(unitary, input_state, m, _GeneratorDraws(rng), coherence)
     x = int(xs[0])
-    return CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
+    target = _checked_target(input_state, targets(xs)[0])
+    return CollapseResult(PhaseEstimate.from_numerator(x, m), target, float(probs[x]))
 
 
 def circular_distance(a, b):

@@ -100,13 +100,27 @@ def _check_single_qubit(rho: DensityMatrix) -> None:
         raise ContractError(f"tomography handles single qubits, got dim {rho.dimension}")
 
 
+def _expectations(matrices: np.ndarray) -> np.ndarray:
+    """The (X, Y, Z) expectations of each 2x2 matrix of a stack, along a last axis."""
+    return np.stack(
+        [np.trace(matrices @ _PAULIS[basis], axis1=-2, axis2=-1).real for basis in BASES],
+        axis=-1,
+    )
+
+
 def expectations(rho: DensityMatrix) -> dict[str, float]:
     """Exact Pauli expectation values of a single-qubit state."""
     _check_single_qubit(rho)
-    return {
-        basis: float(np.trace(rho.matrix @ sigma).real)
-        for basis, sigma in _PAULIS.items()
-    }
+    return dict(zip(BASES, _expectations(rho.matrix[None])[0].tolist()))
+
+
+def _draw_plus(matrices: np.ndarray, shots: int, rngs) -> np.ndarray:
+    """Each state's (X, Y, Z) plus counts, row t drawn from ``rngs[t]``.
+
+    The +1-outcome probability in basis B is (1 + <B>)/2, clipped to [0, 1].
+    """
+    p_plus = np.clip((1.0 + _expectations(matrices)) / 2.0, 0.0, 1.0)
+    return np.stack([rng.binomial(shots, p) for rng, p in zip(rngs, p_plus)])
 
 
 def simulate_counts(
@@ -119,9 +133,7 @@ def simulate_counts(
     _check_single_qubit(rho)
     if shots < 1:
         raise ContractError(f"shots must be >= 1, got {shots}")
-    exp = expectations(rho)
-    p_plus = [min(1.0, max(0.0, (1.0 + exp[basis]) / 2.0)) for basis in BASES]
-    plus = rng.binomial(shots, p_plus).tolist()
+    plus = _draw_plus(rho.matrix[None], shots, [rng])[0].tolist()
     return PauliCounts(shots, {basis: (n, shots - n) for basis, n in zip(BASES, plus)})
 
 
@@ -135,6 +147,11 @@ def _bloch_matrices(r: np.ndarray) -> np.ndarray:
     r = r / np.where(norm > 1.0, norm, 1.0)
     x, y, z = (r[..., i, None, None] for i in range(3))
     return (_I2 + x * _PAULIS["X"] + y * _PAULIS["Y"] + z * _PAULIS["Z"]) / 2.0
+
+
+def _reconstruct_plus(plus: np.ndarray, shots: int) -> np.ndarray:
+    """Linear inversion of each row of (X, Y, Z) plus counts at ``shots`` per basis."""
+    return _bloch_matrices((plus - (shots - plus)) / shots)
 
 
 def reconstruct_from_expectations(rx: float, ry: float, rz: float) -> DensityMatrix:
@@ -151,8 +168,34 @@ def reconstruct(counts: PauliCounts) -> DensityMatrix:
     Always returns a valid state: statistical overshoot past the Bloch
     ball is rescaled back onto the unit sphere.
     """
-    emp = counts.empirical_expectations()
-    return reconstruct_from_expectations(emp["X"], emp["Y"], emp["Z"])
+    plus = np.array([counts.counts[basis][0] for basis in BASES])
+    return DensityMatrix(2, _reconstruct_plus(plus, counts.shots_per_basis))
+
+
+def _bootstrap(
+    plus: np.ndarray, shots: int, ideals: np.ndarray, resamples: int, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's parametric bootstrap of the reconstructed fidelity: the
+    means and (population) standard deviations over ``resamples``
+    fidelities against the pure target ``ideals[t]``, row t resampling
+    its (X, Y, Z) plus counts from ``rngs[t]``.
+
+    Up to ``BOOTSTRAP_BLOCK`` resamples over all rows are drawn,
+    reconstructed and checked as one array, with the draws and roundings
+    of one at a time.
+    """
+    p_hat = plus / shots
+    fids = np.empty((len(plus), resamples), dtype=float)
+    step = max(1, BOOTSTRAP_BLOCK // len(plus))
+    for start in range(0, resamples, step):
+        size = (min(step, resamples - start), 3)
+        redrawn = np.stack([rng.binomial(shots, p, size=size) for rng, p in zip(rngs, p_hat)])
+        if not np.all((redrawn >= 0) & (redrawn <= shots)):
+            raise ContractError(f"resampled counts fall outside 0..{shots}")
+        rho = _reconstruct_plus(redrawn, shots)
+        qmath.check_density(rho)
+        fids[:, start:start + size[0]] = qmath.fidelities(rho, ideals[:, None])
+    return np.mean(fids, axis=1), np.std(fids, axis=1)
 
 
 def bootstrap_fidelity(
@@ -165,22 +208,13 @@ def bootstrap_fidelity(
 
     Counts are resampled binomially from the empirical frequencies,
     each resample is reconstructed, and the mean and (population)
-    standard deviation of the resulting fidelities are returned.  Up to
-    ``BOOTSTRAP_BLOCK`` resamples are drawn, reconstructed and checked
-    as one array, with the draws and roundings of one at a time.
+    standard deviation of the resulting fidelities are returned: the
+    one-row case of fig5's stacked bootstrap.
     """
     if resamples < 1:
         raise ContractError(f"resamples must be >= 1, got {resamples}")
     if ideal.dim != 2:
         raise ContractError("ideal state must be a single qubit")
-    shots = counts.shots_per_basis
-    p_hat = np.array([counts.counts[basis][0] / shots for basis in BASES])
-    fids = np.empty(resamples, dtype=float)
-    for start in range(0, resamples, BOOTSTRAP_BLOCK):
-        plus = rng.binomial(shots, p_hat, size=(min(BOOTSTRAP_BLOCK, resamples - start), 3))
-        if not np.all((plus >= 0) & (plus <= shots)):
-            raise ContractError(f"resampled counts fall outside 0..{shots}")
-        rho = _bloch_matrices((plus - (shots - plus)) / shots)
-        qmath.check_density(rho)
-        fids[start:start + plus.shape[0]] = qmath.fidelities(rho, ideal)
-    return float(np.mean(fids)), float(np.std(fids))
+    plus = np.array([[counts.counts[basis][0] for basis in BASES]])
+    means, stds = _bootstrap(plus, counts.shots_per_basis, ideal.amplitudes[None], resamples, [rng])
+    return float(means[0]), float(stds[0])

@@ -17,6 +17,8 @@ MONTECARLO_GOLDEN = DATA / "montecarlo_golden.csv"
 REGISTER_GOLDEN = DATA / "register_golden.csv"
 BATCH_GOLDEN = DATA / "batch_golden.csv"
 QPE_FULL_GOLDEN = DATA / "qpe_full_golden.csv"
+FIG5_GOLDEN = DATA / "fig5_golden.csv"
+FIG5_JSON_GOLDEN = DATA / "fig5_golden.json"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 PROVIDERS = ("photonic", "matrix")
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -274,6 +276,8 @@ class TestStudyCommands:
             ["fig5", "--shots", "-1"],
             ["fig5", "--resamples", "0"],
             ["fig5", "--resamples", "-1"],
+            ["fig5", "--resamples", "5", "--shots", "0"],
+            ["fig5", "--resamples", "100", "--shots", "0", "--no-noise"],
             ["fig5", "--noise-p", "0.5", "--no-noise", "--shots", "0"],
             ["fig5", "--noise-sigma", "1", "--no-noise", "--shots", "0"],
         ],
@@ -340,6 +344,34 @@ class TestStudyCommands:
             assert code == 0
             text += out
         assert text == REGISTER_GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "golden, argvs",
+        [
+            # The fig5 paths that register_golden.csv leaves out: exact
+            # expectations under the default noise, sampled tomography
+            # without noise, and strong noise at 5,000 shots.
+            pytest.param(FIG5_GOLDEN, [
+                ["fig5", "--shots", "0"],
+                ["fig5", "--no-noise", "--seed", "3"],
+                ["fig5", "--noise-p", "0.8", "--noise-sigma", "1.5", "--shots", "5000",
+                 "--seed", "11"],
+            ], id="csv"),
+            # 9,000 bootstrap resamples span several blocks of the stacked
+            # panels, printed as JSON.
+            pytest.param(FIG5_JSON_GOLDEN, [
+                ["fig5", "--seed", "5", "--shots", "3000", "--resamples", "1000",
+                 "--format", "json"],
+            ], id="json"),
+        ],
+    )
+    def test_fig5_golden(self, golden, argvs, capsys):
+        text = ""
+        for argv in argvs:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            text += out
+        assert text == golden.read_text(encoding="utf-8")
 
     def test_qpe_full_golden(self, tmp_path, capsys):
         # Pins the full-register table bytes: CSV at bits 8 and 10, then

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_unitary, random_state, reference_emit, table_rows
-from ipea_sim import cli, experiments, qpe
+from ipea_sim import cli, experiments, qmath, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
@@ -160,6 +160,24 @@ class TestFig5:
         with pytest.raises(ContractError):
             run_fig5(shots=-1)
 
+    def test_each_stage_is_checked_once(self, monkeypatch):
+        # The nine panels run as stacks: one register readout per input
+        # state (H and V), one unitarity check of the nine Jones matrices,
+        # one density check of the collapsed targets and one of the
+        # bootstrap's resamples, besides the nine report states.
+        calls = dict.fromkeys(("check_density", "check_unitary", "_register_readout"), 0)
+        for module, name in ((qmath, "check_density"), (qmath, "check_unitary"),
+                             (qpe, "_register_readout")):
+
+            def counted(*args, _call=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        panels = run_fig5()
+        assert calls == {"check_density": 2 + len(panels), "check_unitary": 1,
+                         "_register_readout": 2}
+
 
 class TestMontecarlo:
     def test_dyadic_grid_is_exact(self):
@@ -186,6 +204,18 @@ class TestMontecarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ContractError):
             run_montecarlo(trials=0)
+
+    def test_numpy_integer_counts_print_as_ints(self):
+        rows = run_montecarlo(m=np.int64(3), trials=np.int64(20), reps=np.int64(3))
+        assert rows == run_montecarlo(m=3, trials=20, reps=3)
+        assert emit(rows, fields=experiments.MONTECARLO_FIELDS) == emit(
+            run_montecarlo(m=3, trials=20, reps=3), fields=experiments.MONTECARLO_FIELDS
+        )
+
+    @pytest.mark.parametrize("count", ["m", "trials", "reps"])
+    def test_non_integer_count_is_refused(self, count):
+        with pytest.raises(ContractError, match=f"{count} must be an integer, got 3.0"):
+            run_montecarlo(**{"m": 2, "trials": 20, "reps": 3, count: 3.0})
 
 
 class TestRunConfig:
@@ -587,7 +617,7 @@ def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherenc
         weights, conditional = readout(*args)
         if edge is not None:
             u = derive_rng(seed, seed % trials).random()
-            weights = _edge_weights(u, weights.size, edge)
+            weights = _edge_weights(u, weights.size, edge)[None]
         return weights, conditional
 
     with pytest.MonkeyPatch.context() as patch:
@@ -600,7 +630,7 @@ def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherenc
             qpe.collapse_run(unitary, target, m, derive_rng(seed, t), coherence)
             for t in range(trials)
         ]
-    weights, _ = edged_readout(unitary, target, m, coherence)
+    weights = edged_readout(unitary.matrix[None], target, m, coherence)[0][0]
     probs = weights / weights.sum()
     assert len(rows) == trials
     for t, (row, run) in enumerate(zip(rows, runs)):
@@ -622,7 +652,7 @@ def test_collapse_refuses_weights_choice_refuses(weights, tmp_path, capsys, monk
     # in collapse_run.
     readout = qpe._register_readout
     monkeypatch.setattr(
-        qpe, "_register_readout", lambda *args: (np.array(weights), readout(*args)[1])
+        qpe, "_register_readout", lambda *args: (np.array([weights]), readout(*args)[1])
     )
     cfg = tmp_path / "collapse.cfg"
     cfg.write_text("mode collapse\nunitary hwp 30\nbits 1\ntrials 3\n")

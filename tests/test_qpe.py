@@ -655,16 +655,42 @@ def test_controlled_stage_equals_the_masked_reference(seed, num_qubits, m, coher
     rng = derive_rng(seed)
     u = haar_unitary(1 << num_qubits, rng)
     target = random_state(num_qubits, rng)
-    assert np.array_equal(_controlled_stage(u, target, m), reference_controlled_stage(u, target, m))
-    weights, conditional = _register_readout(u, target, m, coherence)
-    with mock.patch.object(qpe, "_controlled_stage", reference_controlled_stage):
-        ref_weights, ref_conditional = _register_readout(u, target, m, coherence)
+    stack = u.matrix[None]
+    reference = reference_controlled_stage(u, target, m)
+    assert np.array_equal(_controlled_stage(stack, target, m)[0], reference)
+    weights, conditional = _register_readout(stack, target, m, coherence)
+    with mock.patch.object(qpe, "_controlled_stage", lambda *args: reference[None]):
+        ref_weights, ref_conditional = _register_readout(stack, target, m, coherence)
     assert np.array_equal(weights, ref_weights)
-    a, b = conditional(int(np.argmax(weights))), ref_conditional(int(np.argmax(weights)))
-    if coherence is None:
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-    else:
-        assert np.array_equal(a.matrix, b.matrix)
+    x = [int(np.argmax(weights))]
+    assert np.array_equal(conditional(x), ref_conditional(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+    st.integers(1, 2),
+    st.integers(1, 10),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_stacked_readout_equals_one_matrix_readouts(seed, count, num_qubits, m, coherence):
+    # fig5 reads a stack of unitaries on one input state in one readout;
+    # each row's stage, weights and conditional target must have the bits
+    # of that unitary read alone, as a one-matrix stack.
+    rng = derive_rng(seed)
+    stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(count)])
+    target = random_state(num_qubits, rng)
+    xs = rng.integers(0, 1 << m, size=count)
+    stage = _controlled_stage(stack, target, m)
+    weights, targets = _register_readout(stack, target, m, coherence)
+    conditional = targets(xs)
+    for t in range(count):
+        one = Unitary(stack[t]).matrix[None]
+        assert np.array_equal(stage[t], _controlled_stage(one, target, m)[0])
+        one_weights, one_targets = _register_readout(one, target, m, coherence)
+        assert np.array_equal(weights[t], one_weights[0])
+        assert np.array_equal(conditional[t], one_targets(xs[t : t + 1])[0])
 
 
 def _literal_blue(target: StateVector, unitary: np.ndarray, k: int) -> np.ndarray:

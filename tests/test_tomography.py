@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_bloch, random_state, reference_bootstrap
-from ipea_sim import tomography
+from ipea_sim import qmath, tomography
 from ipea_sim.qmath import (
     ContractError,
     DensityMatrix,
@@ -183,3 +183,45 @@ def test_sampled_reconstruction_converges(seed):
     counts = simulate_counts(rho, 200000, rng)
     rho_hat = reconstruct(counts)
     assert fidelity(rho_hat, psi) > 0.99
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+    st.integers(1, 10**6),
+    st.integers(1, 60),
+    st.sampled_from((1, 5, 32, tomography.BOOTSTRAP_BLOCK)),
+)
+def test_one_panel_functions_are_rows_of_the_stacked_kernels(seed, panels, shots, resamples, block):
+    # fig5 runs its panels as stacks; each public one-panel function must
+    # give the bits of its row, and each row of the stacked bootstrap what
+    # the per-resample reference gives on that row's generator.  Small
+    # blocks make a block hold parts of several rows' resamples.
+    rng = derive_rng(seed)
+    rhos = [bloch_density(random_bloch(rng, surface=bool(t % 2))) for t in range(panels)]
+    ideals = [random_state(1, rng) for _ in range(panels)]
+    stack = np.stack([rho.matrix for rho in rhos])
+    amplitudes = np.stack([ideal.amplitudes for ideal in ideals])
+    exps = tomography._expectations(stack)
+    exact = tomography._bloch_matrices(exps)
+    plus = tomography._draw_plus(stack, shots, [derive_rng(seed, t, 1) for t in range(panels)])
+    estimates = tomography._reconstruct_plus(plus, shots)
+    fids = qmath.fidelities(estimates, amplitudes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "BOOTSTRAP_BLOCK", block)
+        means, stds = tomography._bootstrap(
+            plus, shots, amplitudes, resamples, [derive_rng(seed, t, 2) for t in range(panels)]
+        )
+    for t, (rho, ideal) in enumerate(zip(rhos, ideals)):
+        exp = expectations(rho)
+        assert exp == dict(zip("XYZ", exps[t].tolist()))
+        assert np.array_equal(reconstruct_from_expectations(*exp.values()).matrix, exact[t])
+        counts = simulate_counts(rho, shots, derive_rng(seed, t, 1))
+        assert [counts.counts[b][0] for b in "XYZ"] == plus[t].tolist()
+        rho_hat = reconstruct(counts)
+        assert np.array_equal(rho_hat.matrix, estimates[t])
+        assert fidelity(rho_hat, ideal) == fids[t]
+        row = (means[t], stds[t])
+        assert bootstrap_fidelity(counts, ideal, resamples, derive_rng(seed, t, 2)) == row
+        assert reference_bootstrap(counts, ideal, resamples, derive_rng(seed, t, 2)) == row
