@@ -200,19 +200,10 @@ def run_fig4(
     first = WaveplateSpec("HWP", 0.0)
     unitaries = [compose_waveplates([first, WaveplateSpec("HWP", t)]) for t in FIG4_THETAS]
     target = polarization_state("R")
-    if exact:
-        bit_strings, phis, branch_fracs = _exact_estimates(
-            [EigenproblemSpec(u, target) for u in unitaries], FIG4_BITS, provider
-        )
-    else:
-        bit_strings, phis, branch_fracs = _sampled_estimates(
-            np.stack([u.matrix for u in unitaries]),
-            target,
-            FIG4_BITS,
-            reps,
-            provider,
-            TrialStreams(seed, (), range(len(unitaries))),
-        )
+    stack = np.stack([u.matrix for u in unitaries])
+    bit_strings, phis, branch_fracs = _estimates(
+        stack, target, FIG4_BITS, reps, provider, seed, 0 if exact else len(stack)
+    )
     oracles = [oracle_eigenphase(unitary, "R") for unitary in unitaries]
     errors = circular_distance(phis, oracles)
     return [
@@ -232,29 +223,29 @@ def run_fig4(
     ]
 
 
-def _exact_estimates(specs, m, provider):
-    """Each exact run's bit string and value, and no branch share: three columns."""
-    estimates = [qpe.ipea_run_exact(spec, m, provider).estimate for spec in specs]
-    return [e.as_string() for e in estimates], [e.value for e in estimates], [None] * len(specs)
-
-
-def _sampled_estimates(unitaries, target, m, reps, provider, draws):
+def _estimates(unitaries, target, m, reps, provider, seed, trials):
     """Each trial's bit string, value and share of even-parity (P) branches:
-    three columns.
+    three columns, from one batch over ``unitaries`` (a stack, or one
+    shared ``Unitary``).
 
-    The trials run as one batch, and trial t's cells come from its
-    numerator n: ``f"{n:0{m}b}"`` and n / 2^m.  The share is the P picks
-    over the m × reps branches a trial picks, None for an unbranched provider.
+    ``trials`` 0 runs exact mode, one trial per matrix, with no branch
+    share; otherwise trial t draws from the stream (seed, t) at ``reps``
+    votes per bit, and its share is the P picks over the m × reps branches
+    it picks, None for an unbranched provider.  Trial t's cells come from
+    its numerator n: ``f"{n:0{m}b}"`` and n / 2^m.
     """
-    batch = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
+    shares = None
+    if trials == 0:
+        numerators = qpe._exact_batch(unitaries, target, m, provider)[0]
+    else:
+        draws = TrialStreams(seed, (), range(trials))
+        numerators, tally = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
+        if tally:
+            shares = (tally.get("P", np.zeros_like(numerators)) / (m * reps)).tolist()
     scale = 1 << m
-    numerators = batch.numerators.tolist()
+    numerators = numerators.tolist()
     bits, phis = [f"{n:0{m}b}" for n in numerators], [n / scale for n in numerators]
-    if not batch.branch_tally:
-        return bits, phis, [None] * len(numerators)
-    picks = m * reps
-    p = batch.branch_tally.get("P", np.zeros(len(numerators), dtype=np.int64))
-    return bits, phis, [a / picks for a in p.tolist()]
+    return bits, phis, shares or [None] * len(numerators)
 
 
 _FIG5_ANGLES = (30.0, 45.0, 67.5)
@@ -442,20 +433,10 @@ def _oracle_or_none(unitary: Unitary, eigenstate: str):
 
 def _ipea_rows(config: ExperimentConfig, seed: int) -> Columns:
     unitary = config.unitary()
-    spec = EigenproblemSpec(unitary, config.input_state())
     phi_oracle = _oracle_or_none(unitary, config.eigenstate)
-    trials = config.resolved_trials()
-    if trials == 0:
-        bits, phis, branch_fracs = _exact_estimates([spec], config.bits, config.provider)
-    else:
-        bits, phis, branch_fracs = _sampled_estimates(
-            unitary,
-            spec.input_state,
-            config.bits,
-            config.reps_per_bit,
-            config.provider,
-            TrialStreams(seed, (), range(trials)),
-        )
+    bits, phis, branch_fracs = _estimates(unitary, config.input_state(), config.bits,
+                                          config.reps_per_bit, config.provider, seed,
+                                          config.resolved_trials())
     count = len(bits)
     if phi_oracle is None:
         errors, successes = [None] * count, [None] * count

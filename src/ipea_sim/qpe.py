@@ -3,7 +3,7 @@
 * The iterative engine (``ipea_batch``, ``ipea_run``, ``ipea_run_exact``)
   reads an m-bit phase one bit per round with a single control qubit,
   least significant bit first, each measured bit feeding the next
-  round's feedback rotation.
+  round's feedback rotation; both modes run one chunk loop, ``_ipea_engine``.
 * The full-register engine prepares m control qubits, applies the
   controlled powers and reads the register through an orthonormal FFT,
   coherent (``coherence`` None) or with that fraction of the control's
@@ -28,8 +28,7 @@ on its own unitary and stream, never on its batch or chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -242,7 +241,7 @@ def resolve_provider(provider):
 
 def _branch_totals(weight: np.ndarray) -> np.ndarray:
     total = np.zeros(weight.shape[:-1])
-    for b in range(weight.shape[-1]):  # in branch order, as ipea_run_exact adds a row
+    for b in range(weight.shape[-1]):  # left to right, the order exact posteriors are pinned to
         total += weight[..., b]
     return total
 
@@ -270,21 +269,23 @@ def _branch_cdfs(weight: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _majority_votes(rounds, reps: int, draws):
-    """The part of a chunk's sampled rounds that no measured bit affects:
-    every uniform drawn, every branch picked and tallied, once.
+def _majority_votes(reps: int, draws, tally: dict, rounds, chunk: slice):
+    """The sampled decider of ``_ipea_engine``: the part of a chunk's
+    sampled rounds that no measured bit affects, every uniform drawn and
+    every branch picked and tallied, once.
 
     A repetition of an unbranched round takes one uniform, for the control
     outcome; any other takes two: the branch, then the outcome.  Each
-    trial's m rounds come from one ``draws.uniforms(m * n)`` request, which
-    reads what m requests of n would, round m first.  Returns ``vote(k,
-    pairs)``, every trial's majority bit in round k from its measured
-    pairs, and a label -> per-trial count dict of the picked branches.
+    trial's m rounds come from one ``uniforms(m * n)`` request on its row
+    of ``draws``, which reads what m requests of n would, round m first.
+    Returns ``vote(k, pairs)``, every trial's majority bit in round k from
+    its measured pairs; ``tally`` maps each picked branch's label to its
+    per-trial count over all of ``draws``' trials.
     """
     _, weight, labels = rounds
     m, count, width = weight.shape
     per = 1 if len(labels) == 1 and labels[0] is None else 2
-    u = draws.uniforms(m * reps * per).reshape(count, m, reps, per)
+    u = draws.rows(chunk.start, chunk.stop).uniforms(m * reps * per).reshape(count, m, reps, per)
     # Rung-major like the rounds: u[k - 1] holds round k's (T, reps, per) uniforms.
     u = u.swapaxes(0, 1)[::-1]
     outcome = u[..., -1]
@@ -294,15 +295,15 @@ def _majority_votes(rounds, reps: int, draws):
             # "+" (bit 0) when the uniform falls below P(+).
             return (outcome[k - 1] >= pairs[0]).sum(axis=1) > reps // 2
 
-        return vote, {}
+        return vote
     # searchsorted(cdf, u, side="right"): the number of cdf entries <= u,
     # so a zero-width branch is never picked.
     picks = (_branch_cdfs(weight)[:, :, None, :] <= u[..., :1]).sum(axis=-1)
     q = np.array([label == "Q" for label in labels], dtype=bool)
     flip = q[picks]
-    drawn: dict = {}
     for b, label in enumerate(labels):
-        drawn[label] = drawn.get(label, 0) + (picks == b).sum(axis=(0, 2))
+        counts = tally.setdefault(label, np.zeros(len(draws), dtype=np.int64))
+        counts[chunk] += (picks == b).sum(axis=(0, 2))
     picks += width * np.arange(count)[:, None]  # flat indices into a (T, B) table
 
     def vote(k: int, pairs: np.ndarray) -> np.ndarray:
@@ -311,7 +312,7 @@ def _majority_votes(rounds, reps: int, draws):
         plus = pairs[0].take(picks[k - 1])
         return ((outcome[k - 1] >= plus) ^ flip[k - 1]).sum(axis=1) > reps // 2
 
-    return vote, drawn
+    return vote
 
 
 def _check_reps(reps_per_bit: int) -> None:
@@ -360,21 +361,6 @@ def _chunk_rounds(provider, stack: np.ndarray, target: StateVector, m: int):
     return states, weight, labels
 
 
-def _ipea_rounds(rounds, decide) -> np.ndarray:
-    """The IPEA round loop over one chunk's rounds; returns the trials' numerators.
-
-    Rounds run k = m down to 1, and ``decide(k, pairs)`` turns round k's
-    measured pairs (``_round_pairs``) into every trial's bit, which feeds
-    that trial's next feedback rotation.
-    """
-    m, count = rounds[1].shape[:2]
-    numerators = np.zeros(count, dtype=np.int64)
-    for k in range(m, 0, -1):
-        bits = decide(k, _round_pairs(rounds, k, _feedback_angles(numerators, m - k)))
-        numerators |= bits << (m - k)
-    return numerators
-
-
 class _GeneratorDraws:
     """A one-trial uniform source that draws each request from a caller's generator."""
 
@@ -391,37 +377,25 @@ class _GeneratorDraws:
         return self.rng.random(count)[None]
 
 
-def ipea_batch(
-    unitaries,
-    target: StateVector,
-    m: int,
-    reps_per_bit: int,
-    provider,
-    draws,
-) -> BatchEstimate:
-    """Iterative m-bit estimates of a batch of trials, with per-bit majority voting.
+def _ipea_engine(
+    unitaries, target: StateVector, m: int, provider, trials: int, step: int, decider
+) -> np.ndarray:
+    """The numerators of a batch of ``trials`` IPEA trials, run chunk by
+    chunk: the one round engine of sampled and exact mode.
 
     Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack,
     checked for unitarity once and built chunk by chunk, or one checked
     ``Unitary`` shared by every trial, whose rounds are built once) on
-    ``target``, which the caller asserts is an eigenstate, drawing its
-    uniforms from row t of ``draws``, and gets exactly the estimate it
-    would get alone.  ``draws`` is a ``qmath.TrialStreams`` over the T
-    trials, read from its current offset (every chunk starts there), or,
-    for one trial, a caller's generator, advanced by exactly the uniforms
-    drawn.  Each round repeats ``reps_per_bit`` times (odd, so the vote
-    is decisive).  A provider with a ``branch_counts`` dict has every
-    drawn branch added to it.
+    ``target``, which the caller asserts is an eigenstate, with a resolved
+    ``provider``, and gets exactly the estimate it would get alone.  A
+    chunk holds at most ``step`` trials, and ``decider(rounds, chunk)``
+    turns its checked rounds into ``decide(k, pairs)`` for the trials of
+    the ``chunk`` slice.  Rounds run k = m down to 1, and ``decide`` turns
+    round k's measured pairs (``_round_pairs``) into every trial's bit,
+    which feeds that trial's next feedback rotation.
     """
     if m < 1:
         raise ContractError(f"bit count m must be >= 1, got {m}")
-    _check_reps(reps_per_bit)
-    provider = resolve_provider(provider)
-    if isinstance(draws, np.random.Generator):
-        draws = _GeneratorDraws(draws)
-    elif not isinstance(draws, qmath.TrialStreams):
-        raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
-    trials = len(draws)
     shared = None
     if isinstance(unitaries, Unitary):
         if unitaries.dim != target.dim:
@@ -444,24 +418,83 @@ def ipea_batch(
         if trials != len(stack):
             raise ContractError(f"{len(stack)} unitaries but {trials} trial stream(s)")
     numerators = np.zeros(trials, dtype=np.int64)
-    tally: dict = {}
-    step = batch_trials(reps_per_bit)
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
+        out = numerators[chunk]  # a view, which each round's bits are or-ed into
         if shared is None:
             rounds = _chunk_rounds(provider, stack[chunk], target, m)
         else:  # the one matrix's rounds, as read-only views over the chunk
-            lead = (m, len(numerators[chunk]))
+            lead = (m, len(out))
             rounds = *(np.broadcast_to(a, lead + a.shape[2:]) for a in shared[:2]), shared[2]
-        vote, drawn = _majority_votes(rounds, reps_per_bit, draws.rows(start, start + step))
-        for label, counts in drawn.items():
-            tally.setdefault(label, np.zeros(trials, dtype=np.int64))[chunk] += counts
-        numerators[chunk] = _ipea_rounds(rounds, vote)
+        decide = decider(rounds, chunk)
+        for k in range(m, 0, -1):
+            out |= decide(k, _round_pairs(rounds, k, _feedback_angles(out, m - k))) << (m - k)
+    return numerators
+
+
+def ipea_batch(
+    unitaries,
+    target: StateVector,
+    m: int,
+    reps_per_bit: int,
+    provider,
+    draws,
+) -> BatchEstimate:
+    """Iterative m-bit estimates of a batch of trials, with per-bit majority
+    voting: ``_ipea_engine``'s sampled mode.
+
+    Trial t draws its uniforms from row t of ``draws``, a
+    ``qmath.TrialStreams`` over the T trials, read from its current offset
+    (every chunk starts there), or, for one trial, a caller's generator,
+    advanced by exactly the uniforms drawn.  Each round repeats
+    ``reps_per_bit`` times (odd, so the vote is decisive).  A provider
+    with a ``branch_counts`` dict has every drawn branch added to it.
+    """
+    _check_reps(reps_per_bit)
+    provider = resolve_provider(provider)
+    if isinstance(draws, np.random.Generator):
+        draws = _GeneratorDraws(draws)
+    elif not isinstance(draws, qmath.TrialStreams):
+        raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
+    tally: dict = {}
+    votes = partial(_majority_votes, reps_per_bit, draws, tally)
+    step = batch_trials(reps_per_bit)
+    numerators = _ipea_engine(unitaries, target, m, provider, len(draws), step, votes)
     branch_counts = getattr(provider, "branch_counts", None)
     if branch_counts is not None:
         for label, counts in tally.items():
             branch_counts[label] = branch_counts.get(label, 0) + int(counts.sum())
     return BatchEstimate(numerators, tally)
+
+
+def _exact_batch(unitaries, target: StateVector, m: int, provider):
+    """``ipea_run_exact`` over one trial per matrix of a stack (one for a
+    ``Unitary``): the numerators and the ``(T, m)`` posteriors, row t in the
+    order trial t's rounds ran.  A chunk holds as many trials as a reps-1
+    sampled one."""
+    posts: list[np.ndarray] = []  # each chunk's (m, 2, T) posterior pairs, in round order
+
+    def argmax(rounds, chunk: slice):
+        _, weight, labels = rounds
+        q = np.array([label == "Q" for label in labels])
+        totals = _branch_totals(weight)
+        post = np.empty((m, 2, weight.shape[1]))
+        posts.append(post)
+
+        def decide(k: int, pairs: np.ndarray) -> np.ndarray:
+            # (P(bit 0), P(bit 1)) of every branch, a Q branch's pair swapped
+            table = np.where(q, pairs[::-1], pairs)
+            np.divide(_branch_totals(weight[k - 1] * table), totals[k - 1], out=post[m - k])
+            return post[m - k, 1] > post[m - k, 0]
+
+        return decide
+
+    trials = 1 if isinstance(unitaries, Unitary) else len(unitaries)
+    numerators = _ipea_engine(
+        unitaries, target, m, resolve_provider(provider), trials, batch_trials(1), argmax
+    )
+    post0, post1 = np.concatenate(posts, axis=2).swapaxes(0, 1)
+    return numerators, np.where(post1 > post0, post1, post0).T
 
 
 def ipea_run(
@@ -483,26 +516,12 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     """Deterministic variant: each bit is the argmax of its posterior, the
     weighted sum of its branches' bit probabilities added in branch order
     (for the optical provider, over all parity branches, each odd one's
-    pair swapped, since its measured bit is flipped).  Ties resolve to bit 0."""
-    if m < 1:
-        raise ContractError(f"bit count m must be >= 1, got {m}")
-    posteriors: list[float] = []
-    stack = spec.unitary.matrix[None]
-    rounds = _chunk_rounds(resolve_provider(provider), stack, spec.input_state, m)
-    weights, flips = rounds[1][:, 0].tolist(), [label == "Q" for label in rounds[2]]
-
-    def argmax(k: int, pairs: np.ndarray) -> np.ndarray:
-        weight, (plus, minus) = weights[k - 1], pairs[:, 0].tolist()
-        p0 = [mi if q else pl for pl, mi, q in zip(plus, minus, flips)]
-        p1 = [pl if q else mi for pl, mi, q in zip(plus, minus, flips)]
-        # added left to right, since from Python 3.12 the builtin sum compensates
-        total = reduce(add, weight, 0.0)
-        post0, post1 = (reduce(add, map(mul, weight, ps), 0.0) / total for ps in (p0, p1))
-        posteriors.append(post1 if post1 > post0 else post0)
-        return np.array([post1 > post0])
-
-    numerators = _ipea_rounds(rounds, argmax)
-    return ExactIpeaResult(PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors))
+    pair swapped, since its measured bit is flipped).  Ties resolve to bit
+    0.  The one-trial case of ``_exact_batch``."""
+    numerators, posteriors = _exact_batch(spec.unitary, spec.input_state, m, provider)
+    return ExactIpeaResult(
+        PhaseEstimate.from_numerator(numerators[0], m), tuple(posteriors[0].tolist())
+    )
 
 
 def _controlled_stage(unitaries: np.ndarray, input_state: StateVector, m: int) -> np.ndarray:

@@ -184,6 +184,8 @@ def _bootstrap(
     reconstructed and checked as one array, with the draws and roundings
     of one at a time.
     """
+    if resamples < 1:
+        raise ContractError(f"resamples must be >= 1, got {resamples}")
     p_hat = plus / shots
     fids = np.empty((len(plus), resamples), dtype=float)
     step = max(1, BOOTSTRAP_BLOCK // len(plus))
@@ -211,8 +213,6 @@ def bootstrap_fidelity(
     standard deviation of the resulting fidelities are returned: the
     one-row case of fig5's stacked bootstrap.
     """
-    if resamples < 1:
-        raise ContractError(f"resamples must be >= 1, got {resamples}")
     if ideal.dim != 2:
         raise ContractError("ideal state must be a single qubit")
     plus = np.array([[counts.counts[basis][0] for basis in BASES]])

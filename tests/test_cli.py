@@ -19,6 +19,7 @@ BATCH_GOLDEN = DATA / "batch_golden.csv"
 QPE_FULL_GOLDEN = DATA / "qpe_full_golden.csv"
 FIG5_GOLDEN = DATA / "fig5_golden.csv"
 FIG5_JSON_GOLDEN = DATA / "fig5_golden.json"
+EXACT_GOLDEN = DATA / "exact_golden.csv"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 PROVIDERS = ("photonic", "matrix")
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -190,6 +191,20 @@ class TestStudyCommands:
         bits_m = [line.split(",")[3] for line in matrix_out.splitlines()[1:]]
         bits_p = [line.split(",")[3] for line in photonic_out.splitlines()[1:]]
         assert bits_m == bits_p
+
+    def test_exact_golden(self, capsys):
+        # Pins exact mode's bytes: the fig4 sweep on each provider, then the
+        # one-row sample config.  Its oracle cells are fig4_golden.csv's.
+        text = ""
+        for argv in (
+            ["fig4", "--exact", "--provider", "matrix"],
+            ["fig4", "--exact", "--provider", "photonic"],
+            ["run", str(CONFIGS / "sweep_point.cfg")],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            text += out
+        assert text == EXACT_GOLDEN.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--reps", "5")])
     def test_fig4_exact_refuses_draw_flags(self, flag, value, capsys):

@@ -84,6 +84,22 @@ class TestFig4:
         for r in records:
             assert 0.0 < r.p_branch_frac < 1.0
 
+    @pytest.mark.parametrize("provider", ["matrix", "photonic"])
+    def test_exact_sweep_runs_as_one_batch(self, provider, monkeypatch):
+        # The twelve exact runs are one batch: the provider builds every
+        # unitary's rounds in one call, as the sampled sweep's do.
+        calls = {"rounds": 0}
+        cls = type(qpe.resolve_provider(provider))
+
+        def counted(self, *args, _call=cls.rounds):
+            calls["rounds"] += 1
+            assert len(args[0]) == 12
+            return _call(self, *args)
+
+        monkeypatch.setattr(cls, "rounds", counted)
+        run_fig4(provider=provider, exact=True)
+        assert calls == {"rounds": 1}
+
     def test_exact_mode_has_no_branch_fraction(self):
         records = run_fig4(exact=True)
         assert all(r.p_branch_frac is None for r in records)
@@ -112,9 +128,7 @@ def test_branch_share_is_p_picks_over_every_repetition(provider):
     rng = derive_rng(4)
     stack = np.stack([haar_unitary(2, rng).matrix for _ in range(trials)])
     target = random_state(1, rng)
-    _, _, shares = experiments._sampled_estimates(
-        stack, target, m, reps, provider, TrialStreams(5, (), range(trials))
-    )
+    _, _, shares = experiments._estimates(stack, target, m, reps, provider, 5, trials)
     tally = qpe.ipea_batch(
         stack, target, m, reps, provider, TrialStreams(5, (), range(trials))
     ).branch_tally
@@ -159,6 +173,12 @@ class TestFig5:
     def test_rejects_negative_shots(self):
         with pytest.raises(ContractError):
             run_fig5(shots=-1)
+
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_rejects_fewer_than_one_resample(self, resamples):
+        # refused where the bootstrap runs, for fig5 as for bootstrap_fidelity
+        with pytest.raises(ContractError, match=f"resamples must be >= 1, got {resamples}"):
+            run_fig5(shots=100, resamples=resamples)
 
     def test_each_stage_is_checked_once(self, monkeypatch):
         # The nine panels run as stacks: one register readout per input

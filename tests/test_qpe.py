@@ -153,20 +153,20 @@ class TestProviders:
         d = 1 << num_qubits
         u, target = haar_unitary(d, rng), random_state(num_qubits, rng)
         built, seen = [], []
-        chunk_rounds, ipea_rounds = qpe._chunk_rounds, qpe._ipea_rounds
+        chunk_rounds, majority_votes = qpe._chunk_rounds, qpe._majority_votes
 
         def counting_rounds(prov, stack, target, m):
             built.append(stack.shape)
             return chunk_rounds(prov, stack, target, m)
 
-        def kept_rounds(rounds, decide):
+        def kept_rounds(reps, draws, tally, rounds, chunk):
             seen.append(rounds)
-            return ipea_rounds(rounds, decide)
+            return majority_votes(reps, draws, tally, rounds, chunk)
 
         with (
             mock.patch.object(qpe, "MAX_ROUND_UNIFORMS", 6),  # chunks of 3, 3 and 1 trials
             mock.patch.object(qpe, "_chunk_rounds", counting_rounds),
-            mock.patch.object(qpe, "_ipea_rounds", kept_rounds),
+            mock.patch.object(qpe, "_majority_votes", kept_rounds),
         ):
             ipea_batch(u, target, m, 1, provider, TrialStreams(seed, (), range(7)))
         assert built == [(1, d, d)]
@@ -758,13 +758,17 @@ def test_chunk_rounds_equal_the_literal_per_round_build(seed, trials, num_qubits
 
 
 class Given:
-    """A provider that hands the engine the rounds it was given."""
+    """A provider that hands the engine the rounds it was given, one chunk
+    of trials after another in trial order."""
 
     def __init__(self, rounds):
-        self.given = rounds
+        self.given, self.start = rounds, 0
 
     def rounds(self, unitaries, target, m):
-        return self.given
+        chunk = slice(self.start, self.start + len(unitaries))
+        self.start = chunk.stop
+        states, weight, labels = self.given
+        return states[:, chunk], weight[:, chunk], labels
 
 
 def _random_rounds(rng, m: int, trials: int, branches: int, dim: int):
@@ -833,18 +837,21 @@ def _left_to_right(terms) -> float:
 
 
 def _reference_exact(rounds, add=_left_to_right):
-    # The parent's exact loop on trial 0: the argmax of the swapped table's
-    # weighted sums, added in branch order as Python floats.
+    # The parent's exact loop, one trial at a time: the argmax of the
+    # swapped table's weighted sums, added in branch order as Python floats.
+    # Returns every trial's numerator and posteriors.
     _, weight, _ = rounds
-    m = len(weight)
-    numerator, posteriors = 0, []
+    m, count = weight.shape[:2]
+    numerators, posteriors = [0] * count, [[] for _ in range(count)]
     for k in range(m, 0, -1):
-        _, (p0, p1) = _reference_round_tables(rounds, k, [numerator], m)
-        w, p0, p1 = weight[k - 1, 0].tolist(), p0[0].tolist(), p1[0].tolist()
-        post0, post1 = (add([a * b for a, b in zip(w, ps)]) / add(w) for ps in (p0, p1))
-        posteriors.append(post1 if post1 > post0 else post0)
-        numerator |= int(post1 > post0) << (m - k)
-    return numerator, posteriors
+        _, (p0, p1) = _reference_round_tables(rounds, k, numerators, m)
+        for t in range(count):
+            w = weight[k - 1, t].tolist()
+            post0, post1 = (add([a * b for a, b in zip(w, ps[t].tolist())]) / add(w)
+                            for ps in (p0, p1))
+            posteriors[t].append(post1 if post1 > post0 else post0)
+            numerators[t] |= int(post1 > post0) << (m - k)
+    return numerators, posteriors
 
 
 @settings(max_examples=100, deadline=None)
@@ -896,33 +903,44 @@ def test_round_loop_matches_the_per_round_reference(seed, source, dim, branches,
     assert batch.numerators.tolist() == numerators
     assert {label: counts.tolist() for label, counts in batch.branch_tally.items()} == tally
 
-    # exact mode on trial 0 alone
+    # Exact mode on every trial, in chunks of two (the last one short for an
+    # odd count), against the reference one trial at a time; then the
+    # public one-trial case on trial 0.
+    exact_provider = Given(rounds) if source == "random" else provider
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 4)
+        assert qpe.batch_trials(1) == 2
+        got, posteriors = qpe._exact_batch(stack, target, m, exact_provider)
+    numerators, want = _reference_exact(rounds)
+    assert got.tolist() == numerators
+    assert posteriors.shape == (trials, m)
+    assert posteriors.tolist() == want
     first = provider
     if source == "random":
         first = Given((rounds[0][:, :1], rounds[1][:, :1], rounds[2]))
     exact = ipea_run_exact(EigenproblemSpec(Unitary(stack[0]), target), m, first)
-    numerator, posteriors = _reference_exact(first.rounds(stack[:1], target, m))
-    assert exact.estimate == PhaseEstimate.from_numerator(numerator, m)
+    assert exact.estimate == PhaseEstimate.from_numerator(numerators[0], m)
     assert all(type(p) is float for p in exact.bit_posteriors)
-    assert exact.bit_posteriors == tuple(posteriors)
+    assert exact.bit_posteriors == tuple(want[0])
 
 
 def test_exact_posteriors_add_in_branch_order():
     # Branch weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 left to right and to
     # 1.0000000000000002 compensated, as Python 3.12's builtin sum adds
-    # floats (math.fsum stands in for it here): the posteriors must be the
-    # left-to-right ones on every Python version.
+    # floats (math.fsum stands in for it here): the posteriors of every
+    # trial of a batch must be the left-to-right ones on every Python version.
     rng = derive_rng(11)
-    m, target = 2, random_state(1, rng)
-    weight = np.tile([1.0, 1e-16, 1e-16, 1e-16], (m, 1, 1))
-    states = rng.standard_normal((m, 1, 4, 8)).view(complex)
+    m, trials, target = 2, 3, random_state(1, rng)
+    weight = np.tile([1.0, 1e-16, 1e-16, 1e-16], (m, trials, 1))
+    states = rng.standard_normal((m, trials, 4, 8)).view(complex)
     states /= np.linalg.norm(states, axis=-1, keepdims=True)
     rounds = (states, weight, ("P", "Q", "P", "Q"))
-    exact = ipea_run_exact(EigenproblemSpec(Unitary(np.eye(2)), target), m, Given(rounds))
-    numerator, posteriors = _reference_exact(rounds)
-    assert exact.estimate == PhaseEstimate.from_numerator(numerator, m)
-    assert exact.bit_posteriors == tuple(posteriors)
-    assert exact.bit_posteriors != tuple(_reference_exact(rounds, add=math.fsum)[1])
+    stack = np.stack([np.eye(2)] * trials)
+    got, posteriors = qpe._exact_batch(stack, target, m, Given(rounds))
+    numerators, want = _reference_exact(rounds)
+    assert got.tolist() == numerators
+    assert posteriors.tolist() == want
+    assert posteriors.tolist() != _reference_exact(rounds, add=math.fsum)[1]
 
 
 @pytest.mark.parametrize("m", [1, 4, 7])
