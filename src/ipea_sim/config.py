@@ -27,9 +27,9 @@ or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
 exact ``ipea`` no ``seed`` or ``reps`` either.
 Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
 ``trials 0``.  ``ipea`` and ``collapse`` print one row per trial, which
-costs up to about 2.2 kB of memory per row (a JSON ``ipea`` table; 0.6 kB
+costs up to about 0.9 kB of memory per row (a JSON ``ipea`` table; 0.4 kB
 in CSV), so they refuse more than ``MAX_TRIALS`` trials: a table stays
-under about 0.3 GB.  ``montecarlo`` prints two rows whatever its count
+under about 0.1 GB.  ``montecarlo`` prints two rows whatever its count
 and has no bound.
 """
 

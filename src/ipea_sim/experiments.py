@@ -18,18 +18,18 @@ A table reaches ``emit`` in one of two shapes.  The config studies
 compute, so no row is ever built; the studies whose rows are read
 elsewhere (fig4's ``RunRecord``, fig5's ``PanelResult``, the Monte Carlo
 dicts) return records, and ``emit`` reads each of their fields once into
-a column.  Either way ``emit`` renders the table as CSV (LF newlines,
-floats at 12 significant digits) or JSON with mirrored fields, each
-column by one rule chosen from the one type its cells share.
+a column.  Either way ``emit`` renders the table as CSV or JSON, by the
+column contract its docstring states.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, is_dataclass
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import chain, product
 
 import numpy as np
 
@@ -453,8 +453,14 @@ def _qpe_full_rows(config: ExperimentConfig) -> Columns:
     spec = EigenproblemSpec(config.unitary(), config.input_state())
     m = config.bits
     probs = qpe.qpe_full_distribution(spec, m)
-    # outcome x's bit string is f"{x:0{m}b}"; product yields them in order of x
-    return Columns([list(map("".join, product("01", repeat=m))), probs.tolist()])
+    return Columns([list(_bit_strings(m)), probs.tolist()])
+
+
+@cache
+def _bit_strings(m: int) -> tuple[str, ...]:
+    """Every m-bit string in order of its value x, each f"{x:0{m}b}": built
+    once per register size (m ≤ 16) and copied into each table's list."""
+    return tuple(map("".join, product("01", repeat=m)))
 
 
 def _collapse_rows(
@@ -568,6 +574,29 @@ def _column_kinds(columns: list[list], fields: tuple) -> list[type]:
     return kinds
 
 
+def _json_column(values: list, kind: type) -> tuple[str, list]:
+    """A JSON column's printf conversion and the cells it converts.
+
+    A str column whose text is all printable ASCII without '"' or '\\'
+    (characters ``json.dumps`` never escapes) prints in quotes, and a
+    float column of finite values by the repr of each rounded value; any
+    other str or float column takes ``json.dumps`` of each cell.
+    """
+    if kind is float:
+        values = [float(f"{v:.12g}") for v in values]
+        if all(map(math.isfinite, values)):
+            return "%r", values
+    elif kind is str:
+        text = "".join(values)
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            return '"%s"', values
+    elif kind is bool:
+        return "%s", list(map(("false", "true").__getitem__, values))
+    else:
+        return ("%d" if kind is int else "null%.0s"), values
+    return "%s", list(map(json.dumps, values))
+
+
 def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     """Render a table as CSV or JSON; optionally write it to a file.
 
@@ -578,10 +607,16 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     is refused, naming both.  ``Columns`` are used as they are, one list
     per field.  A column's cells share one type, float, int, bool, str or
     None, which picks the column's rule once; any other column (numpy
-    scalars, two types) is refused, naming its field.  CSV uses LF
-    newlines and prints floats with 12 significant digits, booleans as
-    1/0 and None as empty cells, each row through one printf template.
-    JSON mirrors the same fields with native types, floats rounded alike.
+    scalars, two types) is refused, naming its field.
+
+    CSV uses LF newlines and prints floats with 12 significant digits,
+    booleans as 1/0 and None as empty cells.  JSON prints what
+    ``json.dumps(rows, indent=2)`` prints for one dict per row (so a
+    repeated field keeps its first place and its last column): floats
+    rounded to 12 significant digits (NaN and ±Infinity as it spells
+    them), ints, true/false, null and strings escaped as it escapes them.
+    Either way the whole table is one printf over a template of one row's
+    conversions per row.
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -593,13 +628,19 @@ def emit(records, fmt: str = "csv", path=None, fields=None) -> str:
     else:
         columns = _columns(list(records), fields)
     kinds = _column_kinds(columns, fields)
+    count = len(columns[0])
     if fmt == "csv":
-        template = ",".join(map(_CSV_CONVERSIONS.__getitem__, kinds))
-        text = "\n".join([",".join(fields), *map(template.__mod__, zip(*columns))]) + "\n"
+        row = ",".join(map(_CSV_CONVERSIONS.__getitem__, kinds))
+        template = "\n".join([",".join(fields).replace("%", "%%"), *[row] * count]) + "\n"
     else:
-        columns = [[float(f"{v:.12g}") for v in values] if kind is float else values
-                   for values, kind in zip(columns, kinds)]
-        text = json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=2) + "\n"
+        # A JSON row is a dict: a repeated field keeps its first place and its last column.
+        last = {field: i for i, field in enumerate(fields)}
+        conversions, columns = zip(*(_json_column(columns[i], kinds[i]) for i in last.values()))
+        row = ",\n".join(f'    {json.dumps(field).replace("%", "%%")}: {conversion}'
+                         for field, conversion in zip(last, conversions))
+        rows = ["  {\n" + row + "\n  }"] * count
+        template = "[\n" + ",\n".join(rows) + "\n]\n" if count else "[]\n"
+    text = template % tuple(chain.from_iterable(zip(*columns)))
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -210,7 +210,13 @@ def check_density(matrices: np.ndarray) -> None:
     off = tr[np.abs(tr - 1.0) > CONSTRUCTION_TOL]
     if off.size:
         raise ContractError(f"density matrix trace must be 1, got {complex(off[0])!r}")
-    lo = float(np.min(np.linalg.eigvalsh((matrices + adjoint) / 2.0)))
+    hermitian = (matrices + adjoint) / 2.0
+    if matrices.shape[-1] == 2:  # the smaller root of the characteristic polynomial
+        a, d = hermitian[..., 0, 0].real, hermitian[..., 1, 1].real
+        eigenvalues = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(hermitian[..., 0, 1]))
+    else:
+        eigenvalues = np.linalg.eigvalsh(hermitian)
+    lo = float(np.min(eigenvalues))
     if lo < EIGENVALUE_FLOOR:
         raise ContractError(f"density matrix has eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
 

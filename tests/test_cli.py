@@ -20,6 +20,7 @@ QPE_FULL_GOLDEN = DATA / "qpe_full_golden.csv"
 FIG5_GOLDEN = DATA / "fig5_golden.csv"
 FIG5_JSON_GOLDEN = DATA / "fig5_golden.json"
 EXACT_GOLDEN = DATA / "exact_golden.csv"
+JSON_GOLDEN = DATA / "json_golden.json"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 PROVIDERS = ("photonic", "matrix")
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -402,6 +403,29 @@ class TestStudyCommands:
             assert code == 0
             text += out
         assert text == QPE_FULL_GOLDEN.read_text(encoding="utf-8")
+
+    def test_json_golden(self, tmp_path, capsys):
+        # Pins JSON bytes per column rule: a bits-6 qpe_full table, a
+        # 3-trial photonic ipea config (float, int, str and bool columns),
+        # matrix fig4 (a column of None) and the noisy collapse config.
+        qpe_full = tmp_path / "qpe_full_b6.cfg"
+        qpe_full.write_text("mode qpe_full\nunitary hwp 20 hwp 55\nbits 6\neigenstate V\n")
+        ipea = tmp_path / "ipea_photonic.cfg"
+        ipea.write_text(
+            "mode ipea\nunitary hwp 10 hwp 70\nbits 4\nreps 3\ntrials 3\nseed 5\n"
+            "provider photonic\neigenstate R\n"
+        )
+        text = ""
+        for argv in (
+            ["run", str(qpe_full)],
+            ["run", str(ipea)],
+            ["fig4", "--provider", "matrix"],
+            ["run", str(CONFIGS / "collapse_noisy.cfg")],
+        ):
+            code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+            assert code == 0, argv
+            text += out
+        assert text == JSON_GOLDEN.read_text(encoding="utf-8")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:

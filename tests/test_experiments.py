@@ -458,6 +458,17 @@ def test_qpe_full_rows_print_as_the_reference_rows(bits):
         )
 
 
+def test_qpe_full_tables_do_not_share_their_bit_strings():
+    # Each table's bits column is its own list, so a caller that edits one
+    # leaves the next table of that size as it was.
+    cfg = parse_experiment("mode qpe_full\nunitary hwp 10 hwp 70\nbits 3\neigenstate H\n")
+    bits = experiments._qpe_full_rows(cfg).lists[0]
+    expected = list(bits)
+    bits[0] = "x"
+    bits.append("y")
+    assert experiments._qpe_full_rows(cfg).lists[0] == expected
+
+
 # Every cell type a table can hold; a column's cells share one of them.
 _CELLS = {
     "none": st.none(),
@@ -538,10 +549,23 @@ def _column_tables(draw):
     return Columns(lists), tuple(names)
 
 
+_ESCAPED = Columns([["plain", cell] for cell in ('say "hi"', "back\\slash", "del\x7f", "tab\t",
+                                                   "caf\u00e9")])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_column_tables(), st.sampled_from(["csv", "json"]))
 @example((Columns([[], []]), ("a", "b")), "csv")
 @example((Columns([[], []]), ("a", "b")), "json")
+# float cells that JSON spells apart from their repr, a signed zero and a
+# field that reads as a printf conversion
+@example((Columns([[float("nan"), float("inf"), -float("inf"), -0.0]]), ("x%d",)), "csv")
+@example((Columns([[float("nan"), float("inf"), -float("inf"), -0.0]]), ("x%d",)), "json")
+# str columns that each hold one cell JSON escapes beside a plain one
+@example((_ESCAPED, ("q", "b", "d", "t", "u")), "csv")
+@example((_ESCAPED, ("q", "b", "d", "t", "u")), "json")
+# a repeated field: a JSON row is a dict, so its last column wins
+@example((Columns([[1, 2], ["x", "y"]]), ("a", "a")), "json")
 def test_columns_print_as_the_reference_rows(table, fmt):
     # A Columns table prints as reference_emit prints its rows as dicts,
     # and emitting it leaves each of its columns in place.

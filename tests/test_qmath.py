@@ -1,10 +1,11 @@
 """Substrate checks: validated containers, capacity cap, fidelity, rng."""
 
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_unitary, random_state
@@ -171,6 +172,38 @@ class TestDensityMatrix:
     def test_from_matrix_classmethod(self):
         rho = DensityMatrix.from_matrix(np.eye(2) / 2)
         assert rho.dimension == 2
+
+
+@st.composite
+def _unit_trace_hermitian(draw):
+    """A 2x2 Hermitian matrix of trace 1: eigenvalues lo and 1 - lo in a
+    random basis, with lo anywhere in [-1, 0.5] or within 1e-9 of the
+    eigenvalue floor on either side."""
+    near = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-13, 1e-9)).map(
+        lambda sign_size: qmath.EIGENVALUE_FLOOR + sign_size[0] * sign_size[1]
+    )
+    lo = draw(st.floats(-1.0, 0.5) | near)
+    theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
+    v = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    w = np.array([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)])
+    return lo * np.outer(v, v.conj()) + (1.0 - lo) * np.outer(w, w.conj())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_unit_trace_hermitian(), min_size=1, max_size=3))
+def test_density_check_refuses_as_eigvalsh_does(matrices):
+    # The 2x2 closed form refuses exactly the matrices whose eigvalsh
+    # minimum lies below the floor, and names that eigenvalue.
+    matrices = matrices[0] if len(matrices) == 1 else np.stack(matrices)
+    lo = float(np.min(np.linalg.eigvalsh(matrices)))
+    assume(abs(lo - qmath.EIGENVALUE_FLOOR) > 1e-14)
+    if lo >= qmath.EIGENVALUE_FLOOR:
+        qmath.check_density(matrices)
+        return
+    with pytest.raises(ContractError, match="density matrix has eigenvalue") as info:
+        qmath.check_density(matrices)
+    named = float(re.search(r"eigenvalue (\S+) <", str(info.value)).group(1))
+    assert named == pytest.approx(lo, rel=1e-3)
 
 
 class TestTensorAndApply:
