@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
-from .qmath import ContractError, StateVector, Unitary
+from .qmath import MAX_BITS, ContractError, StateVector, Unitary
 from .qpe import DEFAULT_REPS, MAX_ROUND_UNIFORMS
 
 __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", "ParseError",
@@ -50,7 +50,6 @@ __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", 
 MODES = ("ipea", "qpe_full", "collapse", "montecarlo")
 COLUMNS = ("ipea", "exact", "qpe_full", "collapse", "montecarlo")
 
-MAX_BITS = 16
 MAX_SEED = (1 << 64) - 1
 # The most repetitions whose draws, two uniforms each, fit one trial's round.
 MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1

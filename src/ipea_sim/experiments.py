@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
 from itertools import chain, product
@@ -72,6 +71,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 7
+# The standard normal quantile of a two-sided 95% interval.
+_WILSON_Z = 1.959963984540054
 FIG4_THETAS = tuple(float(t) for t in range(0, 180, 15))
 FIG4_BITS = 3
 FIG4_SUCCESS_THRESHOLD = 2.0 ** -(FIG4_BITS + 1)
@@ -169,13 +170,13 @@ class Columns:
     lists: list[list]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ContractError(f"successes {successes} out of range for {trials} trials")
-    p = successes / trials
+    p, z = successes / trials, _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
@@ -305,7 +306,7 @@ def run_fig5(
             stack[rows], polarization_state(label), 1, coherence
         )
         probs[rows] = weights[np.arange(len(rows)), xs]
-        never = xs[probs[rows] <= 1e-24]
+        never = xs[probs[rows] <= qmath.NEVER_OCCURS]
         if never.size:
             raise ContractError(f"panel input {label!r} never yields outcome {never[0]}")
         rhos[rows] = targets(xs)
@@ -374,13 +375,6 @@ def _montecarlo_pass(
     return successes
 
 
-def _count(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ContractError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run_montecarlo(
     m: int = DIRECTIVES["bits"].default,
     trials: int = MONTECARLO_TRIALS,
@@ -399,10 +393,8 @@ def run_montecarlo(
     ``m``, ``trials`` and ``reps`` are taken as Python ints, which the
     rows echo; any integer type passes, a non-integer is refused.
     """
-    m, trials, reps = (_count(name, value)
+    m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))
-    if trials < 1:
-        raise ContractError(f"trials must be >= 1, got {trials}")
     rows = []
     passes = (1,) if reps == 1 else (1, reps)
     for stream, reps_per_bit in enumerate(passes):

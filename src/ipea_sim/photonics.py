@@ -29,7 +29,6 @@ from . import qmath
 from .qmath import ContractError, StateVector, Unitary
 
 __all__ = [
-    "MAX_CASCADE_K",
     "DegeneracyError",
     "PhotonicState",
     "WaveplateSpec",
@@ -49,8 +48,6 @@ __all__ = [
     "PhotonicProvider",
     "jitter_waveplates",
 ]
-
-MAX_CASCADE_K = 16
 
 STAGE_RAILS = "rails"  # before the beamsplitters: rail 0 = red, 1 = blue
 STAGE_PORTS = "ports"  # after: rail 0 = upper port, 1 = lower port
@@ -137,9 +134,6 @@ class WaveplateSpec:
         if not np.isfinite(angle):
             raise ContractError(f"angle must be finite, got {self.angle_deg!r}")
         object.__setattr__(self, "angle_deg", angle)
-
-    def jones(self) -> Unitary:
-        return Unitary(self._matrix())
 
     def _matrix(self) -> np.ndarray:
         # The raw Jones matrix, unchecked.
@@ -252,28 +246,16 @@ _SPECTRAL_GAP_TOL = 1e-8
 _OVERLAP_TIE_TOL = 1e-6
 
 
-def oracle_eigenphase(unitary: Unitary, selector="R") -> float:
-    """Phase (as a fraction of a turn) of the eigenvector a selector picks.
+def oracle_eigenphase(unitary: Unitary, selector: str = "R") -> float:
+    """Phase (as a fraction of a turn) of the eigenvector a polarization
+    letter picks: the eigenvector with the largest overlap wins.
 
-    The selector is a polarization letter, a StateVector, or a raw
-    amplitude vector; the eigenvector with the largest overlap wins.
     If a different eigenvalue's eigenvector ties for that overlap the
     choice is meaningless and a DegeneracyError is raised.  A fully
     degenerate spectrum (all eigenvalues equal) is fine: every vector
     is an eigenvector and the phase is unambiguous.
     """
-    if isinstance(selector, str):
-        vec = POLARIZATION_STATES.get(selector)
-        if vec is None:
-            raise ContractError(f"unknown selector {selector!r}")
-    elif isinstance(selector, StateVector):
-        vec = selector.amplitudes
-    else:
-        vec = np.asarray(selector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            raise ContractError("selector vector must be nonzero")
-        vec = vec / norm
+    vec = polarization_state(selector).amplitudes
     if unitary.dim != vec.size:
         raise ContractError(
             f"selector dim {vec.size} does not match unitary dim {unitary.dim}"
@@ -327,8 +309,7 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
     One trial steps a vector through 2-D ``dot``, which reaches the BLAS zgemv
     of the stacked matmul with less overhead, so its rungs match it bit for
     bit; more trials keep one stacked ``unitaries @ blue`` per pass."""
-    if not 1 <= m <= MAX_CASCADE_K:
-        raise ContractError(f"need 1 <= k <= {MAX_CASCADE_K}, got {m}")
+    qmath._check_bits(m)
     count = arr.shape[0]
     n = _num_targets(arr)
     if unitaries.shape[-1] != 1 << n:
@@ -371,15 +352,15 @@ def _postselect_all(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (T, 2^n, 2^(n+1)) control+target polarization states and
     (T, 2^n) probabilities, patterns in ``parity_cases`` order (the
     ports read as a binary number, first target most significant).  A
-    pattern of probability <= 1e-24 never fires: its probability is 0
-    and its state all zeros.
+    pattern of probability <= ``qmath.NEVER_OCCURS`` never fires: its
+    probability is 0 and its state all zeros.
     """
     count = arr.shape[0]
     n = _num_targets(arr)
     order = (0,) + tuple(range(3, arr.ndim, 2)) + (1,) + tuple(range(2, arr.ndim, 2))
     blocks = np.ascontiguousarray(arr.transpose(order)).reshape(count, 1 << n, -1)
     probs = (np.abs(blocks) ** 2).sum(axis=2)
-    dead = probs <= 1e-24
+    dead = probs <= qmath.NEVER_OCCURS
     probs[dead] = 0.0
     states = blocks / np.sqrt(np.where(dead, 1.0, probs))[..., None]
     states[dead] = 0.0
@@ -426,6 +407,7 @@ def beamsplitter_mix(state: PhotonicState) -> PhotonicState:
 
 def parity_cases(n: int, label: str | None = None) -> tuple[ParityBranch, ...]:
     """All port patterns for n targets, optionally filtered by label."""
+    n = qmath._integer("n", n)
     if n < 1:
         raise ContractError(f"need at least one target, got {n}")
     if label not in (None, "P", "Q"):
@@ -434,7 +416,7 @@ def parity_cases(n: int, label: str | None = None) -> tuple[ParityBranch, ...]:
     return branches if label is None else tuple(b for b in branches if b.label == label)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 fails as it did uncached
+@functools.cache
 def _parity_cases(n: int) -> tuple[ParityBranch, ...]:
     return tuple(
         ParityBranch("P" if sum(pattern) % 2 == 0 else "Q", pattern)

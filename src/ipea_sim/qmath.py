@@ -14,25 +14,30 @@ Conventions
 * States that agree up to a global phase are compared through the
   overlap magnitude ``|<a|b>|``, never entrywise.
 * Construction tolerances are 1e-10.
+* A register holds at most ``2**MAX_QUBITS`` amplitudes (an operator that
+  many entries), and a phase estimate at most ``MAX_BITS`` bits; both are
+  constants.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import os
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CONSTRUCTION_TOL",
+    "NEVER_OCCURS",
+    "MAX_QUBITS",
+    "MAX_BITS",
     "ContractError",
     "CapacityError",
     "Unitary",
     "StateVector",
     "DensityMatrix",
-    "max_qubits",
     "as_complex_matrix",
     "basis_state",
     "state_from_amplitudes",
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 CONSTRUCTION_TOL = 1e-10
+# An event of at most this probability never occurs: a port pattern, a
+# register outcome or a fig5 panel's outcome.
+NEVER_OCCURS = 1e-24
 EIGENVALUE_FLOOR = -1e-8
 
 # A TrialStreams refill draws at most TRIAL_WINDOW_WORDS words per trial
@@ -56,8 +64,10 @@ EIGENVALUE_FLOOR = -1e-8
 TRIAL_WINDOW_WORDS = 128
 DRAW_WINDOW_WORDS = 1 << 18
 
-DEFAULT_MAX_QUBITS = 20
-MAX_QUBITS_ENV = "IPEA_SIM_MAX_QUBITS"
+# The register size cap in qubits, read at call time, and the bits of a
+# phase estimate that every engine and the ``bits`` directive accept.
+MAX_QUBITS = 20
+MAX_BITS = 16
 
 
 class ContractError(ValueError):
@@ -65,36 +75,18 @@ class ContractError(ValueError):
 
 
 class CapacityError(ContractError):
-    """A register or operator would exceed the configured size cap."""
-
-
-def max_qubits() -> int:
-    """Register size cap in qubits.
-
-    Override with the ``IPEA_SIM_MAX_QUBITS`` environment variable.
-    The cap bounds allocations: state vectors may hold at most
-    ``2**max_qubits()`` amplitudes and square operators at most that
-    many entries.
-    """
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ContractError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ContractError(f"{MAX_QUBITS_ENV} must be >= 1, got {value}")
-    return value
+    """A register or operator would exceed the size cap."""
 
 
 def _check_capacity(count: int, what: str) -> None:
-    cap = 1 << max_qubits()
+    cap = 1 << MAX_QUBITS
     if count > cap:
-        raise CapacityError(
-            f"{what} needs {count} amplitudes, cap is {cap} "
-            f"(raise {MAX_QUBITS_ENV} to override)"
-        )
+        raise CapacityError(f"{what} needs {count} amplitudes, cap is {cap}")
+
+
+def _check_bits(m: int) -> None:
+    if not 1 <= m <= MAX_BITS:
+        raise ContractError(f"bit count m must lie in 1..{MAX_BITS}, got {m}")
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -260,10 +252,11 @@ def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
 
     Every sampling site receives one of these; a (seed, trial_index)
     pair always maps to the same bit stream, so trials are independent
-    and individually reproducible.
+    and individually reproducible.  A negative seed or stream is refused.
     """
     seq = np.random.SeedSequence(
-        entropy=int(master_seed), spawn_key=tuple(int(s) for s in stream)
+        entropy=_non_negative(int(master_seed)),
+        spawn_key=tuple(_non_negative(int(s)) for s in stream),
     )
     return np.random.Generator(np.random.Philox(seq))
 
@@ -290,11 +283,23 @@ _CHAIN_A = _chain(_INIT_A, _MULT_A, 64)
 _CHAIN_B = _chain(_INIT_B, _MULT_B, _POOL)
 
 
-def _words32(value: int) -> list[int]:
-    # An integer as SeedSequence splits it: 32-bit words, least significant first.
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, or a ContractError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _non_negative(value: int) -> int:
     if value < 0:
         raise ContractError(f"seeds, streams and trial indices must be >= 0, got {value}")
-    words = [value & _MASK32]
+    return value
+
+
+def _words32(value: int) -> list[int]:
+    # An integer as SeedSequence splits it: 32-bit words, least significant first.
+    words = [_non_negative(value) & _MASK32]
     while value > _MASK32:
         value >>= 32
         words.append(value & _MASK32)

@@ -34,13 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .qmath import (
-    CapacityError,
-    ContractError,
-    StateVector,
-    Unitary,
-    max_qubits,
-)
+from .qmath import CapacityError, ContractError, StateVector, Unitary
 
 __all__ = [
     "MAX_ROUND_UNIFORMS",
@@ -196,8 +190,6 @@ def ancilla_bit_distribution(state: StateVector, omega: float) -> tuple[float, f
 
 def _squaring_ladder(unitaries: np.ndarray, m: int) -> list[np.ndarray]:
     """[U, U^2, ..., U^(2^(m-1))] by m - 1 squarings, as np.linalg.matrix_power does."""
-    if not 1 <= m <= 63:
-        raise ContractError(f"bit count m={m} is outside 1..63")
     ladder = [unitaries]
     for _ in range(m - 1):
         ladder.append(ladder[-1] @ ladder[-1])
@@ -394,8 +386,7 @@ def _ipea_engine(
     round k's measured pairs (``_round_pairs``) into every trial's bit,
     which feeds that trial's next feedback rotation.
     """
-    if m < 1:
-        raise ContractError(f"bit count m must be >= 1, got {m}")
+    qmath._check_bits(m)
     shared = None
     if isinstance(unitaries, Unitary):
         if unitaries.dim != target.dim:
@@ -531,17 +522,15 @@ def _controlled_stage(unitaries: np.ndarray, input_state: StateVector, m: int) -
     Rows are register values (qubit 0 of the register is the most
     significant bit), columns are target basis labels.
     """
-    if m < 1:
-        raise ContractError(f"register size m must be >= 1, got {m}")
+    qmath._check_bits(m)
     t = input_state.num_qubits
     if unitaries.shape[-1] != input_state.dim:
         raise ContractError(
             f"unitary dim {unitaries.shape[-1]} does not match target dim {input_state.dim}"
         )
-    if m + t > max_qubits():
+    if m + t > qmath.MAX_QUBITS:
         raise CapacityError(
-            f"{m}-qubit register plus {t}-qubit target exceeds the "
-            f"{max_qubits()}-qubit cap"
+            f"{m}-qubit register plus {t}-qubit target exceeds the {qmath.MAX_QUBITS}-qubit cap"
         )
     count, dim, d = len(unitaries), 1 << m, input_state.dim
     stage = np.empty((count, dim, d), dtype=complex)
@@ -644,7 +633,7 @@ def collapse_project(
     if not 0 <= outcome < weights.shape[1]:
         raise ContractError(f"outcome {outcome} out of range for m={m}")
     prob = float(weights[0, outcome])
-    if prob <= 1e-24:
+    if prob <= qmath.NEVER_OCCURS:
         return 0.0, None
     return prob, _checked_target(input_state, targets([outcome])[0])
 

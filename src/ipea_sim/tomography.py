@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import ContractError, DensityMatrix, StateVector
+from .qmath import ContractError, DensityMatrix
 
 __all__ = [
     "BASES",
@@ -25,7 +25,6 @@ __all__ = [
     "simulate_counts",
     "reconstruct",
     "reconstruct_from_expectations",
-    "bootstrap_fidelity",
 ]
 
 BASES = ("X", "Y", "Z")
@@ -198,23 +197,3 @@ def _bootstrap(
         qmath.check_density(rho)
         fids[:, start:start + size[0]] = qmath.fidelities(rho, ideals[:, None])
     return np.mean(fids, axis=1), np.std(fids, axis=1)
-
-
-def bootstrap_fidelity(
-    counts: PauliCounts,
-    ideal: StateVector,
-    resamples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Parametric bootstrap of the reconstructed fidelity vs a pure target.
-
-    Counts are resampled binomially from the empirical frequencies,
-    each resample is reconstructed, and the mean and (population)
-    standard deviation of the resulting fidelities are returned: the
-    one-row case of fig5's stacked bootstrap.
-    """
-    if ideal.dim != 2:
-        raise ContractError("ideal state must be a single qubit")
-    plus = np.array([[counts.counts[basis][0] for basis in BASES]])
-    means, stds = _bootstrap(plus, counts.shots_per_basis, ideal.amplitudes[None], resamples, [rng])
-    return float(means[0]), float(stds[0])

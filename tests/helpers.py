@@ -232,8 +232,8 @@ def reference_bootstrap(counts: PauliCounts, ideal: StateVector, resamples: int,
     Each resample draws its X, Y and Z counts one call at a time, builds
     a PauliCounts, rescales a Bloch vector outside the ball by
     ``np.linalg.norm``, forms (I + r·σ)/2 as a DensityMatrix and scores
-    it with ``qmath.fidelity``.  ``bootstrap_fidelity`` must return the
-    same (mean, std) bit for bit for the same generator.
+    it with ``qmath.fidelity``.  A row of ``tomography._bootstrap`` must
+    give the same (mean, std) bit for bit for the same generator.
     """
     sigma = (
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

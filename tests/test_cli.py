@@ -173,7 +173,7 @@ class TestRunCommand:
         assert "does not use directive 'seed'" in err
 
     def test_capacity_violation_is_contract_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("IPEA_SIM_MAX_QUBITS", "8")
+        monkeypatch.setattr(qmath, "MAX_QUBITS", 8)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("mode qpe_full\nunitary hwp 0 hwp 45\nbits 10\n")
         code, _, err = run_cli(["run", str(cfg)], capsys)

@@ -176,7 +176,7 @@ class TestFig5:
 
     @pytest.mark.parametrize("resamples", [0, -3])
     def test_rejects_fewer_than_one_resample(self, resamples):
-        # refused where the bootstrap runs, for fig5 as for bootstrap_fidelity
+        # refused where the bootstrap runs
         with pytest.raises(ContractError, match=f"resamples must be >= 1, got {resamples}"):
             run_fig5(shots=100, resamples=resamples)
 
@@ -222,8 +222,15 @@ class TestMontecarlo:
             assert row["wilson_low"] <= row["success_rate"] <= row["wilson_high"]
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ContractError):
+        # wilson_interval's refusal, the one check of a trial count
+        with pytest.raises(ContractError, match="trials must be >= 1, got 0"):
             run_montecarlo(trials=0)
+
+    def test_matrix_run_past_the_bits_limit_is_refused_on_entry(self):
+        # refused by the engine's bits limit, not by a norm check after
+        # 20 squarings of each trial's unitary
+        with pytest.raises(ContractError, match="m must lie in 1..16, got 21$"):
+            run_montecarlo(m=21, trials=2000, provider="matrix", reps=1, seed=3)
 
     def test_numpy_integer_counts_print_as_ints(self):
         rows = run_montecarlo(m=np.int64(3), trials=np.int64(20), reps=np.int64(3))

@@ -83,7 +83,7 @@ class TestJonesMatrices:
             got = compose_waveplates(specs)
             assert isinstance(got, Unitary)
             assert np.array_equal(got.matrix, want)
-            assert np.array_equal(specs[0].jones().matrix, plates[0].matrix)
+            assert np.array_equal(compose_waveplates(specs[:1]).matrix, plates[0].matrix)
         with pytest.raises(ContractError, match="2x2"):
             compose_waveplates([WaveplateSpec("HWP", 10.0), Unitary(np.eye(4))])
         with pytest.raises(ContractError, match="expected WaveplateSpec or Unitary"):
@@ -120,8 +120,11 @@ class TestCachedValues:
         for bad in ((0, None), (2, "R"), (2, ["P"])):
             with pytest.raises(ContractError):
                 parity_cases(*bad)
-        with pytest.raises(TypeError):
-            parity_cases(2.0)
+        # any integer type reads the same cache entry; anything else is refused
+        assert parity_cases(np.int64(2)) is cases
+        for bad in (2.0, "2", None):
+            with pytest.raises(ContractError, match=f"n must be an integer, got {bad!r}"):
+                parity_cases(bad)
 
 
 class TestEigenphaseOracle:
@@ -133,12 +136,11 @@ class TestEigenphaseOracle:
             expected = (-theta / 180.0) % 1.0
             assert oracle_eigenphase(u, "R") == pytest.approx(expected, abs=1e-12)
 
-    def test_selector_forms(self):
+    def test_only_a_polarization_letter_selects(self):
         u = compose_waveplates([hwp(0.0), hwp(30.0)])
-        phase_letter = oracle_eigenphase(u, "R")
-        phase_vec = oracle_eigenphase(u, polarization_state("R"))
-        phase_raw = oracle_eigenphase(u, np.array([1.0, 1j]))
-        assert phase_letter == phase_vec == phase_raw
+        for selector in (polarization_state("R"), np.array([1.0, 1j]), "X"):
+            with pytest.raises(ContractError, match="unknown polarization"):
+                oracle_eigenphase(u, selector)
 
     def test_degenerate_overlap_raises(self):
         # hwp(45) eigenvectors are diagonal/antidiagonal; |H> overlaps
@@ -173,7 +175,7 @@ class TestPipeline:
 
     def test_cascade_cap(self):
         ph = prepare_entangled_input(basis_state(1, 0))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="1..16, got 17$"):
             apply_blue_unitary(ph, hwp(0.0), 17)
 
     def test_stage_ordering_enforced(self):

@@ -207,17 +207,13 @@ def test_density_check_refuses_as_eigvalsh_does(matrices):
 
 
 class TestTensorAndApply:
-    """The register size cap and its environment override."""
+    """The register size cap, a constant read at call time."""
 
     def test_capacity_cap(self, monkeypatch):
-        monkeypatch.setenv(qmath.MAX_QUBITS_ENV, "3")
-        with pytest.raises(CapacityError):
+        monkeypatch.setattr(qmath, "MAX_QUBITS", 3)
+        basis_state(3, 0)
+        with pytest.raises(CapacityError, match="cap is 8"):
             basis_state(4, 0)
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(qmath.MAX_QUBITS_ENV, "zero")
-        with pytest.raises(ContractError):
-            qmath.max_qubits()
 
 
 class TestFidelityAndRng:
@@ -237,6 +233,15 @@ class TestFidelityAndRng:
         a = derive_rng(11, 0).random(4)
         b = derive_rng(11, 1).random(4)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("seeds", [(-1,), (3, -2), (3, 0, -5)])
+    def test_derive_rng_refuses_a_negative_seed_or_stream(self, seeds):
+        # named as TrialStreams names it, not numpy's "expected non-negative integer"
+        negative = min(seeds)
+        with pytest.raises(ContractError, match=f"must be >= 0, got {negative}$"):
+            derive_rng(*seeds)
+        with pytest.raises(ContractError, match=f"must be >= 0, got {negative}$"):
+            TrialStreams(seeds[0], seeds[1:], [0])
 
     def test_derive_rng_reproducible(self):
         np.testing.assert_array_equal(

@@ -275,6 +275,24 @@ class TestIterativeRuns:
         with pytest.raises(ContractError):
             ipea_run(spec, 0, 1, "matrix", derive_rng(0))
 
+    @pytest.mark.parametrize("m", [0, 17])
+    def test_every_engine_refuses_m_outside_one_to_sixteen(self, m):
+        # one bits limit, qmath.MAX_BITS, checked on entry by both engines on
+        # both providers, for a shared Unitary and for a stack
+        spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
+        refusal = f"m must lie in 1..16, got {m}$"
+        for provider in ("matrix", "photonic"):
+            for unitaries in (spec.unitary, spec.unitary.matrix[None]):
+                draws = TrialStreams(0, (), [0])
+                with pytest.raises(ContractError, match=refusal):
+                    ipea_batch(unitaries, spec.input_state, m, 1, provider, draws)
+            with pytest.raises(ContractError, match=refusal):
+                ipea_run_exact(spec, m, provider)
+        with pytest.raises(ContractError, match=refusal):
+            qpe_full_distribution(spec, m)
+        with pytest.raises(ContractError, match=refusal):
+            collapse_run(spec.unitary, spec.input_state, m, derive_rng(0))
+
     def test_seed_determinism(self):
         spec = EigenproblemSpec(phase_unitary(1 / 3), basis_state(1, 1))
         a = ipea_run(spec, 4, 5, "matrix", derive_rng(42))
@@ -303,7 +321,7 @@ class TestFourierRegister:
 
     def test_register_capacity(self, monkeypatch):
         # the register and the target share the qubit cap: 4 + 1 > 4
-        monkeypatch.setenv("IPEA_SIM_MAX_QUBITS", "4")
+        monkeypatch.setattr(qmath, "MAX_QUBITS", 4)
         spec = EigenproblemSpec(phase_unitary(0.25), basis_state(1, 1))
         qpe_full_distribution(spec, 3)
         with pytest.raises(CapacityError):

@@ -19,7 +19,6 @@ from ipea_sim.qmath import (
 from ipea_sim.tomography import (
     PauliCounts,
     ReconstructionReport,
-    bootstrap_fidelity,
     expectations,
     reconstruct,
     reconstruct_from_expectations,
@@ -104,16 +103,6 @@ class TestReconstruction:
 
 
 class TestBootstrap:
-    def test_deterministic_and_tight_at_high_shots(self):
-        psi = random_state(1, derive_rng(34))
-        rho = density_from_state(psi)
-        counts = simulate_counts(rho, 100000, derive_rng(35))
-        mean_a, std_a = bootstrap_fidelity(counts, psi, 50, derive_rng(36))
-        mean_b, std_b = bootstrap_fidelity(counts, psi, 50, derive_rng(36))
-        assert (mean_a, std_a) == (mean_b, std_b)
-        assert mean_a > 0.999
-        assert std_a < 0.002
-
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(0, 2**64 - 1),
@@ -141,16 +130,10 @@ class TestBootstrap:
         expected = reference_bootstrap(counts, ideal, resamples, derive_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tomography, "BOOTSTRAP_BLOCK", block)
-            got = bootstrap_fidelity(counts, ideal, resamples, derive_rng(seed))
-        assert [v.hex() for v in got] == [v.hex() for v in expected]
-
-    def test_input_validation(self):
-        psi = basis_state(1, 0)
-        counts = simulate_counts(density_from_state(psi), 100, derive_rng(37))
-        with pytest.raises(ContractError):
-            bootstrap_fidelity(counts, psi, 0, derive_rng(38))
-        with pytest.raises(ContractError):
-            bootstrap_fidelity(counts, basis_state(2, 0), 10, derive_rng(38))
+            got = tomography._bootstrap(
+                np.array([plus]), shots, ideal.amplitudes[None], resamples, [derive_rng(seed)]
+            )
+        assert [float(v[0]).hex() for v in got] == [v.hex() for v in expected]
 
 
 class TestReport:
@@ -223,5 +206,4 @@ def test_one_panel_functions_are_rows_of_the_stacked_kernels(seed, panels, shots
         assert np.array_equal(rho_hat.matrix, estimates[t])
         assert fidelity(rho_hat, ideal) == fids[t]
         row = (means[t], stds[t])
-        assert bootstrap_fidelity(counts, ideal, resamples, derive_rng(seed, t, 2)) == row
         assert reference_bootstrap(counts, ideal, resamples, derive_rng(seed, t, 2)) == row
