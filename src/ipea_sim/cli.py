@@ -1,27 +1,10 @@
 """Command-line front end: ``run``, ``fig4``, ``fig5`` and ``montecarlo``.
 
-README's "Command line" block lists each subcommand's flags.  No run
-parameter has a parser default, and a flag left out is not passed on, so
-each default lives in one place: the config's for ``run``; for the
-studies, the ``config.DIRECTIVES`` row (``--bits``, ``--reps``,
-``--provider``), ``config.MONTECARLO_TRIALS`` (``--trials``), the study's
-signature (``--seed``, ``--shots``, ``--resamples``) or ``NoiseSpec``
-(``--noise-p``, ``--noise-sigma``).
-
-Exit status: 0 on success, 2 for configuration/usage errors, 3 when a
-numerical contract is violated at run time.  A flag that sets a
-directive's value takes its type, choices and range from that row: an
-out-of-range value, ``run --seed`` on a config that reads no seed (exact
-``ipea``, ``qpe_full``), or ``fig4 --exact`` with ``--seed`` or ``--reps``,
-exits 2 naming the flag; so does ``fig5 --shots`` below 0,
-``--resamples`` below 1 or with ``--shots 0`` (which reconstructs from
-exact expectations and draws no bootstrap), or ``--noise-p`` or
-``--noise-sigma`` with ``--no-noise``.  A config that cannot be read or
-is not UTF-8, or an ``--out`` path that cannot be written, exits 2
-naming the path.
-
-``main`` may be called any number of times in one process; the parser
-is built on the first call only.
+README's "Command line" section states each subcommand's flags, where
+each left-out flag's default comes from and the exit statuses.  No run
+parameter has a parser default and a flag left out is not passed on; a
+flag that sets a directive's value takes its type, choices and range
+from its ``config.DIRECTIVES`` row.
 """
 
 from __future__ import annotations

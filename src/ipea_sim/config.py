@@ -1,36 +1,13 @@
 """Line-oriented experiment configuration files.
 
-Grammar (one directive per line, ``#`` starts a comment, blank lines
-are skipped, each directive may appear at most once)::
-
-    mode       ipea | qpe_full | collapse | montecarlo
-    unitary    hwp <deg> [hwp <deg> ...]          a waveplate train
-    unitary    matrix <re,im re,im re,im re,im>   2x2, row-major
-    bits       <m>                                1..16
-    reps       <odd count>                        majority votes per bit, 1..32767
-    trials     <count>                            0 = exact mode; ipea, collapse ≤ 100000
-    seed       <u64>
-    noise      <distinguishability> <sigma_deg>   collapse only; p in [0, 1], sigma finite, ≥ 0
-    provider   matrix | photonic
-    eigenstate R | L | H | V | D | A
-    output     csv | json
-
-``DIRECTIVES`` holds one row per directive: its arguments (kind, span
-and check), its default and the columns (modes, with ``ipea`` at
-``trials 0`` as ``exact``) that read it.  The parser, ``ExperimentConfig``
-and the CLI flags check values through these rows.  A malformed line, a
-misspelled keyword or a directive its column never reads is a ParseError
-naming its line: ``qpe_full`` reads no ``reps``, ``trials``, ``seed``, ``noise``
-or ``provider``, ``collapse`` no ``reps`` or ``provider``, ``montecarlo``
-(which draws its own diagonal unitaries) no ``unitary``, ``noise`` or
-``eigenstate``, ``ipea`` (which has no noise model yet) no ``noise``, and
-exact ``ipea`` no ``seed`` or ``reps`` either.
-Only ``ipea`` has an exact mode: ``collapse`` and ``montecarlo`` refuse
-``trials 0``.  ``ipea`` and ``collapse`` print one row per trial, which
-costs up to about 0.9 kB of memory per row (a JSON ``ipea`` table; 0.4 kB
-in CSV), so they refuse more than ``MAX_TRIALS`` trials: a table stays
-under about 0.1 GB.  ``montecarlo`` prints two rows whatever its count
-and has no bound.
+One directive per line, ``#`` starts a comment, blank lines are skipped
+and each directive may appear at most once.  ``DIRECTIVES`` is the
+grammar, one row per directive: its arguments (kind, span and check), its
+default and the columns (modes, with ``ipea`` at ``trials 0`` as
+``exact``) that read it; README's "Config files" section prints it as a
+table.  The parser, ``ExperimentConfig`` and the CLI flags check values
+through these rows, and a line they refuse, or a directive its column
+never reads, is a ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -42,7 +19,7 @@ import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import MAX_BITS, ContractError, StateVector, Unitary
-from .qpe import DEFAULT_REPS, MAX_ROUND_UNIFORMS
+from .qpe import DEFAULT_REPS, MAX_REPS
 
 __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", "ParseError",
            "ExperimentConfig", "parse_experiment", "check_flag"]
@@ -51,8 +28,6 @@ MODES = ("ipea", "qpe_full", "collapse", "montecarlo")
 COLUMNS = ("ipea", "exact", "qpe_full", "collapse", "montecarlo")
 
 MAX_SEED = (1 << 64) - 1
-# The most repetitions whose draws, two uniforms each, fit one trial's round.
-MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
 # The trials of a Monte Carlo study that names none; any other mode runs one.
 MONTECARLO_TRIALS = 10000
 # The most trials of a table that prints one row per trial (ipea, collapse).

@@ -12,14 +12,11 @@ Three canned studies cover the simulator end to end:
 * ``run_montecarlo``: the precision bound, single shot versus majority
   voting, over uniformly random phases realized as diagonal unitaries.
 
-A table reaches ``emit`` in one of two shapes.  The config studies
-(``run_config``'s ``ipea``, ``qpe_full`` and ``collapse`` modes) build
-``Columns``, one list of cells per field, straight from the arrays they
-compute, so no row is ever built; the studies whose rows are read
-elsewhere (fig4's ``RunRecord``, fig5's ``PanelResult``, the Monte Carlo
-dicts) return records, and ``emit`` reads each of their fields once into
-a column.  Either way ``emit`` renders the table as CSV or JSON, by the
-column contract its docstring states.
+A table reaches ``emit`` as ``Columns``, one list per field built from
+the arrays a config study computes (``ipea``, ``qpe_full``, ``collapse``),
+or as records whose rows are read elsewhere (fig4's ``RunRecord``, fig5's
+``PanelResult``, the Monte Carlo dicts); ``emit``'s docstring states how
+either prints.
 """
 
 from __future__ import annotations
@@ -232,8 +229,7 @@ def _estimates(unitaries, target, m, reps, provider, seed, trials):
     ``trials`` 0 runs exact mode, one trial per matrix, with no branch
     share; otherwise trial t draws from the stream (seed, t) at ``reps``
     votes per bit, and its share is the P picks over the m × reps branches
-    it picks, None for an unbranched provider.  Trial t's cells come from
-    its numerator n: ``f"{n:0{m}b}"`` and n / 2^m.
+    it picks, None for an unbranched provider.
     """
     shares = None
     if trials == 0:
@@ -243,10 +239,13 @@ def _estimates(unitaries, target, m, reps, provider, seed, trials):
         numerators, tally = qpe.ipea_batch(unitaries, target, m, reps, provider, draws)
         if tally:
             shares = (tally.get("P", np.zeros_like(numerators)) / (m * reps)).tolist()
-    scale = 1 << m
-    numerators = numerators.tolist()
-    bits, phis = [f"{n:0{m}b}" for n in numerators], [n / scale for n in numerators]
-    return bits, phis, shares or [None] * len(numerators)
+    return (*_bit_cells(numerators, m), shares or [None] * len(numerators))
+
+
+def _bit_cells(numerators: np.ndarray, m: int) -> tuple[list[str], list[float]]:
+    """Each numerator n's two cells: its bit string ``f"{n:0{m}b}"`` and n / 2^m."""
+    scale, numerators = 1 << m, numerators.tolist()
+    return [f"{n:0{m}b}" for n in numerators], [n / scale for n in numerators]
 
 
 _FIG5_ANGLES = (30.0, 45.0, 67.5)
@@ -280,12 +279,9 @@ def run_fig5(
     supplies the fidelity spread.  Panels are scored against the
     eigenstate of the nominal, unjittered plate.
 
-    The panels run as stacked arrays: one unitarity check of the Jones
-    matrices, one register readout per input state, one density check of
-    the collapsed targets and one per bootstrap block.  Only the random
-    draws are per panel: panel i's jitter, counts and bootstrap come from
-    the streams ``derive_rng(seed, i, 0)``, ``(seed, i, 1)`` and
-    ``(seed, i, 2)``.
+    The panels run as stacked arrays; only the draws are per panel: panel
+    i's jitter, counts and bootstrap come from the streams
+    ``derive_rng(seed, i, 0)``, ``(seed, i, 1)`` and ``(seed, i, 2)``.
     """
     if shots < 0:
         raise ContractError(f"shots must be >= 0, got {shots}")
@@ -354,7 +350,9 @@ def _montecarlo_pass(
 ) -> int:
     # Each trial draws its phase and then every repetition from its own
     # stream; the trials run as batches of diag(1, e^{2 pi i phi}), each
-    # batch keyed in one pass.
+    # batch keyed in one pass.  The batches are ipea_batch's chunks, so one
+    # window holds a chunk's phase word and its rounds: one stream over every
+    # trial buffers fewer words a trial and refills once more per run.
     prov = qpe.resolve_provider(provider)
     target = basis_state(1, 1)
     successes = 0
@@ -391,10 +389,13 @@ def run_montecarlo(
     success when its circular error is at most 2^-m.  Two summary rows
     come back: single shot per bit, then majority voting at ``reps``.
     ``m``, ``trials`` and ``reps`` are taken as Python ints, which the
-    rows echo; any integer type passes, a non-integer is refused.
+    rows echo; any integer type passes, a non-integer is refused, and so
+    are an ``m`` or ``reps`` the engine refuses, before any draw.
     """
     m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))
+    qmath._check_bits(m)
+    qpe._check_reps(reps)
     rows = []
     passes = (1,) if reps == 1 else (1, reps)
     for stream, reps_per_bit in enumerate(passes):
@@ -416,16 +417,12 @@ def run_montecarlo(
     return rows
 
 
-def _oracle_or_none(unitary: Unitary, eigenstate: str):
-    try:
-        return oracle_eigenphase(unitary, eigenstate)
-    except DegeneracyError:
-        return None
-
-
 def _ipea_rows(config: ExperimentConfig, seed: int) -> Columns:
     unitary = config.unitary()
-    phi_oracle = _oracle_or_none(unitary, config.eigenstate)
+    try:
+        phi_oracle = oracle_eigenphase(unitary, config.eigenstate)
+    except DegeneracyError:
+        phi_oracle = None
     bits, phis, branch_fracs = _estimates(unitary, config.input_state(), config.bits,
                                           config.reps_per_bit, config.provider, seed,
                                           config.resolved_trials())
@@ -462,14 +459,7 @@ def _collapse_rows(
     xs, probs, _ = qpe._collapse_draws(
         unitary, input_state, m, TrialStreams(seed, (), range(trials)), coherence
     )
-    scale = 1 << m
-    outcomes = xs.tolist()
-    return Columns([
-        list(range(len(outcomes))),
-        [f"{x:0{m}b}" for x in outcomes],
-        [x / scale for x in outcomes],
-        probs[xs].tolist(),
-    ])
+    return Columns([list(range(len(xs))), *_bit_cells(xs, m), probs[xs].tolist()])
 
 
 def run_config(config: ExperimentConfig, seed: int | None = None):
@@ -500,26 +490,18 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     raise ContractError(f"unknown mode {config.mode!r}")
 
 
-def _cell_reader(record):
-    """A record's cell reader: ``record[f]`` of a dict, ``getattr(record, f)``
-    of a dataclass."""
-    if isinstance(record, dict):
-        return record.__getitem__
-    if is_dataclass(record) and not isinstance(record, type):
-        return partial(getattr, record)
-    raise ContractError(f"cannot tabulate {type(record).__name__}")
-
-
 def _columns(records: list, fields: tuple) -> list[list]:
-    """One column per field, each cell read once."""
-    readers = [_cell_reader(r) for r in records]
+    """One column per field, each cell read once: ``record[f]`` of a dict,
+    ``getattr(record, f)`` of a dataclass."""
+    for record in records:
+        if not isinstance(record, dict) and (not is_dataclass(record) or isinstance(record, type)):
+            raise ContractError(f"cannot tabulate {type(record).__name__}")
+    readers = [r.__getitem__ if isinstance(r, dict) else partial(getattr, r) for r in records]
     try:
-        if len(readers) == 1:  # one map in place of a comprehension per field
-            return [[v] for v in map(readers[0], fields)]
         return [[read(f) for read in readers] for f in fields]
     except (KeyError, AttributeError):
-        for i, read in enumerate(readers):
-            missing = [f for f in fields if not _readable(read, f)]
+        for i, r in enumerate(records):
+            missing = [f for f in fields if not (f in r if isinstance(r, dict) else hasattr(r, f))]
             if missing:
                 raise ContractError(f"record {i} is missing fields {missing}") from None
         raise
@@ -536,14 +518,6 @@ def _given_columns(table: Columns, fields: tuple) -> list[list]:
     return table.lists
 
 
-def _readable(read, field) -> bool:
-    try:
-        read(field)
-    except (KeyError, AttributeError):
-        return False
-    return True
-
-
 # The printf conversion of a CSV column by the one type its cells share:
 # "%.12g" is format(x, ".12g"), "%d" prints a bool as 1 or 0 and "%.0s"
 # None as an empty cell.
@@ -553,11 +527,8 @@ _CSV_CONVERSIONS = {float: "%.12g", str: "%s", int: "%d", bool: "%d", type(None)
 def _column_kinds(columns: list[list], fields: tuple) -> list[type]:
     """Each column's one cell type, a key of ``_CSV_CONVERSIONS`` (None's
     type for a table of no rows), or a ContractError naming the field."""
-    if len(columns[0]) == 1:  # a single cell is of one type
-        kinds = [type(values[0]) for values in columns]
-    else:
-        kinds = [set(map(type, values)) or {type(None)} for values in columns]
-        kinds = [k.pop() if len(k) == 1 else None for k in kinds]
+    kinds = [set(map(type, values)) or {type(None)} for values in columns]
+    kinds = [k.pop() if len(k) == 1 else None for k in kinds]
     for field, kind, values in zip(fields, kinds, columns):
         if kind not in _CSV_CONVERSIONS:
             found = sorted({f"{type(v).__module__}.{type(v).__qualname__}" for v in values})

@@ -20,8 +20,8 @@ A controlled-power provider answers ``rounds(stack, target, m)`` for a
 ``(T, B, 2d)`` branch states (control first) at ``states[k - 1]``, their
 ``(T, B)`` weights (0 for a branch that never occurs) and the B labels,
 ``(None,)`` or "P"/"Q" (a Q branch's measured bit is flipped).  The
-engine checks them once per chunk and runs every round on them; README's
-provider paragraph gives the long form.  A trial's estimate depends only
+engine checks them once per chunk and runs every round on them
+(``_ipea_engine``, ``_majority_votes``).  A trial's estimate depends only
 on its own unitary and stream, never on its batch or chunk.
 """
 
@@ -60,6 +60,8 @@ __all__ = [
 # A round of one chunk of trials reads at most this many uniforms; a chunk
 # draws its m rounds' uniforms in one request, at most m times this many.
 MAX_ROUND_UNIFORMS = 1 << 16
+# The most repetitions whose draws, two uniforms each, fit one trial's round.
+MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
 # Majority votes per bit when a run names none (the ``reps`` directive's default).
 DEFAULT_REPS = 11
 # How far from 1 Generator.choice lets a probability vector sum.
@@ -308,9 +310,9 @@ def _majority_votes(reps: int, draws, tally: dict, rounds, chunk: slice):
 
 
 def _check_reps(reps_per_bit: int) -> None:
-    if reps_per_bit < 1 or reps_per_bit % 2 == 0:
+    if not 1 <= reps_per_bit <= MAX_REPS or reps_per_bit % 2 == 0:
         raise ContractError(
-            f"reps_per_bit must be odd and >= 1 so majority votes are decisive, "
+            f"reps_per_bit must be odd, so majority votes are decisive, and in 1..{MAX_REPS}, "
             f"got {reps_per_bit}"
         )
 
@@ -441,7 +443,7 @@ def ipea_batch(
     ``reps_per_bit`` times (odd, so the vote is decisive).  A provider
     with a ``branch_counts`` dict has every drawn branch added to it.
     """
-    _check_reps(reps_per_bit)
+    step = batch_trials(reps_per_bit)
     provider = resolve_provider(provider)
     if isinstance(draws, np.random.Generator):
         draws = _GeneratorDraws(draws)
@@ -449,7 +451,6 @@ def ipea_batch(
         raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
     tally: dict = {}
     votes = partial(_majority_votes, reps_per_bit, draws, tally)
-    step = batch_trials(reps_per_bit)
     numerators = _ipea_engine(unitaries, target, m, provider, len(draws), step, votes)
     branch_counts = getattr(provider, "branch_counts", None)
     if branch_counts is not None:

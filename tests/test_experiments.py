@@ -232,6 +232,20 @@ class TestMontecarlo:
         with pytest.raises(ContractError, match="m must lie in 1..16, got 21$"):
             run_montecarlo(m=21, trials=2000, provider="matrix", reps=1, seed=3)
 
+    @pytest.mark.parametrize("dyadic", [False, True])
+    @pytest.mark.parametrize("m", [0, 17, 64])
+    def test_m_outside_the_bits_limit_is_refused_before_any_draw(self, monkeypatch, m, dyadic):
+        monkeypatch.setattr(experiments, "TrialStreams", None)  # a draw would raise TypeError
+        with pytest.raises(ContractError, match=f"^bit count m must lie in 1..16, got {m}$"):
+            run_montecarlo(m=m, trials=20, provider="matrix", dyadic=dyadic)
+
+    @pytest.mark.parametrize("reps, refusal", [(4, "odd"), (32769, "in 1..32767, got 32769$")])
+    def test_reps_the_engine_refuses_are_refused_before_any_draw(self, monkeypatch, reps, refusal):
+        # an even count before the reps-1 pass runs; one past qpe.MAX_REPS at all
+        monkeypatch.setattr(experiments, "TrialStreams", None)
+        with pytest.raises(ContractError, match=refusal):
+            run_montecarlo(m=2, trials=3, provider="photonic", reps=reps)
+
     def test_numpy_integer_counts_print_as_ints(self):
         rows = run_montecarlo(m=np.int64(3), trials=np.int64(20), reps=np.int64(3))
         assert rows == run_montecarlo(m=3, trials=20, reps=3)
@@ -537,8 +551,21 @@ def _rendered(render, records, fmt, fields):
         return type(exc), str(exc)
 
 
+_ONE_DICT = ([{"a": 1.5, "b": "x", "c": None, "d": 2, "e": True}], ("a", "b", "c", "d", "e"))
+_ONE_RUN = ([RunRecord(0.0, 15.0, 0.875, "111", 0.875, 0.0, None, True)], FIG4_FIELDS)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables(), st.sampled_from(["csv", "json"]))
+# one-record tables, read like any other
+@example(_ONE_DICT, "csv")
+@example(_ONE_DICT, "json")
+@example(_ONE_RUN, "csv")
+@example(_ONE_RUN, "json")
+# a record that is neither a dict nor a dataclass is refused before an
+# earlier record's missing field
+@example(([{"a": 1}, (1, 2)], ("a", "b")), "csv")
+@example(([{"a": 1}, RunRecord], ("a", "b")), "json")
 def test_emit_prints_as_the_row_at_a_time_reference(table, fmt):
     # Column formatting must give the row-at-a-time reference's text: the
     # same bytes, or the same refusal (a missing field, say).
@@ -573,6 +600,9 @@ _ESCAPED = Columns([["plain", cell] for cell in ('say "hi"', "back\\slash", "del
 @example((_ESCAPED, ("q", "b", "d", "t", "u")), "json")
 # a repeated field: a JSON row is a dict, so its last column wins
 @example((Columns([[1, 2], ["x", "y"]]), ("a", "a")), "json")
+# a one-row table, typed like any other
+@example((Columns([[1.5], ["x"], [None], [2], [True]]), ("a", "b", "c", "d", "e")), "csv")
+@example((Columns([[1.5], ["x"], [None], [2], [True]]), ("a", "b", "c", "d", "e")), "json")
 def test_columns_print_as_the_reference_rows(table, fmt):
     # A Columns table prints as reference_emit prints its rows as dicts,
     # and emitting it leaves each of its columns in place.

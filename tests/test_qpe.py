@@ -270,6 +270,18 @@ class TestIterativeRuns:
         with pytest.raises(ContractError):
             ipea_run(spec, 3, 4, "matrix", derive_rng(0))
 
+    def test_reps_past_one_round_of_uniforms_are_refused(self):
+        # qpe.MAX_REPS = 32,767 repetitions, two uniforms each, fit one round
+        # of MAX_ROUND_UNIFORMS; the next odd count is refused by both entries
+        assert qpe.MAX_REPS == qpe.MAX_ROUND_UNIFORMS // 2 - 1 == 32767
+        spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
+        refusal = "in 1..32767, got 32769$"
+        with pytest.raises(ContractError, match=refusal):
+            ipea_batch(spec.unitary, spec.input_state, 2, 32769, "photonic",
+                       TrialStreams(0, (), [0]))
+        with pytest.raises(ContractError, match=refusal):
+            ipea_run(spec, 2, 32769, "photonic", derive_rng(0))
+
     def test_run_rejects_bad_m(self):
         spec = EigenproblemSpec(phase_unitary(0.375), basis_state(1, 1))
         with pytest.raises(ContractError):
