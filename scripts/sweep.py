@@ -1,0 +1,145 @@
+"""Byte-identity sweep: run a fixed list of CLI invocations and hash their output.
+
+Usage::
+
+    python3 scripts/sweep.py                  # this checkout, one line per run
+    python3 scripts/sweep.py --against REV    # also REV's tree, print the runs that differ
+
+The list covers, each in CSV and in JSON:
+
+* every op of the three benchmark workloads (``perfbench/workloads.py``,
+  read and never edited) and the limit probes, at workload seeds 1 and 2;
+* every ``configs/*.cfg``, with and without ``--seed 5``;
+* ``fig4`` with and without ``--exact``, for each provider;
+* ``fig5`` at its defaults and with ``--shots 0 --no-noise``;
+* ``montecarlo`` at its defaults for each provider, and with ``--dyadic``;
+* a few refused flags, which exit 2.
+
+Every run goes through ``ipea_sim.cli.main`` in one process.  A line
+holds the run's label (the op's name or its argv, never a temporary
+config path), its exit code and the sha256 of its stdout and of its
+stderr, tab-separated.  ``--against REV`` checks REV out with
+``git worktree add`` into a temporary directory, runs the same list
+against REV's ``src`` in a subprocess, prints every line that differs
+and removes the worktree; it exits 1 if any run differs.  The list always
+comes from this checkout, so both sides run the same invocations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as perfbench pins it, before numpy loads
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+FORMATS = ("csv", "json")
+PROVIDERS = ("photonic", "matrix")
+REFUSED = (
+    ["fig4", "--reps", "2"],
+    ["fig5", "--shots", "0", "--resamples", "5"],
+    ["fig5", "--no-noise", "--noise-p", "0.9"],
+    ["montecarlo", "--bits", "17"],
+    ["montecarlo", "--trials", "0"],
+)
+
+
+def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
+    """Every (label, argv) of the sweep; config files are written to ``config_dir``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    listed = []
+    for seed in SEEDS:
+        ops = [op for name in workloads.WORKLOADS for op in workloads.make_batch(name, seed)]
+        for i, op in enumerate(ops + workloads.probe_ops(seed)):
+            argv = op.argv
+            if op.config is not None:
+                path = config_dir / f"s{seed}-{i}.cfg"
+                path.write_text(op.config, encoding="utf-8")
+                argv = ["run", str(path)]
+            listed.append((f"seed {seed} {op.name}", argv))
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        for extra in ([], ["--seed", "5"]):
+            listed.append((" ".join(["run", f"configs/{cfg.name}", *extra]), ["run", str(cfg), *extra]))
+    studies = [["fig4", *exact, "--provider", p] for p in PROVIDERS for exact in ([], ["--exact"])]
+    studies += [["fig5"], ["fig5", "--shots", "0", "--no-noise"]]
+    studies += [["montecarlo", "--provider", p, *dyadic] for p in PROVIDERS for dyadic in ([], ["--dyadic"])]
+    listed += [(" ".join(argv), argv) for argv in studies + list(REFUSED)]
+    return [(f"{label} [{fmt}]", [*argv, "--format", fmt]) for label, argv in listed for fmt in FORMATS]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sweep(src: Path) -> list[str]:
+    """One line per run of the list, with ``src``'s ``ipea_sim`` doing the work."""
+    sys.path.insert(0, str(src))
+    from ipea_sim import cli
+
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="ipea-sweep-") as tmp:
+        for label, argv in runs(Path(tmp)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refusals
+                    code = exc.code
+                except Exception as exc:  # a crash is a result too; keep going
+                    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                    code = "crash"
+            lines.append(f"{label}\t{code}\t{_sha(out.getvalue())}\t{_sha(err.getvalue())}")
+    return lines
+
+
+def against(rev: str, mine: list[str]) -> int:
+    """Run the list on ``rev``'s tree and print every line that differs from ``mine``."""
+    with tempfile.TemporaryDirectory(prefix="ipea-sweep-rev-") as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            theirs = subprocess.run(
+                [sys.executable, __file__, "--src", str(tree / "src")],
+                check=True, capture_output=True, text=True,
+            ).stdout.splitlines()[:-1]  # drop the count line
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+    differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    for a, b in differ:
+        print(f"- {rev}\t{b}\n+ here\t{a}")
+    if len(mine) != len(theirs):
+        print(f"run counts differ: {len(mine)} here, {len(theirs)} at {rev}")
+        return 1
+    print(f"{len(mine)} runs against {rev}: {len(mine) - len(differ)} identical, "
+          f"{len(differ)} differ (stdout, stderr and exit code)")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="compare with this git revision")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the source tree whose ipea_sim runs the list (default: this one's)")
+    args = parser.parse_args(argv)
+    lines = sweep(args.src)
+    if args.against:
+        return against(args.against, lines)
+    print("\n".join(lines))
+    print(f"{len(lines)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

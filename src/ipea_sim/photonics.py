@@ -20,8 +20,9 @@ phase prefactor.  Angles are degrees everywhere.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, islice, product
 
 import numpy as np
 
@@ -306,9 +307,12 @@ def _prepare(target: np.ndarray, count: int) -> np.ndarray:
 def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndarray]:
     """The blue rails after 2^(k-1) passes through the unitaries, k = 1..m, from
     one literal cascade: one product per pass, never a precomputed power.
-    One trial steps a vector through 2-D ``dot``, which reaches the BLAS zgemv
-    of the stacked matmul with less overhead, so its rungs match it bit for
-    bit; more trials keep one stacked ``unitaries @ blue`` per pass."""
+    One trial makes each pass one 2-D ``dot`` written into a reused buffer,
+    which reaches the BLAS zgemv of the stacked matmul with less overhead, so
+    its rungs match it bit for bit; more trials keep one stacked
+    ``unitaries @ blue`` per pass."""
+    # Also the bound on the cascade's length: PhotonicProvider.rounds is public,
+    # and m = 40 would otherwise start 2^39 passes.
     qmath._check_bits(m)
     count = arr.shape[0]
     n = _num_targets(arr)
@@ -317,12 +321,23 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
             f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
         )
     blue = arr[_rails(n, 1)].reshape(count, -1, 1)
-    step, blue = (unitaries[0].dot, blue[0, :, 0]) if count == 1 else (unitaries.__matmul__, blue)
+    passes = [max(1, (1 << k) >> 1) for k in range(m)]  # rung k + 1 sits 2^k passes in
     ladder = []
-    for k in range(m):  # rung k + 1 sits 2^k passes in
-        for _ in range(max(1, (1 << k) >> 1)):
-            blue = step(blue)
-        ladder.append(blue.reshape(count, -1, 1))
+    if count > 1:
+        for rung in passes:
+            for _ in range(rung):
+                blue = unitaries @ blue
+            ladder.append(blue)
+        return ladder
+    # One trial: ``dot(src, dst)`` steps the rails between two buffers, a
+    # rung's passes driven by ``map`` at C level; each rung is copied out.
+    dot, src = unitaries[0].dot, np.array(blue[0, :, 0])
+    dst = np.empty_like(src)
+    for rung in passes:
+        deque(map(dot, islice(cycle((src, dst)), rung), islice(cycle((dst, src)), rung)), maxlen=0)
+        if rung % 2:
+            src, dst = dst, src
+        ladder.append(src.reshape(1, -1, 1).copy())
     return ladder
 
 
@@ -379,7 +394,8 @@ def prepare_entangled_input(psi: StateVector) -> PhotonicState:
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
     """Pass the blue rails through the unitary 2^(k-1) times, one literal
-    copy (one 2-D ``dot``, bit for bit the stacked product) at a time; k ≤ 16.
+    copy at a time: one 2-D ``dot`` per pass, written into a reused buffer
+    and bit for bit the stacked product; k ≤ 16.
     A state that is not rail-correlated (as ``prepare_entangled_input``
     builds it) is refused."""
     if state.stage != STAGE_RAILS:

@@ -204,6 +204,7 @@ class MatrixProvider:
     name = "matrix"
 
     def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
+        qmath._check_bits(m)
         if unitaries.shape[-1] != target.dim:
             raise ContractError(
                 f"unitary dim {unitaries.shape[-1]} does not match target dim {target.dim}"
@@ -320,7 +321,7 @@ def _check_reps(reps_per_bit: int) -> None:
 def batch_trials(reps_per_bit: int) -> int:
     """Trials per chunk, so that one round reads at most MAX_ROUND_UNIFORMS uniforms."""
     _check_reps(reps_per_bit)
-    return max(1, MAX_ROUND_UNIFORMS // (2 * reps_per_bit))
+    return MAX_ROUND_UNIFORMS // (2 * reps_per_bit)
 
 
 def _round_pairs(rounds, k: int, omegas) -> np.ndarray:

@@ -572,16 +572,17 @@ def test_batch_rounds_stay_under_the_uniform_bound(monkeypatch, provider):
 
     phases = derive_rng(9).random(70)
     stack = np.array([phase_unitary(phi).matrix for phi in phases])
-    for trials, reps in ((7, 11), (70, 1), (3, 41)):
+    for trials, reps in ((7, 11), (70, 1), (3, 31)):
         args = (stack[:trials], basis_state(1, 1), 3, reps)
         whole = ipea_batch(*args, provider, TrialStreams(9, (), range(trials)))
         with monkeypatch.context() as patch:
             patch.setattr(qpe, "MAX_ROUND_UNIFORMS", 64)
+            patch.setattr(qpe, "MAX_REPS", 31)  # the largest reps that bound admits
             patch.setattr(qpe, "_round_pairs", recorded)
             seen.clear()
             tables.clear()
             chunked = ipea_batch(*args, Recording(), TrialStreams(9, (), range(trials)))
-        assert max(seen) * 2 * reps <= max(64, 2 * reps)
+        assert max(seen) * 2 * reps <= 64
         assert sum(seen) == trials  # every trial in exactly one chunk
         assert len(seen) > 1  # the bound did split the batch
         # one rounds call per chunk, then its rounds k = 3, 2, 1 in turn
@@ -987,9 +988,9 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
             Counting.products += 1
             return (np.asarray(self) @ np.asarray(other)).view(Counting)
 
-        def dot(self, other):
+        def dot(self, other, out=None):
             Counting.products += 1
-            return np.asarray(self).dot(other)
+            return np.asarray(self).dot(other, out)
 
         def __array_function__(self, func, types, args, kwargs):
             # np.stack drops the subclass; keep it, so a product of stacked powers counts
@@ -1021,10 +1022,21 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
         assert calls == {"_prepare": 0, "_blue_ladder": 0}
     else:
         assert calls == {"_prepare": 1, "_blue_ladder": 1}
-        # a one-trial chunk steps through 2-D dot, still one product a pass
+        # a one-trial chunk steps through 2-D dot into reused buffers, still
+        # one product a pass
         Counting.products = 0
         resolve_provider(provider).rounds(stack[:1], random_state(1, rng), m)
         assert Counting.products == built
+
+
+@pytest.mark.parametrize("m", [-1, 0, 17])
+@pytest.mark.parametrize("provider", ["matrix", "photonic"])
+def test_provider_rounds_refuse_bits_outside_the_limit(provider, m):
+    # Either provider's public rounds refuses m outside 1..MAX_BITS before
+    # building anything: no empty rounds, no numpy error, no 2^16-pass cascade.
+    stack = phase_unitary(0.25).matrix[None]
+    with pytest.raises(ContractError, match=r"bit count m must lie in 1\.\.16"):
+        resolve_provider(provider).rounds(stack, basis_state(1, 1), m)
 
 
 @settings(max_examples=12, deadline=None)
@@ -1037,9 +1049,11 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     row=st.integers(0, 2),
 )
 def test_one_trial_cascade_equals_its_row_of_a_stacked_cascade(seed, num_qubits, m, row):
-    # A one-trial chunk steps a vector through 2-D dot.  Each of its rungs
-    # must be, bit for bit and in the same (T, d, 1) shape, the trial's
-    # rung inside a stacked 3-trial cascade, up to the 2^15 passes of m = 16.
+    # A one-trial chunk steps a vector through 2-D dot between two reused
+    # buffers.  Each of its rungs must be, bit for bit and in the same
+    # (T, d, 1) shape, the trial's rung inside a stacked 3-trial cascade, up
+    # to the 2^15 passes of m = 16, and own its memory: no rung may alias a
+    # buffer or another rung.
     rng = derive_rng(seed)
     stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(3)])
     prepared = photonics._prepare(random_state(num_qubits, rng).amplitudes, 3)
@@ -1049,6 +1063,8 @@ def test_one_trial_cascade_equals_its_row_of_a_stacked_cascade(seed, num_qubits,
     for one, three in zip(alone, stacked):
         assert (one.shape, three.shape) == ((1, 1 << num_qubits, 1), (3, 1 << num_qubits, 1))
         assert np.array_equal(one[0], three[row])
+    for i, one in enumerate(alone):
+        assert not any(np.shares_memory(one, other) for other in alone[i + 1 :])
 
 
 @pytest.mark.parametrize("m", range(9, 17))
