@@ -321,23 +321,24 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
             f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
         )
     blue = arr[_rails(n, 1)].reshape(count, -1, 1)
-    passes = [max(1, (1 << k) >> 1) for k in range(m)]  # rung k + 1 sits 2^k passes in
-    ladder = []
+    ladder, done = [], 0
     if count > 1:
-        for rung in passes:
-            for _ in range(rung):
+        for k in range(m):  # rung k + 1 sits 2^k passes in
+            for _ in range(done, 1 << k):
                 blue = unitaries @ blue
             ladder.append(blue)
+            done = 1 << k
         return ladder
-    # One trial: ``dot(src, dst)`` steps the rails between two buffers, a
-    # rung's passes driven by ``map`` at C level; each rung is copied out.
-    dot, src = unitaries[0].dot, np.array(blue[0, :, 0])
-    dst = np.empty_like(src)
-    for rung in passes:
-        deque(map(dot, islice(cycle((src, dst)), rung), islice(cycle((dst, src)), rung)), maxlen=0)
-        if rung % 2:
-            src, dst = dst, src
-        ladder.append(src.reshape(1, -1, 1).copy())
+    # Pass i reads bufs[i % 2] and writes the other buffer; ``map`` drives a
+    # rung's passes at C level, and each rung is copied out of its buffer.
+    src = np.array(blue[0, :, 0])
+    bufs = (src, np.empty_like(src))
+    srcs, dsts = cycle(bufs), cycle(bufs[::-1])
+    dot, consume = unitaries[0].dot, deque(maxlen=0).extend
+    for k in range(m):
+        consume(map(dot, islice(srcs, (1 << k) - done), islice(dsts, (1 << k) - done)))
+        done = 1 << k
+        ladder.append(bufs[done % 2][None, :, None].copy())
     return ladder
 
 
