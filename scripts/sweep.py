@@ -4,6 +4,7 @@ Usage::
 
     python3 scripts/sweep.py                  # this checkout, one line per run
     python3 scripts/sweep.py --against REV    # also REV's tree, print the runs that differ
+    python3 scripts/sweep.py --env OPENBLAS_CORETYPE=SandyBridge   # with and without it
 
 The list covers, each in CSV and in JSON:
 
@@ -18,11 +19,15 @@ The list covers, each in CSV and in JSON:
 Every run goes through ``ipea_sim.cli.main`` in one process.  A line
 holds the run's label (the op's name or its argv, never a temporary
 config path), its exit code and the sha256 of its stdout and of its
-stderr, tab-separated.  ``--against REV`` checks REV out with
-``git worktree add`` into a temporary directory, runs the same list
-against REV's ``src`` in a subprocess, prints every line that differs
-and removes the worktree; it exits 1 if any run differs.  The list always
-comes from this checkout, so both sides run the same invocations.
+stderr, tab-separated.  ``--against REV`` extracts REV's ``src`` with
+``git archive`` into a temporary directory, runs the same list against
+it in a subprocess and prints every line that differs.  ``--env
+VAR=VALUE`` (repeatable) runs the list on the ``--src`` tree twice, each
+time in a subprocess: once with the variables set and once with them
+unset, so kernel-selecting variables such as ``OPENBLAS_CORETYPE`` and
+``NPY_DISABLE_CPU_FEATURES`` take effect when numpy loads; it prints
+every line that differs.  Either exits 1 if any run differs.  The list
+always comes from this checkout, so both sides run the same invocations.
 """
 
 from __future__ import annotations
@@ -102,37 +107,65 @@ def sweep(src: Path) -> list[str]:
     return lines
 
 
-def against(rev: str, mine: list[str]) -> int:
-    """Run the list on ``rev``'s tree and print every line that differs from ``mine``."""
-    with tempfile.TemporaryDirectory(prefix="ipea-sweep-rev-") as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            theirs = subprocess.run(
-                [sys.executable, __file__, "--src", str(tree / "src")],
-                check=True, capture_output=True, text=True,
-            ).stdout.splitlines()[:-1]  # drop the count line
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+def _sweep_subprocess(src: Path, env: dict | None = None) -> list[str]:
+    """The lines of ``sweep(src)``, run in a fresh interpreter with ``env``."""
+    return subprocess.run(
+        [sys.executable, __file__, "--src", str(src)],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout.splitlines()[:-1]  # drop the count line
+
+
+def _compare(mine: list[str], theirs: list[str], here: str, there: str) -> int:
+    """Print every line of ``theirs`` (``there``) that ``mine`` (``here``) does not match."""
     differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
     for a, b in differ:
-        print(f"- {rev}\t{b}\n+ here\t{a}")
+        print(f"- {there}\t{b}\n+ {here}\t{a}")
     if len(mine) != len(theirs):
-        print(f"run counts differ: {len(mine)} here, {len(theirs)} at {rev}")
+        print(f"run counts differ: {len(mine)} {here}, {len(theirs)} {there}")
         return 1
-    print(f"{len(mine)} runs against {rev}: {len(mine) - len(differ)} identical, "
+    print(f"{len(mine)} runs {here} against {there}: {len(mine) - len(differ)} identical, "
           f"{len(differ)} differ (stdout, stderr and exit code)")
     return 1 if differ else 0
+
+
+def against(rev: str, mine: list[str]) -> int:
+    """Run the list on ``rev``'s ``src`` and print every line that differs from ``mine``."""
+    with tempfile.TemporaryDirectory(prefix="ipea-sweep-rev-") as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        theirs = _sweep_subprocess(Path(tmp) / "src")
+    return _compare(mine, theirs, "here", rev)
+
+
+def with_env(src: Path, assignments: list[tuple[str, str]]) -> int:
+    """Run the list on ``src`` with and without ``assignments`` and print every line that differs."""
+    values = dict(assignments)
+    without = {k: v for k, v in os.environ.items() if k not in values}
+    label = "with " + " ".join(f"{k}={v}" for k, v in values.items())
+    return _compare(_sweep_subprocess(src, {**without, **values}),
+                    _sweep_subprocess(src, without), label, "without")
+
+
+def _assignment(text: str) -> tuple[str, str]:
+    name, eq, value = text.partition("=")
+    if not (name and eq):
+        raise argparse.ArgumentTypeError(f"expected VAR=VALUE, got {text!r}")
+    return name, value
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="compare with this git revision")
+    parser.add_argument("--env", metavar="VAR=VALUE", type=_assignment, action="append",
+                        help="compare the --src tree's runs with this variable set and unset")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the source tree whose ipea_sim runs the list (default: this one's)")
     args = parser.parse_args(argv)
+    if args.env:
+        if args.against:
+            parser.error("--env compares one tree with itself; drop --against")
+        return with_env(args.src, args.env)
     lines = sweep(args.src)
     if args.against:
         return against(args.against, lines)

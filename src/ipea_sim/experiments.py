@@ -279,9 +279,11 @@ def run_fig5(
     supplies the fidelity spread.  Panels are scored against the
     eigenstate of the nominal, unjittered plate.
 
-    The panels run as stacked arrays; only the draws are per panel: panel
-    i's jitter, counts and bootstrap come from the streams
-    ``derive_rng(seed, i, 0)``, ``(seed, i, 1)`` and ``(seed, i, 2)``.
+    The nine panels run as one stack: one register readout of the nine
+    plates, each on its panel's input row, then stacked tomography.  Only
+    the draws are per panel: panel i's jitter, counts and bootstrap come
+    from the streams ``derive_rng(seed, i, 0)``, ``(seed, i, 1)`` and
+    ``(seed, i, 2)``.
     """
     if shots < 0:
         raise ContractError(f"shots must be >= 0, got {shots}")
@@ -293,19 +295,15 @@ def run_fig5(
                   for i, train in enumerate(trains)]
     stack = np.stack([_train_matrix(train) for train in trains])
     qmath.check_unitary(stack)
-    inputs, outcomes = (np.array(column) for column in zip(*(case for case, _ in panels)))
-    probs, rhos = np.empty(len(panels)), np.empty((len(panels), 2, 2), dtype=complex)
-    for label in dict.fromkeys(inputs.tolist()):
-        rows = np.flatnonzero(inputs == label)
-        xs = outcomes[rows]
-        weights, targets = qpe._register_readout(
-            stack[rows], polarization_state(label), 1, coherence
-        )
-        probs[rows] = weights[np.arange(len(rows)), xs]
-        never = xs[probs[rows] <= qmath.NEVER_OCCURS]
-        if never.size:
-            raise ContractError(f"panel input {label!r} never yields outcome {never[0]}")
-        rhos[rows] = targets(xs)
+    inputs = np.stack([polarization_state(label).amplitudes for (label, _), _ in panels])
+    xs = np.array([outcome for (_, outcome), _ in panels])
+    weights, targets = qpe._register_readout(stack, inputs, 1, coherence)
+    probs = weights[np.arange(len(panels)), xs]
+    never = np.flatnonzero(probs <= qmath.NEVER_OCCURS)
+    if never.size:
+        (label, outcome), _ = panels[never[0]]
+        raise ContractError(f"panel input {label!r} never yields outcome {outcome}")
+    rhos = targets(xs)
     qmath.check_density(rhos)
     ideals = np.stack([_hwp_eigenvector(theta, outcome) for (_, outcome), theta in panels])
     if shots == 0:

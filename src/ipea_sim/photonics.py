@@ -181,9 +181,10 @@ class NoiseSpec:
             raise ContractError(
                 f"distinguishability must lie in [0, 1], got {self.distinguishability!r}"
             )
-        if not float(self.angle_jitter_sigma_deg) >= 0.0:
+        if not 0.0 <= float(self.angle_jitter_sigma_deg) < np.inf:
             raise ContractError(
-                f"angle_jitter_sigma_deg must be >= 0, got {self.angle_jitter_sigma_deg!r}"
+                "angle_jitter_sigma_deg must be finite and >= 0, "
+                f"got {self.angle_jitter_sigma_deg!r}"
             )
 
 
@@ -304,13 +305,14 @@ def _prepare(target: np.ndarray, count: int) -> np.ndarray:
     return arr
 
 
-def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndarray]:
-    """The blue rails after 2^(k-1) passes through the unitaries, k = 1..m, from
-    one literal cascade: one product per pass, never a precomputed power.
-    One trial makes each pass one 2-D ``dot`` written into a reused buffer,
-    which reaches the BLAS zgemv of the stacked matmul with less overhead, so
-    its rungs match it bit for bit; more trials keep one stacked
-    ``unitaries @ blue`` per pass."""
+def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> np.ndarray:
+    """The rung-major state of a (T, ...) batch's cascade: row (k - 1) * T + t
+    is trial t's row of ``arr`` with its blue rails after 2^(k-1) passes
+    through ``unitaries[t]``, k = 1..m.  One literal cascade makes one
+    product per pass, never a precomputed power, and each pass writes the
+    other of two reused buffers.  One trial steps by 2-D ``dot``, which
+    reaches the BLAS zgemv of the stacked product with less overhead and
+    the same bits; more trials step by one stacked ``matmul``."""
     # Also the bound on the cascade's length: PhotonicProvider.rounds is public,
     # and m = 40 would otherwise start 2^39 passes.
     qmath._check_bits(m)
@@ -320,34 +322,23 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> list[np.ndar
         raise ContractError(
             f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
         )
-    blue = arr[_rails(n, 1)].reshape(count, -1, 1)
-    ladder, done = [], 0
-    if count > 1:
-        for k in range(m):  # rung k + 1 sits 2^k passes in
-            for _ in range(done, 1 << k):
-                blue = unitaries @ blue
-            ladder.append(blue)
-            done = 1 << k
-        return ladder
-    # Pass i reads bufs[i % 2] and writes the other buffer; ``map`` drives a
-    # rung's passes at C level, and each rung is copied out of its buffer.
-    src = np.array(blue[0, :, 0])
+    if count == 1:
+        step, shape = unitaries[0].dot, (-1,)
+    else:
+        step, shape = functools.partial(np.matmul, unitaries), (count, -1, 1)
+    out = np.repeat(arr[None], m, axis=0)
+    rungs = out[(slice(None),) + _rails(n, 1)]  # a view; rungs[k] sits 2^k passes in
+    src = np.array(arr[_rails(n, 1)]).reshape(shape)
     bufs = (src, np.empty_like(src))
+    # Pass i reads bufs[i % 2] and writes the other buffer; ``map`` drives a
+    # rung's passes at C level, and each rung is copied into its row block.
     srcs, dsts = cycle(bufs), cycle(bufs[::-1])
-    dot, consume = unitaries[0].dot, deque(maxlen=0).extend
+    consume, done = deque(maxlen=0).extend, 0
     for k in range(m):
-        consume(map(dot, islice(srcs, (1 << k) - done), islice(dsts, (1 << k) - done)))
+        consume(map(step, islice(srcs, (1 << k) - done), islice(dsts, (1 << k) - done)))
         done = 1 << k
-        ladder.append(bufs[done % 2][None, :, None].copy())
-    return ladder
-
-
-def _with_blue(arr: np.ndarray, blue: np.ndarray) -> np.ndarray:
-    # ``arr`` repeated once per ``len(arr)`` rows of ``blue``, its blue rails set to them.
-    n = _num_targets(arr)
-    out = np.concatenate([arr] * (len(blue) // len(arr)))
-    out[_rails(n, 1)] = blue.reshape((len(out),) + (2,) * n)
-    return out
+        rungs[k] = bufs[done % 2].reshape(rungs.shape[1:])
+    return out.reshape((m * count,) + arr.shape[1:])
 
 
 _BS = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
@@ -395,8 +386,8 @@ def prepare_entangled_input(psi: StateVector) -> PhotonicState:
 
 def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> PhotonicState:
     """Pass the blue rails through the unitary 2^(k-1) times, one literal
-    copy at a time: one 2-D ``dot`` per pass, written into a reused buffer
-    and bit for bit the stacked product; k ≤ 16.
+    copy at a time, k ≤ 16: the last row of a one-trial cascade, so bit for
+    bit that trial's row in a stacked provider chunk.
     A state that is not rail-correlated (as ``prepare_entangled_input``
     builds it) is refused."""
     if state.stage != STAGE_RAILS:
@@ -406,8 +397,7 @@ def apply_blue_unitary(state: PhotonicState, unitary: Unitary, k: int) -> Photon
     correlated = sum((np.abs(arr[_rails(state.num_targets, r)]) ** 2).sum() for r in (0, 1))
     if abs(correlated - 1.0) > 1e-12:
         raise ContractError("state is not rail-correlated; build it with prepare_entangled_input")
-    arr = _with_blue(arr, _blue_ladder(arr, unitary.matrix[None], k)[-1])
-    return PhotonicState(state.num_targets, arr.reshape(-1), STAGE_RAILS)
+    return PhotonicState(state.num_targets, _blue_ladder(arr, unitary.matrix[None], k)[-1])
 
 
 def beamsplitter_mix(state: PhotonicState) -> PhotonicState:
@@ -468,10 +458,12 @@ def postselect(
 class PhotonicProvider:
     """Controlled-power provider backed by the dual-rail pipeline.
 
-    A chunk prepares its input, cascades its blue rails once, and remixes
-    and post-selects every rung of the cascade in one stacked pass into
-    one branch per port pattern, labeled by its parity ("P" even, "Q"
-    odd); ``qpe`` documents the arrays ``rounds`` returns.
+    A chunk of T trials runs each stage once on its whole stack: it
+    prepares T rows, cascades their blue rails into the m * T rung-major
+    rows of ``_blue_ladder`` (row (k - 1) * T + t is trial t at rung k),
+    and remixes and post-selects all of them at once into one branch per
+    port pattern, labeled by its parity ("P" even, "Q" odd); ``qpe``
+    documents the arrays ``rounds`` returns.
     ``branch_counts`` tallies the branches drawn in sampled runs.
     """
 
@@ -484,9 +476,7 @@ class PhotonicProvider:
         count = len(unitaries)
         # The target is a checked StateVector, so the prepared input needs no
         # norm check; _mix is unitary, so one check after it also covers the cascade.
-        prepared = _prepare(target.amplitudes, count)
-        # Rows are rung-major: row (k - 1) * count + t is trial t at rung k.
-        arr = _mix(_with_blue(prepared, np.concatenate(_blue_ladder(prepared, unitaries, m))))
+        arr = _mix(_blue_ladder(_prepare(target.amplitudes, count), unitaries, m))
         qmath.check_normalized(arr.reshape(m * count, -1))
         states, weight = _postselect_all(arr)
         labels = tuple(branch.label for branch in parity_cases(target.num_qubits))

@@ -7,10 +7,11 @@
 * The full-register engine prepares m control qubits, applies the
   controlled powers and reads the register through an orthonormal FFT,
   coherent (``coherence`` None) or with that fraction of the control's
-  coherence kept.  One readout takes a ``(T, d, d)`` stack of unitaries
-  on one input state, each row with the bits of its matrix read alone:
-  the register table and a collapse study read a one-matrix stack, and
-  fig5 reads its panels of one input state as one stack.
+  coherence kept.  One readout takes a ``(T, d, d)`` stack of unitaries,
+  each on its own input row or all on one shared row, and each row has
+  the bits of its matrix read alone on its input: the register table and
+  a collapse study read a one-matrix stack, and fig5 reads its nine
+  panels as one stack.
 
 Bit convention: "+" reads bit 0 and "-" bit 1; ``bits = (b1, ..., bm)``
 is the binary fraction 0.b1...bm.
@@ -517,26 +518,26 @@ def ipea_run_exact(spec: EigenproblemSpec, m: int, provider="matrix") -> ExactIp
     )
 
 
-def _controlled_stage(unitaries: np.ndarray, input_state: StateVector, m: int) -> np.ndarray:
+def _controlled_stage(unitaries: np.ndarray, inputs: np.ndarray, m: int) -> np.ndarray:
     """Register x target amplitudes after H^m and all controlled powers,
     one ``(2^m, d)`` stage per unitary of a ``(T, d, d)`` stack.
 
-    Rows are register values (qubit 0 of the register is the most
-    significant bit), columns are target basis labels.
+    ``inputs`` holds row t's input amplitudes as ``(T, d)``, or one
+    ``(1, d)`` row shared by the whole stack.  Rows of a stage are
+    register values (qubit 0 of the register is the most significant
+    bit), columns are target basis labels.
     """
     qmath._check_bits(m)
-    t = input_state.num_qubits
-    if unitaries.shape[-1] != input_state.dim:
-        raise ContractError(
-            f"unitary dim {unitaries.shape[-1]} does not match target dim {input_state.dim}"
-        )
+    count, dim, d = len(unitaries), 1 << m, inputs.shape[-1]
+    if unitaries.shape[-1] != d:
+        raise ContractError(f"unitary dim {unitaries.shape[-1]} does not match target dim {d}")
+    t = d.bit_length() - 1
     if m + t > qmath.MAX_QUBITS:
         raise CapacityError(
             f"{m}-qubit register plus {t}-qubit target exceeds the {qmath.MAX_QUBITS}-qubit cap"
         )
-    count, dim, d = len(unitaries), 1 << m, input_state.dim
     stage = np.empty((count, dim, d), dtype=complex)
-    stage[:] = np.outer(np.full(dim, 1.0 / np.sqrt(dim)), input_state.amplitudes)
+    np.multiply(np.full((dim, 1), 1.0 / np.sqrt(dim)), inputs[:, None], out=stage)
     # squares[e] = U^(2^e); register qubit j controls U^(2^(m-1-j)).
     squares = _squaring_ladder(unitaries, m)
     for j in range(m):
@@ -548,11 +549,10 @@ def _controlled_stage(unitaries: np.ndarray, input_state: StateVector, m: int) -
     return stage
 
 
-def _register_readout(
-    unitaries: np.ndarray, input_state: StateVector, m: int, coherence: float | None
-):
+def _register_readout(unitaries: np.ndarray, inputs: np.ndarray, m: int, coherence: float | None):
     """Outcome weights of the register and its conditional targets, for
-    each unitary of a ``(T, d, d)`` stack on one input state.
+    each unitary of a ``(T, d, d)`` stack on its row of ``inputs``
+    (``(T, d)`` amplitudes, or one ``(1, d)`` row shared by the stack).
 
     The inverse Fourier transform on the register, entries
     2^(-m/2) e^{-2i pi jk / 2^m}, is exactly the orthonormal FFT along
@@ -567,12 +567,12 @@ def _register_readout(
     Returns the ``(T, 2^m)`` unnormalized weights and ``targets(xs)``:
     row t's target conditioned on outcome ``xs[t]``, normalized and not
     yet checked, as ``(T, d)`` amplitudes, or ``(T, d, d)`` density
-    matrices when ``coherence`` is a number.  Each row has the bits of a
-    one-matrix stack's.
+    matrices when ``coherence`` is a number.  Each row has the bits of
+    its unitary read alone on its input row, as a one-row stack.
     """
     if coherence is not None and not 0.0 <= coherence <= 1.0:
         raise ContractError(f"coherence must lie in [0, 1], got {coherence!r}")
-    stage = _controlled_stage(unitaries, input_state, m)
+    stage = _controlled_stage(unitaries, inputs, m)
     rotated = np.fft.fft(stage, axis=1, norm="ortho")
     weights = np.sum(np.abs(rotated) ** 2, axis=-1)
     rows = np.arange(len(stage))
@@ -610,7 +610,8 @@ def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     binary digits (most significant first) are the phase bits.  The
     target is traced out, so the table is exact for any input.
     """
-    probs = _register_readout(spec.unitary.matrix[None], spec.input_state, m, None)[0][0]
+    inputs = spec.input_state.amplitudes[None]
+    probs = _register_readout(spec.unitary.matrix[None], inputs, m, None)[0][0]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"distribution does not sum to 1: {total!r}")
@@ -631,7 +632,9 @@ def collapse_project(
     control's coherence survives; it is None for an outcome that never
     occurs.
     """
-    weights, targets = _register_readout(unitary.matrix[None], input_state, m, coherence)
+    weights, targets = _register_readout(
+        unitary.matrix[None], input_state.amplitudes[None], m, coherence
+    )
     if not 0 <= outcome < weights.shape[1]:
         raise ContractError(f"outcome {outcome} out of range for m={m}")
     prob = float(weights[0, outcome])
@@ -654,7 +657,9 @@ def _collapse_draws(
     drawn.  Returns the outcomes, ``probs`` and the readout's
     ``targets``, whose one row is ``unitary``'s.
     """
-    weights, targets = _register_readout(unitary.matrix[None], input_state, m, coherence)
+    weights, targets = _register_readout(
+        unitary.matrix[None], input_state.amplitudes[None], m, coherence
+    )
     weights = weights[0]
     total = float(weights.sum())
     # A NaN total fails the comparison too, so a NaN or infinite weight is refused.

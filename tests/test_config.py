@@ -416,7 +416,7 @@ class TestConfigObject:
             {"seed": 1 << 64},
             {"trials": -1},
             {"provider": "optical"},
-            {"noise": NoiseSpec(0.5, float("inf"))},
+            {"noise": NoiseSpec(0.5, 3.0)},  # ipea reads no noise row
             {"mode": "qpe_full", "trials": 7},
             {"mode": "montecarlo", "trials": 0},
             {"mode": "qpe_full", "seed": 9},

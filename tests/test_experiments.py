@@ -180,9 +180,18 @@ class TestFig5:
         with pytest.raises(ContractError, match=f"resamples must be >= 1, got {resamples}"):
             run_fig5(shots=100, resamples=resamples)
 
+    def test_a_panel_that_never_fires_is_refused(self, monkeypatch):
+        # At 0 degrees H and V are the plate's eigenstates, so H never reads
+        # outcome 1 and V never reads 0; the first such panel is named, its
+        # label printed as a plain str.
+        monkeypatch.setattr(experiments, "_FIG5_ANGLES", (0.0,))
+        with pytest.raises(ContractError) as refused:
+            run_fig5(noise=None, shots=0)
+        assert str(refused.value) == "panel input 'H' never yields outcome 1"
+
     def test_each_stage_is_checked_once(self, monkeypatch):
-        # The nine panels run as stacks: one register readout per input
-        # state (H and V), one unitarity check of the nine Jones matrices,
+        # The nine panels run as stacks: one register readout of the nine
+        # input rows, one unitarity check of the nine Jones matrices,
         # one density check of the collapsed targets and one of the
         # bootstrap's resamples, besides the nine report states.
         calls = dict.fromkeys(("check_density", "check_unitary", "_register_readout"), 0)
@@ -196,7 +205,7 @@ class TestFig5:
             monkeypatch.setattr(module, name, counted)
         panels = run_fig5()
         assert calls == {"check_density": 2 + len(panels), "check_unitary": 1,
-                         "_register_readout": 2}
+                         "_register_readout": 1}
 
 
 class TestMontecarlo:
@@ -711,7 +720,7 @@ def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherenc
             qpe.collapse_run(unitary, target, m, derive_rng(seed, t), coherence)
             for t in range(trials)
         ]
-    weights = edged_readout(unitary.matrix[None], target, m, coherence)[0][0]
+    weights = edged_readout(unitary.matrix[None], target.amplitudes[None], m, coherence)[0][0]
     probs = weights / weights.sum()
     assert len(rows) == trials
     for t, (row, run) in enumerate(zip(rows, runs)):

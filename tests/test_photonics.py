@@ -278,8 +278,11 @@ class TestNoise:
     def test_noise_spec_bounds(self):
         with pytest.raises(ContractError):
             NoiseSpec(distinguishability=1.2)
-        with pytest.raises(ContractError):
-            NoiseSpec(angle_jitter_sigma_deg=-0.1)
+        # An infinite sigma used to pass, and only failed later on a jittered plate.
+        for sigma in (-0.1, float("inf"), float("nan")):
+            message = f"^angle_jitter_sigma_deg must be finite and >= 0, got {sigma}$"
+            with pytest.raises(ContractError, match=message):
+                NoiseSpec(0.5, sigma)
 
     def test_jitter_respects_sigma_zero(self):
         plates = (WaveplateSpec("HWP", 30.0), WaveplateSpec("QWP", 10.0))

@@ -687,39 +687,45 @@ def test_controlled_stage_equals_the_masked_reference(seed, num_qubits, m, coher
     u = haar_unitary(1 << num_qubits, rng)
     target = random_state(num_qubits, rng)
     stack = u.matrix[None]
+    inputs = target.amplitudes[None]
     reference = reference_controlled_stage(u, target, m)
-    assert np.array_equal(_controlled_stage(stack, target, m)[0], reference)
-    weights, conditional = _register_readout(stack, target, m, coherence)
+    assert np.array_equal(_controlled_stage(stack, inputs, m)[0], reference)
+    weights, conditional = _register_readout(stack, inputs, m, coherence)
     with mock.patch.object(qpe, "_controlled_stage", lambda *args: reference[None]):
-        ref_weights, ref_conditional = _register_readout(stack, target, m, coherence)
+        ref_weights, ref_conditional = _register_readout(stack, inputs, m, coherence)
     assert np.array_equal(weights, ref_weights)
     x = [int(np.argmax(weights))]
     assert np.array_equal(conditional(x), ref_conditional(x))
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=3, count=4, num_qubits=2, m=5, coherence=None, shared=False)
+@example(seed=4, count=9, num_qubits=1, m=1, coherence=0.5, shared=False)
 @given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 9),
-    st.integers(1, 2),
-    st.integers(1, 10),
-    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 9),
+    num_qubits=st.integers(1, 2),
+    m=st.integers(1, 10),
+    coherence=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    shared=st.booleans(),
 )
-def test_stacked_readout_equals_one_matrix_readouts(seed, count, num_qubits, m, coherence):
-    # fig5 reads a stack of unitaries on one input state in one readout;
-    # each row's stage, weights and conditional target must have the bits
-    # of that unitary read alone, as a one-matrix stack.
+def test_stacked_readout_equals_one_matrix_readouts(seed, count, num_qubits, m, coherence, shared):
+    # fig5 reads a stack of unitaries, each on its own input row, in one
+    # readout; a collapse table reads one unitary on one shared row.  Each
+    # row's stage, weights and conditional target must have the bits of
+    # that unitary read alone on that input, as a one-matrix stack.
     rng = derive_rng(seed)
     stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(count)])
-    target = random_state(num_qubits, rng)
+    rows = 1 if shared else count
+    inputs = np.stack([random_state(num_qubits, rng).amplitudes for _ in range(rows)])
     xs = rng.integers(0, 1 << m, size=count)
-    stage = _controlled_stage(stack, target, m)
-    weights, targets = _register_readout(stack, target, m, coherence)
+    stage = _controlled_stage(stack, inputs, m)
+    weights, targets = _register_readout(stack, inputs, m, coherence)
     conditional = targets(xs)
     for t in range(count):
-        one = Unitary(stack[t]).matrix[None]
-        assert np.array_equal(stage[t], _controlled_stage(one, target, m)[0])
-        one_weights, one_targets = _register_readout(one, target, m, coherence)
+        one, row = Unitary(stack[t]).matrix[None], inputs[t % rows][None]
+        assert np.array_equal(stage[t], _controlled_stage(one, row, m)[0])
+        one_weights, one_targets = _register_readout(one, row, m, coherence)
         assert np.array_equal(weights[t], one_weights[0])
         assert np.array_equal(conditional[t], one_targets(xs[t : t + 1])[0])
 
@@ -979,7 +985,8 @@ def test_exact_posteriors_add_in_branch_order():
 def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
     # Per chunk: the matrix provider squares m - 1 times and applies the
     # stacked powers to the target once; the photonic provider prepares its
-    # input once and runs one cascade of 2^(m-1) passes.
+    # input once and runs one cascade of 2^(m-1) passes, each one np.matmul
+    # into a buffer for a stack and one 2-D dot for a single trial.
     # A round then makes no matrix product: it only applies its rotation.
     class Counting(np.ndarray):
         products = 0  # matrix products with a counted stack as left factor
@@ -987,6 +994,10 @@ def test_chunk_rounds_build_each_power_once(monkeypatch, provider, m):
         def __matmul__(self, other):
             Counting.products += 1
             return (np.asarray(self) @ np.asarray(other)).view(Counting)
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            Counting.products += ufunc is np.matmul
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
         def dot(self, other, out=None):
             Counting.products += 1
@@ -1050,21 +1061,25 @@ def test_provider_rounds_refuse_bits_outside_the_limit(provider, m):
 )
 def test_one_trial_cascade_equals_its_row_of_a_stacked_cascade(seed, num_qubits, m, row):
     # A one-trial chunk steps a vector through 2-D dot between two reused
-    # buffers.  Each of its rungs must be, bit for bit and in the same
-    # (T, d, 1) shape, the trial's rung inside a stacked 3-trial cascade, up
-    # to the 2^15 passes of m = 16, and own its memory: no rung may alias a
-    # buffer or another rung.
+    # buffers, a 3-trial chunk a stack through matmul.  Both return the
+    # rung-major state: row (k - 1) * T + t is trial t's prepared state with
+    # its blue rails k rungs in.  Each of the one-trial run's m rows must
+    # have the bits of its trial's row in every block of the 3-trial run, up
+    # to the 2^15 passes of m = 16, and everything off the blue rails must
+    # stay the prepared input's, in a new array.
     rng = derive_rng(seed)
     stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(3)])
     prepared = photonics._prepare(random_state(num_qubits, rng).amplitudes, 3)
     stacked = photonics._blue_ladder(prepared, stack, m)
     alone = photonics._blue_ladder(prepared[row : row + 1], stack[row : row + 1], m)
-    assert len(alone) == len(stacked) == m
-    for one, three in zip(alone, stacked):
-        assert (one.shape, three.shape) == ((1, 1 << num_qubits, 1), (3, 1 << num_qubits, 1))
-        assert np.array_equal(one[0], three[row])
-    for i, one in enumerate(alone):
-        assert not any(np.shares_memory(one, other) for other in alone[i + 1 :])
+    assert alone.shape == (m,) + prepared.shape[1:]
+    assert stacked.shape == (3 * m,) + prepared.shape[1:]
+    assert alone.tobytes() == stacked[row::3].tobytes()
+    blue = photonics._rails(num_qubits, 1)
+    rest = stacked.reshape((m,) + prepared.shape).copy()
+    rest[(slice(None),) + blue] = prepared[blue]
+    assert np.array_equal(rest, np.broadcast_to(prepared, rest.shape))
+    assert not np.shares_memory(stacked, prepared)
 
 
 @pytest.mark.parametrize("m", range(9, 17))
