@@ -278,7 +278,7 @@ class TestNoise:
     def test_noise_spec_bounds(self):
         with pytest.raises(ContractError):
             NoiseSpec(distinguishability=1.2)
-        # An infinite sigma used to pass, and only failed later on a jittered plate.
+        # refused here, not later on a jittered plate
         for sigma in (-0.1, float("inf"), float("nan")):
             message = f"^angle_jitter_sigma_deg must be finite and >= 0, got {sigma}$"
             with pytest.raises(ContractError, match=message):

@@ -1062,11 +1062,11 @@ def test_provider_rounds_refuse_bits_outside_the_limit(provider, m):
 def test_one_trial_cascade_equals_its_row_of_a_stacked_cascade(seed, num_qubits, m, row):
     # A one-trial chunk steps a vector through 2-D dot between two reused
     # buffers, a 3-trial chunk a stack through matmul.  Both return the
-    # rung-major state: row (k - 1) * T + t is trial t's prepared state with
-    # its blue rails k rungs in.  Each of the one-trial run's m rows must
-    # have the bits of its trial's row in every block of the 3-trial run, up
-    # to the 2^15 passes of m = 16, and everything off the blue rails must
-    # stay the prepared input's, in a new array.
+    # rung-major state: row (k - 1) * T + t is trial t's prepared state
+    # with its blue rails after 2^(k-1) passes.  Each of the one-trial
+    # run's m rows must have the bits of its trial's row in every block of
+    # the 3-trial run, up to the 2^15 passes of m = 16, and everything off
+    # the blue rails must stay the prepared input's, in a new array.
     rng = derive_rng(seed)
     stack = np.stack([haar_unitary(1 << num_qubits, rng).matrix for _ in range(3)])
     prepared = photonics._prepare(random_state(num_qubits, rng).amplitudes, 3)
