@@ -14,7 +14,12 @@ The list covers, each in CSV and in JSON:
 * ``fig4`` with and without ``--exact``, for each provider;
 * ``fig5`` at its defaults and with ``--shots 0 --no-noise``;
 * ``montecarlo`` at its defaults for each provider, and with ``--dyadic``;
-* a few refused flags, which exit 2.
+* the ``CONFIGS`` texts, paths the above miss: ``run`` of a Monte Carlo
+  config, an explicit ``unitary matrix``, a ``qwp`` train, an oracle
+  that cannot pick an eigenphase, and configs refused at parse time;
+* a few refused flags, which exit 2;
+* and, once without ``--format``, a config whose ``output`` directive
+  picks JSON.
 
 Every run goes through ``ipea_sim.cli.main`` in one process.  A line
 holds the run's label (the op's name or its argv, never a temporary
@@ -54,7 +59,23 @@ REFUSED = (
     ["fig5", "--no-noise", "--noise-p", "0.9"],
     ["montecarlo", "--bits", "17"],
     ["montecarlo", "--trials", "0"],
+    ["fig5", "--shots", "-1"],
 )
+# Config texts, each run as ``run NAME.cfg``: one per path the workloads and
+# configs/ leave out.  The parse-time refusals exit 2.
+CONFIGS = {
+    "montecarlo": "mode montecarlo\nbits 4\ntrials 300\nreps 3\nseed 9\n",
+    "unitary-matrix": "mode ipea\nunitary matrix 0.6,0 0,0.8 0,0.8 0.6,0\nbits 5\ntrials 6\n"
+                      "seed 2\nprovider matrix\neigenstate D\n",
+    "qwp-train": "mode ipea\nunitary hwp 10 qwp 35 hwp 80\nbits 4\ntrials 5\nseed 3\n",
+    "degenerate-oracle": "mode ipea\nunitary hwp 30\nbits 3\ntrials 4\neigenstate R\n",
+    "unknown-directive": "mode ipea\nunitary hwp 0\ncolour red\n",
+    "duplicate-directive": "mode ipea\nunitary hwp 0\nbits 3\nbits 4\n",
+    "unread-directive": "mode qpe_full\nunitary hwp 0\nreps 3\n",
+    "non-numeric": "mode ipea\nunitary hwp 0 hwp forty\n",
+    "collapse-trials-0": "mode collapse\nunitary hwp 30\ntrials 0\n",
+    "output-json": "mode qpe_full\nunitary hwp 0 hwp 30\nbits 3\noutput json\n",
+}
 
 
 def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -79,7 +100,13 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
     studies += [["fig5"], ["fig5", "--shots", "0", "--no-noise"]]
     studies += [["montecarlo", "--provider", p, *dyadic] for p in PROVIDERS for dyadic in ([], ["--dyadic"])]
     listed += [(" ".join(argv), argv) for argv in studies + list(REFUSED)]
-    return [(f"{label} [{fmt}]", [*argv, "--format", fmt]) for label, argv in listed for fmt in FORMATS]
+    for name, text in CONFIGS.items():
+        path = config_dir / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        listed.append((f"run {name}.cfg", ["run", str(path)]))
+    formatted = [(f"{label} [{fmt}]", [*argv, "--format", fmt])
+                 for label, argv in listed for fmt in FORMATS]
+    return formatted + [("run output-json.cfg", ["run", str(config_dir / "output-json.cfg")])]
 
 
 def _sha(text: str) -> str:

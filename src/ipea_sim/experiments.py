@@ -21,9 +21,9 @@ either prints.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, is_dataclass
 from functools import cache, partial
 from itertools import chain, product
 
@@ -74,17 +74,6 @@ FIG4_THETAS = tuple(float(t) for t in range(0, 180, 15))
 FIG4_BITS = 3
 FIG4_SUCCESS_THRESHOLD = 2.0 ** -(FIG4_BITS + 1)
 
-FIG4_FIELDS = (
-    "theta1_deg",
-    "theta2_deg",
-    "phi_oracle",
-    "bits",
-    "phi_est",
-    "circ_error",
-    "p_branch_frac",
-    "success",
-)
-
 FIG5_FIELDS = (
     "panel",
     "hwp_deg",
@@ -120,7 +109,7 @@ QPE_FULL_FIELDS = ("bits", "probability")
 COLLAPSE_FIELDS = ("trial", "bits", "phi_est", "outcome_probability")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunRecord:
     """One estimation run in the waveplate-sweep table."""
 
@@ -134,7 +123,10 @@ class RunRecord:
     success: bool | None
 
 
-@dataclass(frozen=True, eq=False)
+FIG4_FIELDS = tuple(field.name for field in dataclasses.fields(RunRecord))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class PanelResult:
     """One eigenstate-generation panel plus its tomography report."""
 
@@ -159,7 +151,7 @@ class PanelResult:
         return self.report.shots_per_basis
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Columns:
     """A table held as one list of cells per field, in the order of the
     fields it is emitted with; every list has one cell per row."""
@@ -287,7 +279,7 @@ def run_fig5(
     """
     if shots < 0:
         raise ContractError(f"shots must be >= 0, got {shots}")
-    coherence = 1.0 if noise is None else float(noise.distinguishability)
+    coherence = 1.0 if noise is None else noise.distinguishability
     panels = [(case, theta) for case in _FIG5_CASES for theta in _FIG5_ANGLES]
     trains = [(WaveplateSpec("HWP", theta),) for _, theta in panels]
     if noise is not None and noise.angle_jitter_sigma_deg > 0.0:
@@ -400,18 +392,9 @@ def run_montecarlo(
         successes = _montecarlo_pass(
             m, trials, seed, provider, reps_per_bit, stream, dyadic
         )
-        low, high = wilson_interval(successes, trials)
-        rows.append(
-            {
-                "m": m,
-                "trials": trials,
-                "reps_per_bit": reps_per_bit,
-                "successes": successes,
-                "success_rate": successes / trials,
-                "wilson_low": low,
-                "wilson_high": high,
-            }
-        )
+        low, high = wilson_interval(successes, trials)  # refuses trials 0 before the rate
+        cells = (m, trials, reps_per_bit, successes, successes / trials, low, high)
+        rows.append(dict(zip(MONTECARLO_FIELDS, cells)))
     return rows
 
 
@@ -492,7 +475,8 @@ def _columns(records: list, fields: tuple) -> list[list]:
     """One column per field, each cell read once: ``record[f]`` of a dict,
     ``getattr(record, f)`` of a dataclass."""
     for record in records:
-        if not isinstance(record, dict) and (not is_dataclass(record) or isinstance(record, type)):
+        instance = dataclasses.is_dataclass(record) and not isinstance(record, type)
+        if not (isinstance(record, dict) or instance):
             raise ContractError(f"cannot tabulate {type(record).__name__}")
     readers = [r.__getitem__ if isinstance(r, dict) else partial(getattr, r) for r in records]
     try:

@@ -177,15 +177,18 @@ class NoiseSpec:
     angle_jitter_sigma_deg: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 <= float(self.distinguishability) <= 1.0:
+        p, sigma = float(self.distinguishability), float(self.angle_jitter_sigma_deg)
+        if not 0.0 <= p <= 1.0:
             raise ContractError(
                 f"distinguishability must lie in [0, 1], got {self.distinguishability!r}"
             )
-        if not 0.0 <= float(self.angle_jitter_sigma_deg) < np.inf:
+        if not 0.0 <= sigma < np.inf:
             raise ContractError(
                 "angle_jitter_sigma_deg must be finite and >= 0, "
                 f"got {self.angle_jitter_sigma_deg!r}"
             )
+        object.__setattr__(self, "distinguishability", p)
+        object.__setattr__(self, "angle_jitter_sigma_deg", sigma)
 
 
 def _hwp(theta_deg: float) -> np.ndarray:
@@ -318,10 +321,7 @@ def _blue_ladder(arr: np.ndarray, unitaries: np.ndarray, m: int) -> np.ndarray:
     qmath._check_bits(m)
     count = arr.shape[0]
     n = _num_targets(arr)
-    if unitaries.shape[-1] != 1 << n:
-        raise ContractError(
-            f"unitary dim {unitaries.shape[-1]} does not match {n} target(s)"
-        )
+    qmath._check_dims(unitaries.shape[-1], 1 << n)
     if count == 1:
         step, shape = unitaries[0].dot, (-1,)
     else:
@@ -487,7 +487,7 @@ def jitter_waveplates(
     plates, noise: NoiseSpec, rng: np.random.Generator
 ) -> tuple[WaveplateSpec, ...]:
     """Perturb each plate angle by a Gaussian of the configured sigma."""
-    sigma = float(noise.angle_jitter_sigma_deg)
+    sigma = noise.angle_jitter_sigma_deg
     out = []
     for plate in plates:
         if not isinstance(plate, WaveplateSpec):

@@ -4,9 +4,10 @@ Validated states, operators and density matrices; the batch checks that
 the containers and the engines apply to whole arrays (``check_normalized``
 for states, ``check_unitary`` for operators, ``check_density`` for
 density matrices); the fidelity measure; and the per-trial random
-streams shared by the estimation, photonics, and tomography layers.  Everything here is a pure function over immutable
-values; randomness enters only through explicitly passed generators
-and trial streams.
+streams shared by the estimation, photonics, and tomography layers.
+Everything but ``TrialStreams``, which keeps an offset and a buffered
+window, is an immutable value or a pure function; randomness enters
+only through explicitly passed generators and trial streams.
 
 Conventions
 -----------
@@ -87,6 +88,11 @@ def _check_capacity(count: int, what: str) -> None:
 def _check_bits(m: int) -> None:
     if not 1 <= m <= MAX_BITS:
         raise ContractError(f"bit count m must lie in 1..{MAX_BITS}, got {m}")
+
+
+def _check_dims(unitary_dim: int, target_dim: int) -> None:
+    if unitary_dim != target_dim:
+        raise ContractError(f"unitary dim {unitary_dim} does not match target dim {target_dim}")
 
 
 def as_complex_matrix(entries) -> np.ndarray:

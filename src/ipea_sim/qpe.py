@@ -140,11 +140,7 @@ class EigenproblemSpec:
     input_state: StateVector
 
     def __post_init__(self):
-        if self.unitary.dim != self.input_state.dim:
-            raise ContractError(
-                f"unitary dim {self.unitary.dim} does not match "
-                f"target dim {self.input_state.dim}"
-            )
+        qmath._check_dims(self.unitary.dim, self.input_state.dim)
 
 
 class BatchEstimate(NamedTuple):
@@ -206,10 +202,7 @@ class MatrixProvider:
 
     def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
         qmath._check_bits(m)
-        if unitaries.shape[-1] != target.dim:
-            raise ContractError(
-                f"unitary dim {unitaries.shape[-1]} does not match target dim {target.dim}"
-            )
+        qmath._check_dims(unitaries.shape[-1], target.dim)
         count, dim = len(unitaries), target.dim
         # Round k's rung is every trial's U^(2^(k-1)) applied to the target.
         powered = np.stack(_squaring_ladder(unitaries, m)) @ target.amplitudes[:, None]
@@ -393,10 +386,7 @@ def _ipea_engine(
     qmath._check_bits(m)
     shared = None
     if isinstance(unitaries, Unitary):
-        if unitaries.dim != target.dim:
-            raise ContractError(
-                f"unitary dim {unitaries.dim} does not match target dim {target.dim}"
-            )
+        qmath._check_dims(unitaries.dim, target.dim)
         # Built once, for one trial: a stacked product computes each matrix
         # alone, so these are the bits of every trial's rounds in a stack.
         shared = _chunk_rounds(provider, unitaries.matrix[None], target, m)
@@ -466,29 +456,29 @@ def _exact_batch(unitaries, target: StateVector, m: int, provider):
     ``Unitary``): the numerators and the ``(T, m)`` posteriors, row t in the
     order trial t's rounds ran.  A chunk holds as many trials as a reps-1
     sampled one."""
-    posts: list[np.ndarray] = []  # each chunk's (m, 2, T) posterior pairs, in round order
+    trials = 1 if isinstance(unitaries, Unitary) else len(unitaries)
+    posteriors = np.empty((trials, m))
 
     def argmax(rounds, chunk: slice):
         _, weight, labels = rounds
         q = np.array([label == "Q" for label in labels])
         totals = _branch_totals(weight)
-        post = np.empty((m, 2, weight.shape[1]))
-        posts.append(post)
+        chosen = posteriors[chunk]  # a view, which each round's column is written into
 
         def decide(k: int, pairs: np.ndarray) -> np.ndarray:
             # (P(bit 0), P(bit 1)) of every branch, a Q branch's pair swapped
             table = np.where(q, pairs[::-1], pairs)
-            np.divide(_branch_totals(weight[k - 1] * table), totals[k - 1], out=post[m - k])
-            return post[m - k, 1] > post[m - k, 0]
+            post = _branch_totals(weight[k - 1] * table) / totals[k - 1]
+            # the chosen bit's posterior: the larger, as both are finite
+            np.maximum(post[0], post[1], out=chosen[:, m - k])
+            return post[1] > post[0]
 
         return decide
 
-    trials = 1 if isinstance(unitaries, Unitary) else len(unitaries)
     numerators = _ipea_engine(
         unitaries, target, m, resolve_provider(provider), trials, batch_trials(1), argmax
     )
-    post0, post1 = np.concatenate(posts, axis=2).swapaxes(0, 1)
-    return numerators, np.where(post1 > post0, post1, post0).T
+    return numerators, posteriors
 
 
 def ipea_run(
@@ -529,8 +519,7 @@ def _controlled_stage(unitaries: np.ndarray, inputs: np.ndarray, m: int) -> np.n
     """
     qmath._check_bits(m)
     count, dim, d = len(unitaries), 1 << m, inputs.shape[-1]
-    if unitaries.shape[-1] != d:
-        raise ContractError(f"unitary dim {unitaries.shape[-1]} does not match target dim {d}")
+    qmath._check_dims(unitaries.shape[-1], d)
     t = d.bit_length() - 1
     if m + t > qmath.MAX_QUBITS:
         raise CapacityError(
@@ -595,12 +584,21 @@ def _register_readout(unitaries: np.ndarray, inputs: np.ndarray, m: int, coheren
     return weights, targets
 
 
-def _checked_target(input_state: StateVector, target: np.ndarray):
-    """One conditional target of ``_register_readout``, validated: a
-    StateVector for amplitudes, a DensityMatrix for a matrix."""
-    if target.ndim == 1:
-        return StateVector(input_state.num_qubits, target)
-    return qmath.DensityMatrix.from_matrix(target)
+def _readout(unitary: Unitary, input_state: StateVector, m: int, coherence: float | None):
+    """``_register_readout`` of one matrix on one input: the ``(2^m,)``
+    weights and ``target(x)``, outcome x's conditional target, validated:
+    a StateVector when ``coherence`` is None, a DensityMatrix otherwise."""
+    weights, targets = _register_readout(
+        unitary.matrix[None], input_state.amplitudes[None], m, coherence
+    )
+
+    def target(x: int):
+        state = targets([x])[0]
+        if coherence is None:
+            return StateVector(input_state.num_qubits, state)
+        return qmath.DensityMatrix.from_matrix(state)
+
+    return weights[0], target
 
 
 def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
@@ -610,8 +608,7 @@ def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     binary digits (most significant first) are the phase bits.  The
     target is traced out, so the table is exact for any input.
     """
-    inputs = spec.input_state.amplitudes[None]
-    probs = _register_readout(spec.unitary.matrix[None], inputs, m, None)[0][0]
+    probs = _readout(spec.unitary, spec.input_state, m, None)[0]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"distribution does not sum to 1: {total!r}")
@@ -632,15 +629,13 @@ def collapse_project(
     control's coherence survives; it is None for an outcome that never
     occurs.
     """
-    weights, targets = _register_readout(
-        unitary.matrix[None], input_state.amplitudes[None], m, coherence
-    )
-    if not 0 <= outcome < weights.shape[1]:
+    weights, target = _readout(unitary, input_state, m, coherence)
+    if not 0 <= outcome < weights.size:
         raise ContractError(f"outcome {outcome} out of range for m={m}")
-    prob = float(weights[0, outcome])
+    prob = float(weights[outcome])
     if prob <= qmath.NEVER_OCCURS:
         return 0.0, None
-    return prob, _checked_target(input_state, targets([outcome])[0])
+    return prob, target(outcome)
 
 
 def _collapse_draws(
@@ -654,13 +649,9 @@ def _collapse_draws(
     tolerance).  Each trial takes one uniform from its row of ``draws``
     and its outcome is the number of entries of ``cdf = cumsum(probs) /
     cumsum(probs)[-1]`` at or below it, so a zero-width outcome is never
-    drawn.  Returns the outcomes, ``probs`` and the readout's
-    ``targets``, whose one row is ``unitary``'s.
+    drawn.  Returns the outcomes, ``probs`` and the readout's ``target``.
     """
-    weights, targets = _register_readout(
-        unitary.matrix[None], input_state.amplitudes[None], m, coherence
-    )
-    weights = weights[0]
+    weights, target = _readout(unitary, input_state, m, coherence)
     total = float(weights.sum())
     # A NaN total fails the comparison too, so a NaN or infinite weight is refused.
     probs = weights / total if 0.0 < total < np.inf else np.array([np.nan])
@@ -671,7 +662,7 @@ def _collapse_draws(
         )
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, targets
+    return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, target
 
 
 def collapse_run(
@@ -690,10 +681,9 @@ def collapse_run(
     outcome is ``rng.choice(2^m, p=probs)``, the one-trial case of a
     collapse table's draw.
     """
-    xs, probs, targets = _collapse_draws(unitary, input_state, m, _GeneratorDraws(rng), coherence)
+    xs, probs, target = _collapse_draws(unitary, input_state, m, _GeneratorDraws(rng), coherence)
     x = int(xs[0])
-    target = _checked_target(input_state, targets(xs)[0])
-    return CollapseResult(PhaseEstimate.from_numerator(x, m), target, float(probs[x]))
+    return CollapseResult(PhaseEstimate.from_numerator(x, m), target(x), float(probs[x]))
 
 
 def circular_distance(a, b):

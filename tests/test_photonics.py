@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import haar_unitary, phase_unitary, photonic_controlled_power, random_state
 from ipea_sim import photonics, qpe
+from ipea_sim.experiments import run_fig5
 from ipea_sim.photonics import (
     DegeneracyError,
     NoiseSpec,
@@ -283,6 +284,14 @@ class TestNoise:
             message = f"^angle_jitter_sigma_deg must be finite and >= 0, got {sigma}$"
             with pytest.raises(ContractError, match=message):
                 NoiseSpec(0.5, sigma)
+
+    @pytest.mark.parametrize("fields", [(0.95, "0.25"), (True, 0.25)], ids=["str", "bool"])
+    def test_noise_spec_stores_its_fields_as_floats(self, fields):
+        # stored as the floats they are checked as, so fig5 runs on them
+        noise = NoiseSpec(*fields)
+        assert noise == NoiseSpec(*map(float, fields))
+        assert {type(noise.distinguishability), type(noise.angle_jitter_sigma_deg)} == {float}
+        assert len(run_fig5(noise=noise, shots=0)) == 9
 
     def test_jitter_respects_sigma_zero(self):
         plates = (WaveplateSpec("HWP", 30.0), WaveplateSpec("QWP", 10.0))

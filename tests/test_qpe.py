@@ -1050,6 +1050,30 @@ def test_provider_rounds_refuse_bits_outside_the_limit(provider, m):
         resolve_provider(provider).rounds(stack, basis_state(1, 1), m)
 
 
+_EYE4 = np.eye(4, dtype=complex)
+_H = polarization_state("H")
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: EigenproblemSpec(Unitary(_EYE4), _H),
+        lambda: MatrixProvider().rounds(_EYE4[None], _H, 3),
+        lambda: photonics.PhotonicProvider().rounds(_EYE4[None], _H, 3),
+        lambda: apply_blue_unitary(prepare_entangled_input(_H), Unitary(_EYE4), 1),
+        lambda: ipea_batch(Unitary(_EYE4), _H, 3, 1, "matrix", derive_rng(0)),
+        lambda: collapse_run(Unitary(_EYE4), _H, 3, derive_rng(0)),
+        lambda: collapse_project(Unitary(_EYE4), _H, 3, 0),
+    ],
+    ids=["spec", "matrix-rounds", "photonic-rounds", "blue-unitary", "ipea-batch",
+         "collapse-run", "collapse-project"],
+)
+def test_a_mismatched_dimension_is_refused_in_one_wording(refuse):
+    # A 4x4 unitary on a one-qubit target: every entry names both dims alike.
+    with pytest.raises(ContractError, match="^unitary dim 4 does not match target dim 2$"):
+        refuse()
+
+
 @settings(max_examples=12, deadline=None)
 @example(seed=0, num_qubits=1, m=16, row=0)
 @example(seed=1, num_qubits=2, m=16, row=2)
