@@ -16,7 +16,9 @@ The list covers, each in CSV and in JSON:
 * ``montecarlo`` at its defaults for each provider, and with ``--dyadic``;
 * the ``CONFIGS`` texts, paths the above miss: ``run`` of a Monte Carlo
   config, an explicit ``unitary matrix``, a ``qwp`` train, an oracle
-  that cannot pick an eigenphase, and configs refused at parse time;
+  that cannot pick an eigenphase, configs refused at parse time, and a
+  matrix whose powers drift past the engines' checks, on each side of
+  the bits where ``ipea`` and ``qpe_full`` refuse it;
 * a few refused flags, which exit 2;
 * and, once without ``--format``, a config whose ``output`` directive
   picks JSON.
@@ -61,6 +63,9 @@ REFUSED = (
     ["montecarlo", "--trials", "0"],
     ["fig5", "--shots", "-1"],
 )
+# diag(1, e^{i pi/4}) to 11 digits: within 1e-10 of unitary, but its powers
+# drift past ipea's checks from bits 6 and past qpe_full's from bits 8.
+_DRIFTING = "unitary matrix 1,0 0,0 0,0 0.70710678119,0.70710678119\neigenstate V\n"
 # Config texts, each run as ``run NAME.cfg``: one per path the workloads and
 # configs/ leave out.  The parse-time refusals exit 2.
 CONFIGS = {
@@ -75,6 +80,12 @@ CONFIGS = {
     "non-numeric": "mode ipea\nunitary hwp 0 hwp forty\n",
     "collapse-trials-0": "mode collapse\nunitary hwp 30\ntrials 0\n",
     "output-json": "mode qpe_full\nunitary hwp 0 hwp 30\nbits 3\noutput json\n",
+    "drift-ipea-b5": f"mode ipea\n{_DRIFTING}bits 5\ntrials 3\nprovider matrix\n",
+    "drift-ipea-b6": f"mode ipea\n{_DRIFTING}bits 6\ntrials 3\nprovider matrix\n",
+    "drift-exact-b6": f"mode ipea\n{_DRIFTING}bits 6\ntrials 0\n",
+    "drift-qpe-full-b7": f"mode qpe_full\n{_DRIFTING}bits 7\n",
+    "drift-qpe-full-b8": f"mode qpe_full\n{_DRIFTING}bits 8\n",
+    "drift-collapse-b12": f"mode collapse\n{_DRIFTING}bits 12\ntrials 3\n",
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import MAX_BITS, ContractError, StateVector, Unitary
-from .qpe import DEFAULT_REPS, MAX_REPS
+from .qpe import DEFAULT_REPS, MAX_REPS, EigenproblemSpec, _exact_batch, qpe_full_distribution
 
 __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", "ParseError",
            "ExperimentConfig", "parse_experiment", "check_flag"]
@@ -254,7 +254,8 @@ def parse_experiment(text: str) -> ExperimentConfig:
 
     Raises ParseError with a line number for any malformed, unknown,
     duplicated, out-of-range or unread directive, and for cross-field
-    problems such as a montecarlo run with zero trials.
+    problems such as a montecarlo run with zero trials or a matrix whose
+    powers the run's engine would refuse.
     """
     lines: dict[str, int] = {}
     values: dict[str, object] = {}
@@ -285,4 +286,12 @@ def parse_experiment(text: str) -> ExperimentConfig:
             raise ParseError(reason, line)
     plates, matrix = values.pop("unitary", (None, None))
     fields = {_FIELD.get(key, key): value for key, value in values.items()}
-    return ExperimentConfig(plates=plates, matrix=matrix, **fields)
+    config = ExperimentConfig(plates=plates, matrix=matrix, **fields)
+    try:  # the engine's own check of the powers, which drift 2^(bits-1) times as far
+        if matrix is not None and mode == "ipea":  # the rounds check of either ipea mode
+            _exact_batch(matrix, config.input_state(), config.bits, config.provider)
+        elif matrix is not None and mode == "qpe_full":
+            qpe_full_distribution(EigenproblemSpec(matrix, config.input_state()), config.bits)
+    except ContractError as exc:
+        raise ParseError(f"unitary matrix powers fail the {mode} check ({exc})", lines["unitary"])
+    return config

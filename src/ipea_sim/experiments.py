@@ -286,7 +286,6 @@ def run_fig5(
         trains = [jitter_waveplates(train, noise, derive_rng(seed, i, 0))
                   for i, train in enumerate(trains)]
     stack = np.stack([_train_matrix(train) for train in trains])
-    qmath.check_unitary(stack)
     inputs = np.stack([polarization_state(label).amplitudes for (label, _), _ in panels])
     xs = np.array([outcome for (_, outcome), _ in panels])
     weights, targets = qpe._register_readout(stack, inputs, 1, coherence)
@@ -296,7 +295,6 @@ def run_fig5(
         (label, outcome), _ = panels[never[0]]
         raise ContractError(f"panel input {label!r} never yields outcome {outcome}")
     rhos = targets(xs)
-    qmath.check_density(rhos)
     ideals = np.stack([_hwp_eigenvector(theta, outcome) for (_, outcome), theta in panels])
     if shots == 0:
         estimates = tomography._bloch_matrices(tomography._expectations(rhos))
@@ -340,9 +338,12 @@ def _montecarlo_pass(
 ) -> int:
     # Each trial draws its phase and then every repetition from its own
     # stream; the trials run as batches of diag(1, e^{2 pi i phi}), each
-    # batch keyed in one pass.  The batches are ipea_batch's chunks, so one
-    # window holds a chunk's phase word and its rounds: one stream over every
-    # trial buffers fewer words a trial and refills once more per run.
+    # batch keyed in one pass.  The batches are ipea_batch's chunks of T
+    # trials, and one window of min(128, 2^18 // T) words a trial (88 at
+    # reps 11) holds a chunk's phase word and its rounds only while the
+    # 1 + m * reps * (2 photonic, 1 matrix) words fit: at reps 11, photonic
+    # m <= 3 and matrix m <= 7; past that each chunk refills twice.  One
+    # stream over every trial would buffer fewer words a trial, and refill more.
     prov = qpe.resolve_provider(provider)
     target = basis_state(1, 1)
     successes = 0
@@ -447,7 +448,7 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
     """Dispatch a parsed configuration; returns (table, field order).
 
     The table is ``Columns`` for ``ipea``, ``qpe_full`` and ``collapse``
-    and a list of row dicts for ``montecarlo``.
+    and a list of row dicts for ``montecarlo``, the one other valid mode.
     """
     effective_seed = config.seed if seed is None else seed
     if config.mode == "ipea":
@@ -459,16 +460,14 @@ def run_config(config: ExperimentConfig, seed: int | None = None):
         table = _collapse_rows(config.unitary(), config.input_state(), config.bits,
                                config.resolved_trials(), effective_seed, coherence)
         return table, COLLAPSE_FIELDS
-    if config.mode == "montecarlo":
-        rows = run_montecarlo(
-            m=config.bits,
-            trials=config.resolved_trials(),
-            seed=effective_seed,
-            provider=config.provider,
-            reps=config.reps_per_bit,
-        )
-        return rows, MONTECARLO_FIELDS
-    raise ContractError(f"unknown mode {config.mode!r}")
+    rows = run_montecarlo(
+        m=config.bits,
+        trials=config.resolved_trials(),
+        seed=effective_seed,
+        provider=config.provider,
+        reps=config.reps_per_bit,
+    )
+    return rows, MONTECARLO_FIELDS
 
 
 def _columns(records: list, fields: tuple) -> list[list]:

@@ -65,8 +65,6 @@ MAX_ROUND_UNIFORMS = 1 << 16
 MAX_REPS = MAX_ROUND_UNIFORMS // 2 - 1
 # Majority votes per bit when a run names none (the ``reps`` directive's default).
 DEFAULT_REPS = 11
-# How far from 1 Generator.choice lets a probability vector sum.
-_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 # <+| and <-| stacked to meet a (T, B, 2, d) rung as (2, T, B, 1, d) products.
@@ -644,22 +642,16 @@ def _collapse_draws(
     """One register readout and every trial's outcome, drawn as
     ``Generator.choice(2^m, p=probs)`` draws it from that trial's stream.
 
-    ``probs`` are the readout's weights over their sum, refused unless
-    they are non-negative, finite and sum to 1 (within ``choice``'s
-    tolerance).  Each trial takes one uniform from its row of ``draws``
-    and its outcome is the number of entries of ``cdf = cumsum(probs) /
-    cumsum(probs)[-1]`` at or below it, so a zero-width outcome is never
-    drawn.  Returns the outcomes, ``probs`` and the readout's ``target``.
+    ``probs`` are the readout's weights over their sum: squared moduli of
+    a finite stage, or their mix with the dephased trace, so finite,
+    non-negative and summing to about 1.  Each trial takes one uniform
+    from its row of ``draws`` and its outcome is the number of entries of
+    ``cdf = cumsum(probs) / cumsum(probs)[-1]`` at or below it, so a
+    zero-width outcome is never drawn.  Returns the outcomes, ``probs``
+    and the readout's ``target``.
     """
     weights, target = _readout(unitary, input_state, m, coherence)
-    total = float(weights.sum())
-    # A NaN total fails the comparison too, so a NaN or infinite weight is refused.
-    probs = weights / total if 0.0 < total < np.inf else np.array([np.nan])
-    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= _CHOICE_ATOL):
-        raise ContractError(
-            "register outcome probabilities must be non-negative, finite and sum to 1, "
-            f"got weights {weights.tolist()!r:.200}"
-        )
+    probs = weights / weights.sum()
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     return cdf.searchsorted(draws.uniforms(1)[:, 0], side="right"), probs, target

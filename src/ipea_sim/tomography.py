@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 BASES = ("X", "Y", "Z")
-BOOTSTRAP_BLOCK = 1 << 12  # resamples drawn and checked as one array
+BOOTSTRAP_BLOCK = 1 << 12  # resamples drawn and reconstructed as one array
 
 _PAULIS = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -179,9 +179,10 @@ def _bootstrap(
     fidelities against the pure target ``ideals[t]``, row t resampling
     its (X, Y, Z) plus counts from ``rngs[t]``.
 
-    Up to ``BOOTSTRAP_BLOCK`` resamples over all rows are drawn,
-    reconstructed and checked as one array, with the draws and roundings
-    of one at a time.
+    Up to ``BOOTSTRAP_BLOCK`` resamples over all rows are drawn and
+    reconstructed as one array, with the draws and roundings of one at a
+    time.  They need no check: ``binomial`` keeps each count in 0..shots,
+    and ``_bloch_matrices`` keeps each state physical.
     """
     if resamples < 1:
         raise ContractError(f"resamples must be >= 1, got {resamples}")
@@ -191,9 +192,6 @@ def _bootstrap(
     for start in range(0, resamples, step):
         size = (min(step, resamples - start), 3)
         redrawn = np.stack([rng.binomial(shots, p, size=size) for rng, p in zip(rngs, p_hat)])
-        if not np.all((redrawn >= 0) & (redrawn <= shots)):
-            raise ContractError(f"resampled counts fall outside 0..{shots}")
         rho = _reconstruct_plus(redrawn, shots)
-        qmath.check_density(rho)
         fids[:, start:start + size[0]] = qmath.fidelities(rho, ideals[:, None])
     return np.mean(fids, axis=1), np.std(fids, axis=1)

