@@ -13,7 +13,9 @@ The list covers, each in CSV and in JSON:
 * every ``configs/*.cfg``, with and without ``--seed 5``;
 * ``fig4`` with and without ``--exact``, for each provider;
 * ``fig5`` at its defaults and with ``--shots 0 --no-noise``;
-* ``montecarlo`` at its defaults for each provider, and with ``--dyadic``;
+* ``montecarlo`` at its defaults for each provider, and with ``--dyadic``,
+  and the ``MONTECARLO`` studies whose reps-11 chunk outgrows a 128-word
+  window a trial or whose trials split into several joint chunks;
 * the ``CONFIGS`` texts, paths the above miss: ``run`` of a Monte Carlo
   config, an explicit ``unitary matrix``, a ``qwp`` train, an oracle
   that cannot pick an eigenphase, configs refused at parse time, and a
@@ -63,6 +65,16 @@ REFUSED = (
     ["montecarlo", "--trials", "0"],
     ["fig5", "--shots", "-1"],
 )
+# Monte Carlo studies past the default's shape: a reps-11 trial reading more
+# than 128 words, 1 + m * 11 * (2 photonic, 1 matrix), at photonic m = 5 and
+# matrix m = 8, and studies that split into joint chunks of
+# 2^16 // (2 * (1 + reps)) trials: 3,000 = 2,730 + 270 at reps 11 and
+# 9,000 = 8,192 + 808 at reps 3.
+MONTECARLO = (
+    ["montecarlo", "--bits", "5", "--trials", "3000", "--provider", "photonic"],
+    ["montecarlo", "--bits", "8", "--trials", "3000", "--provider", "matrix"],
+    ["montecarlo", "--reps", "3", "--trials", "9000", "--dyadic"],
+)
 # diag(1, e^{i pi/4}) to 11 digits: within 1e-10 of unitary, but its powers
 # drift past ipea's checks from bits 6 and past qpe_full's from bits 8.
 _DRIFTING = "unitary matrix 1,0 0,0 0,0 0.70710678119,0.70710678119\neigenstate V\n"
@@ -110,7 +122,7 @@ def runs(config_dir: Path) -> list[tuple[str, list[str]]]:
     studies = [["fig4", *exact, "--provider", p] for p in PROVIDERS for exact in ([], ["--exact"])]
     studies += [["fig5"], ["fig5", "--shots", "0", "--no-noise"]]
     studies += [["montecarlo", "--provider", p, *dyadic] for p in PROVIDERS for dyadic in ([], ["--dyadic"])]
-    listed += [(" ".join(argv), argv) for argv in studies + list(REFUSED)]
+    listed += [(" ".join(argv), argv) for argv in studies + list(MONTECARLO) + list(REFUSED)]
     for name, text in CONFIGS.items():
         path = config_dir / f"{name}.cfg"
         path.write_text(text, encoding="utf-8")

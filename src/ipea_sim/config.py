@@ -19,7 +19,7 @@ import numpy as np
 
 from .photonics import NoiseSpec, WaveplateSpec, compose_waveplates, polarization_state
 from .qmath import MAX_BITS, ContractError, StateVector, Unitary
-from .qpe import DEFAULT_REPS, MAX_REPS, EigenproblemSpec, _exact_batch, qpe_full_distribution
+from .qpe import DEFAULT_REPS, MAX_REPS, _exact_batch, _readout
 
 __all__ = ["MODES", "COLUMNS", "DIRECTIVES", "MONTECARLO_TRIALS", "MAX_TRIALS", "ParseError",
            "ExperimentConfig", "parse_experiment", "check_flag"]
@@ -290,8 +290,9 @@ def parse_experiment(text: str) -> ExperimentConfig:
     try:  # the engine's own check of the powers, which drift 2^(bits-1) times as far
         if matrix is not None and mode == "ipea":  # the rounds check of either ipea mode
             _exact_batch(matrix, config.input_state(), config.bits, config.provider)
-        elif matrix is not None and mode == "qpe_full":
-            qpe_full_distribution(EigenproblemSpec(matrix, config.input_state()), config.bits)
+        elif matrix is not None:  # qpe_full and collapse: the register distribution's sum
+            coherence = None if config.noise is None else config.noise.distinguishability
+            _readout(matrix, config.input_state(), config.bits, coherence)
     except ContractError as exc:
         raise ParseError(f"unitary matrix powers fail the {mode} check ({exc})", lines["unitary"])
     return config

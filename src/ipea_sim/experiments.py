@@ -327,43 +327,6 @@ def run_fig5(
     ]
 
 
-def _montecarlo_pass(
-    m: int,
-    trials: int,
-    seed: int,
-    provider: str,
-    reps_per_bit: int,
-    stream: int,
-    dyadic: bool,
-) -> int:
-    # Each trial draws its phase and then every repetition from its own
-    # stream; the trials run as batches of diag(1, e^{2 pi i phi}), each
-    # batch keyed in one pass.  The batches are ipea_batch's chunks of T
-    # trials, and one window of min(128, 2^18 // T) words a trial (88 at
-    # reps 11) holds a chunk's phase word and its rounds only while the
-    # 1 + m * reps * (2 photonic, 1 matrix) words fit: at reps 11, photonic
-    # m <= 3 and matrix m <= 7; past that each chunk refills twice.  One
-    # stream over every trial would buffer fewer words a trial, and refill more.
-    prov = qpe.resolve_provider(provider)
-    target = basis_state(1, 1)
-    successes = 0
-    bound = 2.0**-m
-    step = qpe.batch_trials(reps_per_bit)
-    for start in range(0, trials, step):
-        draws = TrialStreams(seed, (stream,), range(start, min(trials, start + step)))
-        if dyadic:
-            phis = draws.integers(m) / (1 << m)
-        else:
-            phis = draws.uniforms(1)[:, 0]
-        stack = np.zeros((len(phis), 2, 2), dtype=complex)
-        stack[:, 0, 0] = 1.0
-        stack[:, 1, 1] = np.exp(2j * np.pi * phis)
-        batch = qpe.ipea_batch(stack, target, m, reps_per_bit, prov, draws)
-        errors = circular_distance(batch.numerators / (1 << m), phis)
-        successes += sum(error <= bound for error in errors)
-    return successes
-
-
 def run_montecarlo(
     m: int = DIRECTIVES["bits"].default,
     trials: int = MONTECARLO_TRIALS,
@@ -382,19 +345,42 @@ def run_montecarlo(
     ``m``, ``trials`` and ``reps`` are taken as Python ints, which the
     rows echo; any integer type passes, a non-integer is refused, and so
     are an ``m`` or ``reps`` the engine refuses, before any draw.
+
+    Pass p (single shot, then ``reps``) draws trial t's phase and then
+    every repetition from the stream (seed, p, t).  Both passes run in one
+    loop over chunks of trials: a chunk's phases of every pass become one
+    stack of diag(1, e^{2 pi i phi}), run as one engine run whose rounds
+    read at most ``qpe.MAX_ROUND_UNIFORMS`` uniforms.  Each stream states
+    its length, a phase word and 2 m reps uniforms, so each trial's key is
+    set once per pass.
     """
     m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))
     qmath._check_bits(m)
     qpe._check_reps(reps)
-    rows = []
     passes = (1,) if reps == 1 else (1, reps)
-    for stream, reps_per_bit in enumerate(passes):
-        successes = _montecarlo_pass(
-            m, trials, seed, provider, reps_per_bit, stream, dyadic
-        )
-        low, high = wilson_interval(successes, trials)  # refuses trials 0 before the rate
-        cells = (m, trials, reps_per_bit, successes, successes / trials, low, high)
+    prov = qpe.resolve_provider(provider)
+    target = basis_state(1, 1)
+    successes = np.zeros(len(passes), dtype=np.int64)
+    step = qpe.MAX_ROUND_UNIFORMS // (2 * sum(passes))
+    for start in range(0, trials, step):
+        chunk = range(start, min(trials, start + step))
+        groups = [(r, TrialStreams(seed, (stream,), chunk, 1 + 2 * m * r))
+                  for stream, r in enumerate(passes)]
+        if dyadic:
+            phis = np.concatenate([draws.integers(m) for _, draws in groups]) / (1 << m)
+        else:
+            phis = np.concatenate([draws.uniforms(1)[:, 0] for _, draws in groups])
+        stack = np.zeros((len(phis), 2, 2), dtype=complex)
+        stack[:, 0, 0] = 1.0
+        stack[:, 1, 1] = np.exp(2j * np.pi * phis)
+        numerators = qpe._vote_groups(stack, target, m, prov, groups)
+        hits = np.less_equal(circular_distance(numerators / (1 << m), phis), 2.0**-m)
+        successes += hits.reshape(len(passes), -1).sum(axis=1)
+    rows = []
+    for reps_per_bit, hits in zip(passes, successes.tolist()):
+        low, high = wilson_interval(hits, trials)  # refuses trials 0 before the rate
+        cells = (m, trials, reps_per_bit, hits, hits / trials, low, high)
         rows.append(dict(zip(MONTECARLO_FIELDS, cells)))
     return rows
 

@@ -59,9 +59,10 @@ CONSTRUCTION_TOL = 1e-10
 NEVER_OCCURS = 1e-24
 EIGENVALUE_FLOOR = -1e-8
 
-# A TrialStreams refill draws at most TRIAL_WINDOW_WORDS words per trial
-# (setting a trial's key costs about as much as drawing 100 words) and
-# about DRAW_WINDOW_WORDS (2 MiB) for all its trials together.
+# A TrialStreams refill of a run of unstated length draws at most
+# TRIAL_WINDOW_WORDS words per trial (setting a trial's key costs about as
+# much as drawing 100 words) and about DRAW_WINDOW_WORDS (2 MiB) for all
+# its trials together; a run that states its length refills once.
 TRIAL_WINDOW_WORDS = 128
 DRAW_WINDOW_WORDS = 1 << 18
 
@@ -387,14 +388,18 @@ class TrialStreams:
     so one word offset is the whole position of the run in its streams.
 
     Memory: a request that runs past the buffered words draws a new window
-    of ``max(count, min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // T))``
-    words for each of the T trials, 8 bytes a word, so a run buffers at
-    most ``max(T * count, DRAW_WINDOW_WORDS)`` words (2 MiB unless one
-    request is larger).
+    for each of the T trials, 8 bytes a word.  A run that states
+    ``length``, the words each trial reads in all, draws every word left,
+    ``max(count, length - offset)``, so each trial's key is set once and
+    the run buffers ``T * length`` words.  Otherwise the window is
+    ``max(count, min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // T))`` words,
+    so a run buffers at most ``max(T * count, DRAW_WINDOW_WORDS)`` words
+    (2 MiB unless one request is larger).
     """
 
-    def __init__(self, master_seed: int, stream, trials):
+    def __init__(self, master_seed: int, stream, trials, length: int | None = None):
         self.keys = _spawn_keys(master_seed, tuple(stream), trials)
+        self.length = length
         self.offset = 0
         self._window = np.empty((len(self.keys), 0), dtype=np.uint64)
         self._window_start = 0
@@ -412,8 +417,11 @@ class TrialStreams:
         """The next ``count`` raw 64-bit words of every trial, shape (T, count)."""
         ahead = self.offset - self._window_start
         if ahead + count > self._window.shape[1]:
-            per_trial = min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // max(len(self.keys), 1))
-            self._refill(max(count, per_trial))
+            if self.length is None:
+                left = min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // max(len(self.keys), 1))
+            else:
+                left = self.length - self.offset
+            self._refill(max(count, left))
             ahead = 0
         self.offset += count
         return self._window[:, ahead : ahead + count]

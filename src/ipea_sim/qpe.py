@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -364,48 +365,57 @@ class _GeneratorDraws:
         return self.rng.random(count)[None]
 
 
+def _entry_unitaries(unitaries, target: StateVector, m: int, trials: int):
+    """A caller's unitaries, checked where they enter an IPEA engine: one
+    ``Unitary`` (checked when built) of the target's dimension, or a
+    finite array of ``trials`` unitaries of that dimension, returned
+    C-ordered, as a stacked matmul's bits depend on its operands' layout."""
+    qmath._check_bits(m)
+    if isinstance(unitaries, Unitary):
+        qmath._check_dims(unitaries.dim, target.dim)
+        return unitaries
+    stack = np.ascontiguousarray(unitaries, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ContractError("matrix entries must be finite")
+    qmath.check_unitary(stack)
+    if stack.ndim != 3 or stack.shape[-1] != target.dim:
+        raise ContractError(
+            f"expected a stack of {target.dim}x{target.dim} unitaries, got shape {stack.shape}"
+        )
+    if trials != len(stack):
+        raise ContractError(f"{len(stack)} unitaries but {trials} trial stream(s)")
+    return stack
+
+
 def _ipea_engine(
     unitaries, target: StateVector, m: int, provider, trials: int, step: int, decider
 ) -> np.ndarray:
     """The numerators of a batch of ``trials`` IPEA trials, run chunk by
     chunk: the one round engine of sampled and exact mode.
 
-    Trial t estimates the phase of ``unitaries[t]`` (a (T, d, d) stack,
-    checked for unitarity once and built chunk by chunk, or one checked
-    ``Unitary`` shared by every trial, whose rounds are built once) on
-    ``target``, which the caller asserts is an eigenstate, with a resolved
-    ``provider``, and gets exactly the estimate it would get alone.  A
-    chunk holds at most ``step`` trials, and ``decider(rounds, chunk)``
-    turns its checked rounds into ``decide(k, pairs)`` for the trials of
-    the ``chunk`` slice.  Rounds run k = m down to 1, and ``decide`` turns
-    round k's measured pairs (``_round_pairs``) into every trial's bit,
-    which feeds that trial's next feedback rotation.
+    Trial t estimates the phase of ``unitaries[t]`` (a C-ordered (T, d, d)
+    stack whose rounds are built chunk by chunk, or one ``Unitary`` shared
+    by every trial, whose rounds are built once; either checked where it
+    entered) on ``target``, which the caller asserts is an eigenstate,
+    with a resolved ``provider``, and gets exactly the estimate it would
+    get alone.  A chunk holds at most ``step`` trials, and
+    ``decider(rounds, chunk)`` turns its checked rounds into
+    ``decide(k, pairs)`` for the trials of the ``chunk`` slice.  Rounds run
+    k = m down to 1, and ``decide`` turns round k's measured pairs
+    (``_round_pairs``) into every trial's bit, which feeds that trial's
+    next feedback rotation.
     """
-    qmath._check_bits(m)
     shared = None
     if isinstance(unitaries, Unitary):
-        qmath._check_dims(unitaries.dim, target.dim)
         # Built once, for one trial: a stacked product computes each matrix
         # alone, so these are the bits of every trial's rounds in a stack.
         shared = _chunk_rounds(provider, unitaries.matrix[None], target, m)
-    else:
-        # C-ordered, as a stacked matmul's bits depend on its operands' layout
-        stack = np.ascontiguousarray(unitaries, dtype=complex)
-        if not np.isfinite(stack).all():
-            raise ContractError("matrix entries must be finite")
-        qmath.check_unitary(stack)
-        if stack.ndim != 3 or stack.shape[-1] != target.dim:
-            raise ContractError(
-                f"expected a stack of {target.dim}x{target.dim} unitaries, got shape {stack.shape}"
-            )
-        if trials != len(stack):
-            raise ContractError(f"{len(stack)} unitaries but {trials} trial stream(s)")
     numerators = np.zeros(trials, dtype=np.int64)
     for start in range(0, trials, step):
         chunk = slice(start, start + step)
         out = numerators[chunk]  # a view, which each round's bits are or-ed into
         if shared is None:
-            rounds = _chunk_rounds(provider, stack[chunk], target, m)
+            rounds = _chunk_rounds(provider, unitaries[chunk], target, m)
         else:  # the one matrix's rounds, as read-only views over the chunk
             lead = (m, len(out))
             rounds = *(np.broadcast_to(a, lead + a.shape[2:]) for a in shared[:2]), shared[2]
@@ -439,14 +449,56 @@ def ipea_batch(
         draws = _GeneratorDraws(draws)
     elif not isinstance(draws, qmath.TrialStreams):
         raise ContractError(f"draws must be qmath.TrialStreams or a Generator, not {draws!r:.60}")
+    unitaries = _entry_unitaries(unitaries, target, m, len(draws))
     tally: dict = {}
     votes = partial(_majority_votes, reps_per_bit, draws, tally)
     numerators = _ipea_engine(unitaries, target, m, provider, len(draws), step, votes)
+    _count_branches(provider, tally)
+    return BatchEstimate(numerators, tally)
+
+
+def _count_branches(provider, tally: dict) -> None:
+    # Every drawn branch is added to a provider's ``branch_counts`` dict, if it has one.
     branch_counts = getattr(provider, "branch_counts", None)
     if branch_counts is not None:
         for label, counts in tally.items():
             branch_counts[label] = branch_counts.get(label, 0) + int(counts.sum())
-    return BatchEstimate(numerators, tally)
+
+
+def _vote_groups(stack: np.ndarray, target: StateVector, m: int, provider, groups) -> np.ndarray:
+    """Sampled numerators of groups of trials run as one chunk: one
+    provider call, one rounds check and one m-round loop for all of them.
+
+    Group ``(reps, draws)`` takes the next ``len(draws)`` rows of ``stack``
+    and votes at its own ``reps`` on its own ``qmath.TrialStreams``, as
+    ``ipea_batch`` would run it alone.  The caller keeps a round within
+    ``MAX_ROUND_UNIFORMS``, resolves ``provider`` and builds ``stack``
+    C-ordered and unitary, so it is not checked again.  Picked branches
+    are added to the provider's ``branch_counts``, if it has one.
+    """
+    tallies = [{} for _ in groups]
+    edges = list(accumulate((len(draws) for _, draws in groups), initial=0))
+    parts = [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def decider(rounds, chunk: slice):
+        states, weight, labels = rounds
+        votes = [
+            _majority_votes(reps, draws, tally, (states[:, rows], weight[:, rows], labels),
+                            slice(0, len(draws)))
+            for (reps, draws), tally, rows in zip(groups, tallies, parts)
+        ]
+        if len(votes) == 1:
+            return votes[0]
+
+        def decide(k: int, pairs: np.ndarray) -> np.ndarray:
+            return np.concatenate([vote(k, pairs[:, rows]) for vote, rows in zip(votes, parts)])
+
+        return decide
+
+    numerators = _ipea_engine(stack, target, m, provider, len(stack), len(stack), decider)
+    for tally in tallies:
+        _count_branches(provider, tally)
+    return numerators
 
 
 def _exact_batch(unitaries, target: StateVector, m: int, provider):
@@ -455,6 +507,8 @@ def _exact_batch(unitaries, target: StateVector, m: int, provider):
     order trial t's rounds ran.  A chunk holds as many trials as a reps-1
     sampled one."""
     trials = 1 if isinstance(unitaries, Unitary) else len(unitaries)
+    provider = resolve_provider(provider)
+    unitaries = _entry_unitaries(unitaries, target, m, trials)
     posteriors = np.empty((trials, m))
 
     def argmax(rounds, chunk: slice):
@@ -473,9 +527,7 @@ def _exact_batch(unitaries, target: StateVector, m: int, provider):
 
         return decide
 
-    numerators = _ipea_engine(
-        unitaries, target, m, resolve_provider(provider), trials, batch_trials(1), argmax
-    )
+    numerators = _ipea_engine(unitaries, target, m, provider, trials, batch_trials(1), argmax)
     return numerators, posteriors
 
 
@@ -584,11 +636,15 @@ def _register_readout(unitaries: np.ndarray, inputs: np.ndarray, m: int, coheren
 
 def _readout(unitary: Unitary, input_state: StateVector, m: int, coherence: float | None):
     """``_register_readout`` of one matrix on one input: the ``(2^m,)``
-    weights and ``target(x)``, outcome x's conditional target, validated:
-    a StateVector when ``coherence`` is None, a DensityMatrix otherwise."""
+    weights, refused unless they sum to 1 within 1e-9, and ``target(x)``,
+    outcome x's conditional target, validated: a StateVector when
+    ``coherence`` is None, a DensityMatrix otherwise."""
     weights, targets = _register_readout(
         unitary.matrix[None], input_state.amplitudes[None], m, coherence
     )
+    total = float(weights[0].sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ContractError(f"distribution does not sum to 1: {total!r}")
 
     def target(x: int):
         state = targets([x])[0]
@@ -606,11 +662,7 @@ def qpe_full_distribution(spec: EigenproblemSpec, m: int) -> np.ndarray:
     binary digits (most significant first) are the phase bits.  The
     target is traced out, so the table is exact for any input.
     """
-    probs = _readout(spec.unitary, spec.input_state, m, None)[0]
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"distribution does not sum to 1: {total!r}")
-    return probs
+    return _readout(spec.unitary, spec.input_state, m, None)[0]
 
 
 def collapse_project(
@@ -644,8 +696,9 @@ def _collapse_draws(
 
     ``probs`` are the readout's weights over their sum: squared moduli of
     a finite stage, or their mix with the dephased trace, so finite,
-    non-negative and summing to about 1.  Each trial takes one uniform
-    from its row of ``draws`` and its outcome is the number of entries of
+    non-negative and, as ``_readout`` checks, summing to 1 within 1e-9.
+    Each trial takes one uniform from its row of ``draws`` and its
+    outcome is the number of entries of
     ``cdf = cumsum(probs) / cumsum(probs)[-1]`` at or below it, so a
     zero-width outcome is never drawn.  Returns the outcomes, ``probs``
     and the readout's ``target``.

@@ -9,8 +9,13 @@ import sys
 import pytest
 
 from helpers import subcommand_parsers
+import numpy as np
+
 from ipea_sim import cli, qmath, qpe
 from ipea_sim.cli import main
+from ipea_sim.photonics import polarization_state
+from ipea_sim.qmath import ContractError, Unitary, derive_rng
+from ipea_sim.qpe import EigenproblemSpec, collapse_project, collapse_run, qpe_full_distribution
 
 DATA = pathlib.Path(__file__).parent / "data"
 MONTECARLO_GOLDEN = DATA / "montecarlo_golden.csv"
@@ -185,6 +190,40 @@ class TestRunCommand:
                     assert (code, out) == (2, ""), (mode, rest, bits)
                     assert err.startswith("ipea-sim: unitary matrix ") and err.endswith(", line 2\n")
 
+    @pytest.mark.parametrize("noise", ["", "noise 0.5 0\n"], ids=["pure", "noisy"])
+    def test_collapse_refuses_a_drifting_distribution_as_qpe_full_does(self, noise, tmp_path, capsys):
+        # One rule for every register readout, |sum w - 1| <= 1e-9: the
+        # drifting matrix's weights sum to 1 + 6.2e-10 at bits 7, which
+        # runs, and to 1 + 1.2e-9 and 1 + 2.0e-8 at bits 8 and 12, which
+        # the parser refuses naming the unitary line, as the Python API's
+        # collapse entries and qpe_full refuse them.
+        coherence = 0.5 if noise else None
+        unitary = Unitary(np.array([[1, 0], [0, 0.70710678119 + 0.70710678119j]]))
+        target = polarization_state("V")
+        calls = (
+            lambda bits: collapse_project(unitary, target, bits, 0, coherence),
+            lambda bits: collapse_run(unitary, target, bits, derive_rng(0), coherence),
+            lambda bits: qpe_full_distribution(EigenproblemSpec(unitary, target), bits),
+        )
+        cfg = tmp_path / "exp.cfg"
+        for bits in (7, 8, 12):
+            cfg.write_text("mode collapse\nunitary matrix 1,0 0,0 0,0 0.70710678119,0.70710678119\n"
+                           f"eigenstate V\nbits {bits}\ntrials 3\n{noise}")
+            code, out, err = run_cli(["run", str(cfg)], capsys)
+            if bits == 7:
+                assert code == 0, err
+                assert len(out.splitlines()) == 4
+                for call in calls:
+                    call(bits)
+                continue
+            assert (code, out) == (2, "")
+            assert err.startswith("ipea-sim: unitary matrix powers fail the collapse check "
+                                  "(distribution does not sum to 1: 1.0000000")
+            assert err.endswith(", line 2\n")
+            for call in calls:
+                with pytest.raises(ContractError, match="^distribution does not sum to 1: 1.0000000"):
+                    call(bits)
+
     def test_seed_override_refused_where_no_seed_is_read(self, capsys):
         # exact ipea (trials 0) draws nothing, so a seed would be ignored
         code, out, err = run_cli(["run", str(CONFIGS / "sweep_point.cfg"), "--seed", "5"], capsys)
@@ -332,13 +371,15 @@ class TestStudyCommands:
         assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
 
     def test_montecarlo_golden_across_chunks(self, tmp_path, capsys, monkeypatch):
-        # A bound of 154 uniforms per round splits the 200 trials into
-        # chunks of 7 trials at reps 11 and of 77 at reps 1, the last one
-        # short, and the batch golden's runs too (300 trials at reps 1
-        # into 77 + 77 + 77 + 69, dyadic reps 3 into chunks of 25, fig4
-        # into 7 + 5).  A window of 64 words makes the chunks refill their
-        # draws at offsets inside a Philox block.  A trial's draws must
-        # depend on neither.
+        # A bound of 154 uniforms per round splits a Monte Carlo study into
+        # chunks of 154 // (2 * (1 + reps)) trials, each running both passes:
+        # the 200 trials at reps 11 into 33 chunks of 6 and one of 2, and the
+        # batch golden's dyadic reps-3 runs into 10 chunks of 19 and one of
+        # 10.  Its one-pass reps-1 run splits 300 trials into 77 + 77 + 77 +
+        # 69, fig4 runs as 7 + 5 and the ipea config as 15 + 10.  A window of
+        # 64 words makes the streams of fig4 and the config, which state no
+        # length, refill their draws at offsets inside a Philox block.  A
+        # trial's draws must depend on neither.
         monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 154)
         monkeypatch.setattr(qmath, "DRAW_WINDOW_WORDS", 64)
         assert qpe.batch_trials(11) == 7 and qpe.batch_trials(1) == 77

@@ -2,6 +2,7 @@
 
 import json
 import re
+from functools import cache
 
 import numpy as np
 import pytest
@@ -223,6 +224,62 @@ class TestMontecarlo:
         assert len(rows) == 2
         single, majority = rows
         assert majority["success_rate"] >= single["success_rate"] - 0.02
+
+    def test_each_trial_keys_its_stream_once_per_pass(self, monkeypatch):
+        # A window of 64 words a trial (DRAW_WINDOW_WORDS over 20 trials)
+        # holds a reps-11 trial's phase word but not its 2 * 5 * 11 uniforms
+        # at m = 5.  Each stream states its length, so every (pass, trial)
+        # key is set exactly once, in one refill, and the rows do not move.
+        want = run_montecarlo(m=5, trials=20, seed=3, provider="photonic", reps=11)
+        keyed = []
+        refill = TrialStreams._refill
+
+        def counting(streams, size):
+            keyed.extend(map(tuple, streams.keys.tolist()))
+            return refill(streams, size)
+
+        monkeypatch.setattr(qmath, "DRAW_WINDOW_WORDS", 20 * 64)
+        monkeypatch.setattr(TrialStreams, "_refill", counting)
+        assert run_montecarlo(m=5, trials=20, seed=3, provider="photonic", reps=11) == want
+        keys = [qmath._spawn_keys(3, (stream,), range(20)).tolist() for stream in (0, 1)]
+        assert sorted(keyed) == sorted(map(tuple, keys[0] + keys[1]))
+
+    @pytest.mark.parametrize("provider", ["matrix", "photonic"])
+    def test_both_passes_share_one_engine_run_per_chunk(self, monkeypatch, provider):
+        # A bound of 144 uniforms a round makes chunks of 144 // (2 * (1 + 11))
+        # = 6 trials, so 20 trials run as 6 + 6 + 6 + 2: one provider call a
+        # chunk on pass 0's rows and then pass 1's, and no unitarity check
+        # of a stack built unitary.  Each pass keeps the stack and the row
+        # of a separate single-pass batch over all its trials.
+        monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 144)
+        inner = qpe.resolve_provider(provider)
+        seen, checked = [], []
+
+        class Recording:
+            def rounds(self, stack, target, m):
+                seen.append(stack.copy())
+                return inner.rounds(stack, target, m)
+
+        check = qmath.check_unitary
+        monkeypatch.setattr(qmath, "check_unitary", lambda *args: checked.append(args) or check(*args))
+        m, trials, seed = 4, 20, 9
+        rows = run_montecarlo(m=m, trials=trials, seed=seed, provider=Recording(), reps=11)
+        assert [len(stack) for stack in seen] == [12, 12, 12, 4]
+        assert checked == []
+        for stream, (reps, row) in enumerate(zip((1, 11), rows)):
+            draws = TrialStreams(seed, (stream,), range(trials))
+            phis = draws.uniforms(1)[:, 0]
+            stack = np.zeros((trials, 2, 2), dtype=complex)
+            stack[:, 0, 0] = 1.0
+            stack[:, 1, 1] = np.exp(2j * np.pi * phis)
+            halves = [rows_seen.reshape(2, -1, 2, 2)[stream] for rows_seen in seen]
+            assert np.array_equal(np.concatenate(halves), stack)
+            batch = qpe.ipea_batch(stack, qmath.basis_state(1, 1), m, reps, inner, draws)
+            errors = qpe.circular_distance(batch.numerators / (1 << m), phis)
+            successes = sum(error <= 2.0**-m for error in errors)
+            cells = (m, trials, reps, successes, successes / trials,
+                     *wilson_interval(successes, trials))
+            assert row == dict(zip(experiments.MONTECARLO_FIELDS, cells))
 
     def test_interval_brackets_rate(self):
         rows = run_montecarlo(m=3, trials=100, provider="matrix")
@@ -659,16 +716,19 @@ def test_a_column_of_numpy_scalars_or_of_two_types_is_refused(table, fmt):
         emit(table, fmt, fields=fields)
 
 
+@cache  # a test example asks three times for the same weights
 def _edge_weights(u: float, size: int, kind: str) -> np.ndarray:
     """Outcome weights whose cdf puts the draw ``u`` on an edge.
 
     "tie" makes ``u`` an entry of the cdf exactly, so only a search on the
     right side of equal entries reads it as choice does; "scaled" makes the
     cdf's last entry miss 1 by enough that dividing by it moves ``u``
-    across an entry.
+    across an entry.  Every total stays within 1e-9 of 1, the register
+    readout's rule, so the weights reach the draw.
     """
-    for scale in np.arange(1.0, 3.0, 0.01):
-        for nudge in (0, -1, 1, -2, 2, -3, 3):
+    for step in range(2500):
+        scale = 1.0 + (step // 2) * (-1) ** step * 8e-13
+        for nudge in (0, -1, 1, -2, 2, -3, 3, -4, 4, -6, 6, -8, 8):
             w = np.zeros(size)
             w[0], w[-1] = (u + nudge * np.spacing(u)) * scale, (1.0 - u) * scale
             cdf = np.cumsum(w / w.sum())
