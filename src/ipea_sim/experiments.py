@@ -351,8 +351,8 @@ def run_montecarlo(
     loop over chunks of trials: a chunk's phases of every pass become one
     stack of diag(1, e^{2 pi i phi}), run as one engine run whose rounds
     read at most ``qpe.MAX_ROUND_UNIFORMS`` uniforms.  Each stream states
-    its length, a phase word and 2 m reps uniforms, so each trial's key is
-    set once per pass.
+    its length, a phase word and the 2 m reps uniforms a branched provider
+    reads, so each trial's key is set once per pass.
     """
     m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))
@@ -361,7 +361,7 @@ def run_montecarlo(
     passes = (1,) if reps == 1 else (1, reps)
     prov = qpe.resolve_provider(provider)
     target = basis_state(1, 1)
-    successes = np.zeros(len(passes), dtype=np.int64)
+    counts = np.zeros(len(passes), dtype=np.int64)
     step = qpe.MAX_ROUND_UNIFORMS // (2 * sum(passes))
     for start in range(0, trials, step):
         chunk = range(start, min(trials, start + step))
@@ -376,11 +376,11 @@ def run_montecarlo(
         stack[:, 1, 1] = np.exp(2j * np.pi * phis)
         numerators = qpe._vote_groups(stack, target, m, prov, groups)
         hits = np.less_equal(circular_distance(numerators / (1 << m), phis), 2.0**-m)
-        successes += hits.reshape(len(passes), -1).sum(axis=1)
+        counts += hits.reshape(len(passes), -1).sum(axis=1)
     rows = []
-    for reps_per_bit, hits in zip(passes, successes.tolist()):
-        low, high = wilson_interval(hits, trials)  # refuses trials 0 before the rate
-        cells = (m, trials, reps_per_bit, hits, hits / trials, low, high)
+    for reps_per_bit, successes in zip(passes, counts.tolist()):
+        low, high = wilson_interval(successes, trials)  # refuses trials 0 before the rate
+        cells = (m, trials, reps_per_bit, successes, successes / trials, low, high)
         rows.append(dict(zip(MONTECARLO_FIELDS, cells)))
     return rows
 
