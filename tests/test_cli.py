@@ -6,11 +6,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import subcommand_parsers
-import numpy as np
-
 from ipea_sim import cli, qmath, qpe
 from ipea_sim.cli import main
 from ipea_sim.photonics import polarization_state
