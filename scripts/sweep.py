@@ -14,10 +14,12 @@ The list covers, each in CSV and in JSON:
 * ``fig4`` with and without ``--exact``, for each provider;
 * ``fig5`` at its defaults and with ``--shots 0 --no-noise``;
 * ``montecarlo`` at its defaults for each provider, and with ``--dyadic``,
-  and the ``MONTECARLO`` studies whose reps-11 chunk outgrows a 128-word
-  window a trial or whose trials split into several joint chunks;
+  and the ``MONTECARLO`` studies whose trials read the most words of
+  each provider or split into several joint chunks;
 * the ``CONFIGS`` texts, paths the above miss: ``run`` of a Monte Carlo
-  config, an explicit ``unitary matrix``, a ``qwp`` train, an oracle
+  config, a many-trial photonic ``ipea`` config that splits into two
+  chunks, a many-trial noisy ``collapse`` config, an explicit ``unitary
+  matrix``, a ``qwp`` train, an oracle
   that cannot pick an eigenphase, configs refused at parse time, and a
   matrix whose powers drift past the engines' checks, on each side of
   the bits where ``ipea`` and ``qpe_full`` refuse it;
@@ -65,9 +67,9 @@ REFUSED = (
     ["montecarlo", "--trials", "0"],
     ["fig5", "--shots", "-1"],
 )
-# Monte Carlo studies past the default's shape: a reps-11 trial reading more
-# than 128 words, 1 + m * 11 * (2 photonic, 1 matrix), at photonic m = 5 and
-# matrix m = 8, and studies that split into joint chunks of
+# Monte Carlo studies past the default's shape: a reps-11 trial reading
+# 1 + m * 11 * (2 photonic, 1 matrix) words, at photonic m = 5 and matrix
+# m = 8, and studies that split into joint chunks of
 # 2^16 // (2 * (1 + reps)) trials: 3,000 = 2,730 + 270 at reps 11 and
 # 9,000 = 8,192 + 808 at reps 3.
 MONTECARLO = (
@@ -82,6 +84,11 @@ _DRIFTING = "unitary matrix 1,0 0,0 0,0 0.70710678119,0.70710678119\neigenstate 
 # configs/ leave out.  The parse-time refusals exit 2.
 CONFIGS = {
     "montecarlo": "mode montecarlo\nbits 4\ntrials 300\nreps 3\nseed 9\n",
+    # 3,000 reps-11 trials run as chunks of 2^16 // 22 = 2,978 and 22
+    "ipea-3000": "mode ipea\nunitary hwp 0 hwp 30\nbits 5\nreps 11\ntrials 3000\nseed 6\n"
+                 "provider photonic\n",
+    "collapse-5000": "mode collapse\nunitary hwp 0 hwp 30\nbits 6\ntrials 5000\nseed 6\n"
+                     "noise 0.9 0.25\n",
     "unitary-matrix": "mode ipea\nunitary matrix 0.6,0 0,0.8 0,0.8 0.6,0\nbits 5\ntrials 6\n"
                       "seed 2\nprovider matrix\neigenstate D\n",
     "qwp-train": "mode ipea\nunitary hwp 10 qwp 35 hwp 80\nbits 4\ntrials 5\nseed 3\n",

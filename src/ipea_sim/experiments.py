@@ -351,8 +351,9 @@ def run_montecarlo(
     loop over chunks of trials: a chunk's phases of every pass become one
     stack of diag(1, e^{2 pi i phi}), run as one engine run whose rounds
     read at most ``qpe.MAX_ROUND_UNIFORMS`` uniforms.  Each stream states
-    its length, a phase word and the 2 m reps uniforms a branched provider
-    reads, so each trial's key is set once per pass.
+    its length, a phase word and m reps repetitions of the uniforms the
+    provider's labels say a repetition reads (two if it states none), so
+    each trial's key is set once per pass.
     """
     m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))
@@ -360,12 +361,13 @@ def run_montecarlo(
     qpe._check_reps(reps)
     passes = (1,) if reps == 1 else (1, reps)
     prov = qpe.resolve_provider(provider)
+    per = qpe._rep_uniforms(getattr(prov, "labels", None))
     target = basis_state(1, 1)
     counts = np.zeros(len(passes), dtype=np.int64)
     step = qpe.MAX_ROUND_UNIFORMS // (2 * sum(passes))
     for start in range(0, trials, step):
         chunk = range(start, min(trials, start + step))
-        groups = [(r, TrialStreams(seed, (stream,), chunk, 1 + 2 * m * r))
+        groups = [(r, TrialStreams(seed, (stream,), chunk, 1 + per * m * r))
                   for stream, r in enumerate(passes)]
         if dyadic:
             phis = np.concatenate([draws.integers(m) for _, draws in groups]) / (1 << m)

@@ -5,8 +5,8 @@ the containers and the engines apply to whole arrays (``check_normalized``
 for states, ``check_unitary`` for operators, ``check_density`` for
 density matrices); the fidelity measure; and the per-trial random
 streams shared by the estimation, photonics, and tomography layers.
-Everything but ``TrialStreams``, which keeps an offset and a buffered
-window, is an immutable value or a pure function; randomness enters
+Everything but ``TrialStreams``, which keeps an offset and buffered
+words, is an immutable value or a pure function; randomness enters
 only through explicitly passed generators and trial streams.
 
 Conventions
@@ -58,13 +58,6 @@ CONSTRUCTION_TOL = 1e-10
 # register outcome or a fig5 panel's outcome.
 NEVER_OCCURS = 1e-24
 EIGENVALUE_FLOOR = -1e-8
-
-# A TrialStreams refill of a run of unstated length draws at most
-# TRIAL_WINDOW_WORDS words per trial (setting a trial's key costs about as
-# much as drawing 100 words) and about DRAW_WINDOW_WORDS (2 MiB) for all
-# its trials together; a run that states its length refills once.
-TRIAL_WINDOW_WORDS = 128
-DRAW_WINDOW_WORDS = 1 << 18
 
 # The register size cap in qubits, read at call time, and the bits of a
 # phase estimate that every engine and the ``bits`` directive accept.
@@ -387,22 +380,18 @@ class TrialStreams:
     would.  Every request takes the same number of words from every trial,
     so one word offset is the whole position of the run in its streams.
 
-    Memory: a request that runs past the buffered words draws a new window
-    for each of the T trials, 8 bytes a word.  A run that states
-    ``length``, the words each trial reads in all, draws every word left,
-    ``max(count, length - offset)``, so each trial's key is set once and
-    the run buffers ``T * length`` words.  Otherwise the window is
-    ``max(count, min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // T))`` words,
-    so a run buffers at most ``max(T * count, DRAW_WINDOW_WORDS)`` words
-    (2 MiB unless one request is larger).
+    A request that runs past the buffered words refills every trial, 8
+    bytes a word: ``max(count, length - offset)`` words for a run that
+    states ``length``, the words each trial reads in all, so each trial's
+    key is set once and the run buffers ``T * length`` words, and exactly
+    ``count`` words for any other run.
     """
 
     def __init__(self, master_seed: int, stream, trials, length: int | None = None):
         self.keys = _spawn_keys(master_seed, tuple(stream), trials)
-        self.length = length
+        self.length = length or 0
         self.offset = 0
-        self._window = np.empty((len(self.keys), 0), dtype=np.uint64)
-        self._window_start = 0
+        self._buffer = np.empty((len(self.keys), 0), dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -410,21 +399,16 @@ class TrialStreams:
     def rows(self, start: int, stop: int) -> "TrialStreams":
         """Trials ``start:stop`` at the same offset, drawing apart from this run."""
         part = copy.copy(self)
-        part.keys, part._window = self.keys[start:stop], self._window[start:stop]
+        part.keys, part._buffer = self.keys[start:stop], self._buffer[start:stop]
         return part
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` raw 64-bit words of every trial, shape (T, count)."""
-        ahead = self.offset - self._window_start
-        if ahead + count > self._window.shape[1]:
-            if self.length is None:
-                left = min(TRIAL_WINDOW_WORDS, DRAW_WINDOW_WORDS // max(len(self.keys), 1))
-            else:
-                left = self.length - self.offset
-            self._refill(max(count, left))
-            ahead = 0
+        if count > self._buffer.shape[1]:
+            self._refill(max(count, self.length - self.offset))
+        out, self._buffer = self._buffer[:, :count], self._buffer[:, count:]
         self.offset += count
-        return self._window[:, ahead : ahead + count]
+        return out
 
     def uniforms(self, count: int) -> np.ndarray:
         """Each trial's next ``rng.random(count)``: one word per double, its top 53 bits."""
@@ -452,12 +436,11 @@ class TrialStreams:
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0,
                  "state": {"counter": [self.offset // 4, 0, 0, 0], "key": None}}
-        window = np.empty((len(self.keys), size), dtype=np.uint64)
-        for row, key in zip(window, self.keys.tolist()):
+        self._buffer = np.empty((len(self.keys), size), dtype=np.uint64)
+        for row, key in zip(self._buffer, self.keys.tolist()):
             state["state"]["key"] = key
             bitgen.state = state
             row[:] = bitgen.random_raw(skip + size)[skip:]
-        self._window, self._window_start = window, self.offset
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:

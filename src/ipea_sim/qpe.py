@@ -198,6 +198,7 @@ class MatrixProvider:
     """Realize C-U^(2^(k-1)) as the explicit block matrix diag(I, W)."""
 
     name = "matrix"
+    labels = (None,)  # one branch, unlabeled
 
     def rounds(self, unitaries: np.ndarray, target: StateVector, m: int):
         qmath._check_bits(m)
@@ -209,7 +210,7 @@ class MatrixProvider:
         states[..., 0, :dim] = target.amplitudes
         states[..., 0, dim:] = powered[..., 0]
         states *= _SQRT1_2
-        return states, np.ones((m, count, 1)), (None,)
+        return states, np.ones((m, count, 1)), self.labels
 
 
 def resolve_provider(provider):
@@ -257,22 +258,28 @@ def _branch_cdfs(weight: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _rep_uniforms(labels) -> int:
+    """The uniforms one repetition reads: one, the control outcome, for an
+    unbranched round (labels ``(None,)``, the matrix provider's); two, the
+    branch and then the outcome, for any other."""
+    return 1 if labels == (None,) else 2
+
+
 def _majority_votes(reps: int, draws, tally: dict, rounds, chunk: slice):
     """The sampled decider of ``_ipea_engine``: the part of a chunk's
     sampled rounds that no measured bit affects, every uniform drawn and
     every branch picked and tallied, once.
 
-    A repetition of an unbranched round takes one uniform, for the control
-    outcome; any other takes two: the branch, then the outcome.  Each
-    trial's m rounds come from one ``uniforms(m * n)`` request on its row
-    of ``draws``, which reads what m requests of n would, round m first.
+    A repetition reads ``_rep_uniforms(labels)`` uniforms.  Each trial's m
+    rounds come from one ``uniforms(m * n)`` request on its row of
+    ``draws``, which reads what m requests of n would, round m first.
     Returns ``vote(k, pairs)``, every trial's majority bit in round k from
     its measured pairs; ``tally`` maps each picked branch's label to its
     per-trial count over all of ``draws``' trials.
     """
     _, weight, labels = rounds
     m, count, width = weight.shape
-    per = 1 if len(labels) == 1 and labels[0] is None else 2
+    per = _rep_uniforms(labels)
     u = draws.rows(chunk.start, chunk.stop).uniforms(m * reps * per).reshape(count, m, reps, per)
     # Rung-major like the rounds: u[k - 1] holds round k's (T, reps, per) uniforms.
     u = u.swapaxes(0, 1)[::-1]
@@ -284,15 +291,20 @@ def _majority_votes(reps: int, draws, tally: dict, rounds, chunk: slice):
             return (outcome[k - 1] >= pairs[0]).sum(axis=1) > reps // 2
 
         return vote
-    # searchsorted(cdf, u, side="right"): the number of cdf entries <= u,
-    # so a zero-width branch is never picked.
-    picks = (_branch_cdfs(weight)[:, :, None, :] <= u[..., :1]).sum(axis=-1)
+    # searchsorted(cdf, u, side="right"): the number of cdf entries <= u, so
+    # a zero-width branch is never picked.  The last entry is exactly 1.0 and
+    # every uniform is below 1, so only the first B - 1 entries are compared.
+    cdf, first = _branch_cdfs(weight), u[..., 0]
+    picks = np.zeros(first.shape, dtype=np.intp)
+    for b in range(width - 1):
+        picks += cdf[:, :, b, None] <= first
     q = np.array([label == "Q" for label in labels], dtype=bool)
     flip = q[picks]
+    picks += width * np.arange(count)[:, None]  # flat indices into a (T, B) table
+    table = np.bincount(picks.reshape(-1), minlength=count * width).reshape(count, width)
     for b, label in enumerate(labels):
         counts = tally.setdefault(label, np.zeros(len(draws), dtype=np.int64))
-        counts[chunk] += (picks == b).sum(axis=(0, 2))
-    picks += width * np.arange(count)[:, None]  # flat indices into a (T, B) table
+        counts[chunk] += table[:, b]
 
     def vote(k: int, pairs: np.ndarray) -> np.ndarray:
         # "+" as measured when the uniform falls below the picked branch's

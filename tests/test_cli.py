@@ -375,12 +375,9 @@ class TestStudyCommands:
         # the 200 trials at reps 11 into 33 chunks of 6 and one of 2, and the
         # batch golden's dyadic reps-3 runs into 10 chunks of 19 and one of
         # 10.  Its one-pass reps-1 run splits 300 trials into 77 + 77 + 77 +
-        # 69, fig4 runs as 7 + 5 and the ipea config as 15 + 10.  A window of
-        # 64 words makes the streams of fig4 and the config, which state no
-        # length, refill their draws at offsets inside a Philox block.  A
-        # trial's draws must depend on neither.
+        # 69, fig4 runs as 7 + 5 and the ipea config as 15 + 10.  A trial's
+        # draws must not depend on its chunk.
         monkeypatch.setattr(qpe, "MAX_ROUND_UNIFORMS", 154)
-        monkeypatch.setattr(qmath, "DRAW_WINDOW_WORDS", 64)
         assert qpe.batch_trials(11) == 7 and qpe.batch_trials(1) == 77
         assert montecarlo_golden_text(capsys) == MONTECARLO_GOLDEN.read_text(encoding="utf-8")
         text = ""

@@ -226,10 +226,9 @@ class TestMontecarlo:
         assert majority["success_rate"] >= single["success_rate"] - 0.02
 
     def test_each_trial_keys_its_stream_once_per_pass(self, monkeypatch):
-        # A window of 64 words a trial (DRAW_WINDOW_WORDS over 20 trials)
-        # holds a reps-11 trial's phase word but not its 2 * 5 * 11 uniforms
-        # at m = 5.  Each stream states its length, so every (pass, trial)
-        # key is set exactly once, in one refill, and the rows do not move.
+        # A reps-11 trial reads a phase word and then 2 * 5 * 11 uniforms at
+        # m = 5.  Each stream states its length, so every (pass, trial) key
+        # is set exactly once, in one refill, and the rows do not move.
         want = run_montecarlo(m=5, trials=20, seed=3, provider="photonic", reps=11)
         keyed = []
         refill = TrialStreams._refill
@@ -238,7 +237,6 @@ class TestMontecarlo:
             keyed.extend(map(tuple, streams.keys.tolist()))
             return refill(streams, size)
 
-        monkeypatch.setattr(qmath, "DRAW_WINDOW_WORDS", 20 * 64)
         monkeypatch.setattr(TrialStreams, "_refill", counting)
         assert run_montecarlo(m=5, trials=20, seed=3, provider="photonic", reps=11) == want
         keys = [qmath._spawn_keys(3, (stream,), range(20)).tolist() for stream in (0, 1)]
@@ -322,6 +320,48 @@ class TestMontecarlo:
     def test_non_integer_count_is_refused(self, count):
         with pytest.raises(ContractError, match=f"{count} must be an integer, got 3.0"):
             run_montecarlo(**{"m": 2, "trials": 20, "reps": 3, count: 3.0})
+
+
+def _config_run(text: str):
+    return lambda: run_config(parse_experiment(text))
+
+
+# Each caller's run, its seed, and the trials of each stream it draws from
+# with the words it reads from each of them a trial.
+_READS = {
+    "collapse": (_config_run("mode collapse\nunitary hwp 30\ntrials 3\nseed 4\n"),
+                 4, {(): (3, 1)}),
+    "ipea-photonic": (_config_run("mode ipea\nunitary hwp 0 hwp 30\nbits 3\nreps 1\ntrials 1\n"
+                                  "seed 4\nprovider photonic\n"), 4, {(): (1, 6)}),
+    "ipea-matrix": (_config_run("mode ipea\nunitary hwp 0 hwp 30\nbits 5\nreps 5\ntrials 25\n"
+                                "seed 4\nprovider matrix\n"), 4, {(): (25, 25)}),
+    "fig4-photonic": (lambda: run_fig4(seed=3, provider="photonic"), 3, {(): (12, 66)}),
+    "fig4-matrix": (lambda: run_fig4(seed=3, provider="matrix"), 3, {(): (12, 33)}),
+    "montecarlo-photonic": (lambda: run_montecarlo(m=8, trials=20, seed=3, provider="photonic", reps=11),
+                            3, {(0,): (20, 1 + 16), (1,): (20, 1 + 176)}),
+    "montecarlo-matrix": (lambda: run_montecarlo(m=8, trials=20, seed=3, provider="matrix", reps=11),
+                          3, {(0,): (20, 1 + 8), (1,): (20, 1 + 88)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_READS))
+def test_each_stream_refills_what_its_caller_reads(monkeypatch, case):
+    # A counting _refill sees every trial's key set once per stream (once
+    # per pass for the Monte Carlo study, at reps 11), each time with
+    # exactly the words the caller reads from that stream.
+    run, seed, reads = _READS[case]
+    refills = []
+    refill = TrialStreams._refill
+
+    def counting(streams, size):
+        refills.extend((tuple(key), size) for key in streams.keys.tolist())
+        return refill(streams, size)
+
+    monkeypatch.setattr(TrialStreams, "_refill", counting)
+    run()
+    want = [(tuple(key), words) for stream, (trials, words) in reads.items()
+            for key in qmath._spawn_keys(seed, stream, range(trials)).tolist()]
+    assert sorted(refills) == sorted(want)
 
 
 class TestRunConfig:

@@ -1,7 +1,6 @@
 """Substrate checks: validated containers, capacity cap, fidelity, rng."""
 
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,32 +266,35 @@ TRIAL_INDICES = st.one_of(
     st.lists(TRIAL_INDICES, min_size=1, max_size=6),
     st.one_of(st.none(), st.integers(1, 16), st.integers(17, 63)),
     st.lists(st.integers(1, 9), min_size=1, max_size=4),
-    st.sampled_from((1, 6, 1 << 18)),
+    # the stated length: none, or the words read less 0 (all of them) to 9
+    st.one_of(st.none(), st.integers(0, 9)),
     st.integers(0, 5),
 )
 def test_trial_streams_draw_what_derive_rng_draws(
-    seed, stream, trials, bits, slices, window, lo
+    seed, stream, trials, bits, slices, short, lo
 ):
     # Keys from the vectorised hash and words from the reused Philox
     # must be exactly each trial's own generator: an optional
     # integers(0, 2^bits) first, as --dyadic draws its phase, then
-    # random() in consecutive slices.  A small window makes the slices
-    # refill at offsets inside a Philox block; a sub-run taken with
-    # rows() at each offset reads the same words without moving the run.
+    # random() in consecutive slices.  A run that states no length, or
+    # fewer words than it reads, refills its slices at offsets inside a
+    # Philox block; one that states them all refills once.  A sub-run taken
+    # with rows() at each offset reads the same words without moving the run.
     rngs = [derive_rng(seed, *stream, t) for t in trials]
     ints = [int(rng.integers(0, 1 << bits)) for rng in rngs] if bits else None
     want = np.array([rng.random(sum(slices)) for rng in rngs])
     lo = min(lo, len(trials) - 1)
-    with mock.patch.object(qmath, "DRAW_WINDOW_WORDS", window):
-        streams = TrialStreams(seed, stream, trials)
-        if bits:
-            assert streams.integers(bits).tolist() == ints
-        at = 0
-        for count in slices:
-            part = streams.rows(lo, len(trials))
-            np.testing.assert_array_equal(part.uniforms(count), want[lo:, at : at + count])
-            np.testing.assert_array_equal(streams.uniforms(count), want[:, at : at + count])
-            at += count
+    total = sum(slices) + (1 if bits else 0)
+    length = None if short is None else max(1, total - short)
+    streams = TrialStreams(seed, stream, trials, length)
+    if bits:
+        assert streams.integers(bits).tolist() == ints
+    at = 0
+    for count in slices:
+        part = streams.rows(lo, len(trials))
+        np.testing.assert_array_equal(part.uniforms(count), want[lo:, at : at + count])
+        np.testing.assert_array_equal(streams.uniforms(count), want[:, at : at + count])
+        at += count
     assert streams.offset == at + (1 if bits else 0)
 
 
@@ -303,7 +305,7 @@ def test_trial_streams_draw_what_derive_rng_draws(
 )
 def test_trial_streams_share_one_philox_without_crosstalk(seeds, requests):
     # Every run draws through one process-wide Philox.  Two runs and a
-    # rows() part of each, refilling in turn on a tiny window, must each
+    # rows() part of each, refilling in turn on every request, must each
     # still read exactly its own trials' derive_rng words.
     runs = [TrialStreams(seeds[0], (1,), range(4)), TrialStreams(seeds[1], (2, 3), range(3))]
     runs += [runs[0].rows(1, 3), runs[1].rows(0, 2)]
@@ -313,11 +315,10 @@ def test_trial_streams_share_one_philox_without_crosstalk(seeds, requests):
     want = [np.array([derive_rng(seed, *stream, t).random(n) for t in trials])
             for (seed, stream, trials), n in zip(sources, total)]
     at = [0] * 4
-    with mock.patch.object(qmath, "DRAW_WINDOW_WORDS", 6):
-        for run, count in requests:
-            got = runs[run].uniforms(count)
-            np.testing.assert_array_equal(got, want[run][:, at[run] : at[run] + count])
-            at[run] += count
+    for run, count in requests:
+        got = runs[run].uniforms(count)
+        np.testing.assert_array_equal(got, want[run][:, at[run] : at[run] + count])
+        at[run] += count
 
 
 def test_trial_streams_refuse_what_derive_rng_cannot_seed():
