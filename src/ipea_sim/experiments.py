@@ -351,9 +351,9 @@ def run_montecarlo(
     loop over chunks of trials: a chunk's phases of every pass become one
     stack of diag(1, e^{2 pi i phi}), run as one engine run whose rounds
     read at most ``qpe.MAX_ROUND_UNIFORMS`` uniforms.  Each stream states
-    its length, a phase word and m reps repetitions of the uniforms the
-    provider's labels say a repetition reads (two if it states none), so
-    each trial's key is set once per pass.
+    its length, a phase word and m reps repetitions of
+    ``qpe._rep_uniforms`` uniforms (one for the matrix provider, two for
+    any other), so each trial's key is set once per pass.
     """
     m, trials, reps = (qmath._integer(name, value)
                        for name, value in (("m", m), ("trials", trials), ("reps", reps)))

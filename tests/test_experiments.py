@@ -326,6 +326,10 @@ def _config_run(text: str):
     return lambda: run_config(parse_experiment(text))
 
 
+def _montecarlo_run(provider: str):
+    return lambda: run_montecarlo(m=8, trials=20, seed=3, provider=provider, reps=11)
+
+
 # Each caller's run, its seed, and the trials of each stream it draws from
 # with the words it reads from each of them a trial.
 _READS = {
@@ -337,10 +341,9 @@ _READS = {
                                 "seed 4\nprovider matrix\n"), 4, {(): (25, 25)}),
     "fig4-photonic": (lambda: run_fig4(seed=3, provider="photonic"), 3, {(): (12, 66)}),
     "fig4-matrix": (lambda: run_fig4(seed=3, provider="matrix"), 3, {(): (12, 33)}),
-    "montecarlo-photonic": (lambda: run_montecarlo(m=8, trials=20, seed=3, provider="photonic", reps=11),
-                            3, {(0,): (20, 1 + 16), (1,): (20, 1 + 176)}),
-    "montecarlo-matrix": (lambda: run_montecarlo(m=8, trials=20, seed=3, provider="matrix", reps=11),
-                          3, {(0,): (20, 1 + 8), (1,): (20, 1 + 88)}),
+    "montecarlo-photonic": (_montecarlo_run("photonic"), 3,
+                            {(0,): (20, 1 + 16), (1,): (20, 1 + 176)}),
+    "montecarlo-matrix": (_montecarlo_run("matrix"), 3, {(0,): (20, 1 + 8), (1,): (20, 1 + 88)}),
 }
 
 
